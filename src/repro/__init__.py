@@ -89,7 +89,7 @@ from repro.uncertainty import (
     get_measure,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

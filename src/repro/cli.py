@@ -18,11 +18,6 @@ Subcommands cover the common workflows without writing Python:
   versioned ``/v1`` wire protocol (shared TPO cache, durable event log,
   resumable: ``python -m repro serve --port 8080 --log events.jsonl
   --resume``);
-* ``bench-service`` — the service-layer throughput/cache benchmark
-  (``python -m repro bench-service --smoke``);
-* ``bench-engines`` — the TPO construction benchmark gating the flat
-  level-table grid engine against the pointer baseline
-  (``python -m repro bench-engines --smoke``);
 * ``eval`` — the fidelity gate: calibration / regret / golden-dataset
   suites scored into a provenance-stamped report
   (``python -m repro eval --suite golden --json EVAL_report.json``);
@@ -245,44 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["blake2b"],
         help="session-to-worker placement strategy",
     )
-
-    bench_service = sub.add_parser(
-        "bench-service",
-        help="benchmark the service layer (sessions/sec, cache hit rate)",
-    )
-    bench_service.add_argument("--sessions", type=int, default=64)
-    bench_service.add_argument("--instances", type=int, default=8)
-    bench_service.add_argument("--answers", type=int, default=20)
-    bench_service.add_argument("--n", type=int, default=24)
-    bench_service.add_argument("--k", type=int, default=4)
-    bench_service.add_argument("--width", type=float, default=0.35)
-    bench_service.add_argument("--resolution", type=int, default=640)
-    bench_service.add_argument(
-        "--multi",
-        action="store_true",
-        help="benchmark the sharded multi-worker runtime instead",
-    )
-    bench_service.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker processes for --multi",
-    )
-    bench_service.add_argument("--smoke", action="store_true")
-    bench_service.add_argument("--json", default=None, metavar="PATH")
-
-    bench_engines = sub.add_parser(
-        "bench-engines",
-        help="benchmark TPO construction (flat grid vs pointer baseline)",
-    )
-    bench_engines.add_argument("--n", type=int, default=18)
-    bench_engines.add_argument("--k", type=int, default=6)
-    bench_engines.add_argument("--width", type=float, default=0.35)
-    bench_engines.add_argument("--resolution", type=int, default=800)
-    bench_engines.add_argument("--mc-samples", type=int, default=200000)
-    bench_engines.add_argument("--repetitions", type=int, default=3)
-    bench_engines.add_argument("--smoke", action="store_true")
-    bench_engines.add_argument("--json", default=None, metavar="PATH")
 
     evaluate = sub.add_parser(
         "eval",
@@ -606,54 +563,6 @@ def _command_serve(args) -> int:
     return 0
 
 
-def _command_bench_service(args) -> int:
-    from repro.service.bench import run as run_bench
-    from repro.service.bench import run_multi
-
-    if args.multi:
-        failures = run_multi(
-            sessions=args.sessions,
-            instances=args.instances,
-            answers=args.answers,
-            n=args.n,
-            k=args.k,
-            width=args.width,
-            resolution=args.resolution,
-            workers=args.workers,
-            json_path=args.json,
-            smoke=args.smoke,
-        )
-    else:
-        failures = run_bench(
-            sessions=args.sessions,
-            instances=args.instances,
-            answers=args.answers,
-            n=args.n,
-            k=args.k,
-            width=args.width,
-            resolution=args.resolution,
-            json_path=args.json,
-            smoke=args.smoke,
-        )
-    return 1 if failures else 0
-
-
-def _command_bench_engines(args) -> int:
-    from repro.tpo.bench import run as run_bench
-
-    failures = run_bench(
-        n=args.n,
-        k=args.k,
-        width=args.width,
-        resolution=args.resolution,
-        mc_samples=args.mc_samples,
-        repetitions=args.repetitions,
-        json_path=args.json,
-        smoke=args.smoke,
-    )
-    return 1 if failures else 0
-
-
 def _command_eval(args) -> int:
     from pathlib import Path
 
@@ -733,10 +642,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_inspect(args)
     if args.command == "serve":
         return _command_serve(args)
-    if args.command == "bench-service":
-        return _command_bench_service(args)
-    if args.command == "bench-engines":
-        return _command_bench_engines(args)
     if args.command == "eval":
         return _command_eval(args)
     if args.command == "lint":

@@ -587,13 +587,11 @@ class EngineSpecConstructionRule(Rule):
         "that cache keys and replay depend on"
     )
 
-    #: The spec layer itself, the defining module, and the subclass-heavy
-    #: test-support reference path.
+    #: The spec layer itself and the defining module.
     ALLOWED = frozenset(
         {
             "src/repro/api/specs.py",
             "src/repro/tpo/builders.py",
-            "src/repro/tpo/_reference.py",
         }
     )
 

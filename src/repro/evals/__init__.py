@@ -17,7 +17,7 @@ estimates themselves**.  Three suites, registered in the
 Suites declare grids (:class:`~repro.experiments.grid.ExperimentGrid`)
 and score rows; execution reuses the parallel, resumable experiment
 runner.  Reports (:mod:`~repro.evals.report`) are provenance-stamped
-like the committed ``BENCH_*.json`` files.
+with the git SHA and date of the run.
 """
 
 from repro.evals.calibration import CalibrationEval

@@ -4,8 +4,8 @@
 each requested ``EVALS`` suite for its grid, executes through the PR 2
 runner (parallel and resumable when a store directory is given), scores
 the assembled rows, and stamps the result with the repo's provenance
-fields — the same shape as the committed ``BENCH_*.json`` artifacts, so
-``EVAL_report.json`` slots into the same in-tree trajectory tracking.
+fields (git SHA and UTC date), so a directory of downloaded
+``EVAL_report.json`` artifacts reconstructs the fidelity trajectory.
 
 ``compare_to_baseline`` is deliberately coarse: a regression is a
 pass→fail flip at the suite or individual-check level against the

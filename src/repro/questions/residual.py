@@ -32,11 +32,10 @@ probability vector, so
    :meth:`ResidualEvaluator.set_residual_from_codes` prices all answer
    patterns of a question set the same way.
 
-The scalar path (:meth:`ResidualEvaluator.single`,
-:meth:`ResidualEvaluator.rank_singles`,
-:meth:`ResidualEvaluator.set_residual_from_codes_scalar`) is retained as
-the test oracle; parity within 1e-9 is enforced by the test suite across
-all registered measures and TPO engines.
+:meth:`ResidualEvaluator.single` prices one question the scalar way
+(two restricted spaces); the test suite holds the batched paths to it,
+and to a scalar set oracle, within 1e-9 across all registered measures
+and TPO engines.
 """
 
 from __future__ import annotations
@@ -182,18 +181,6 @@ class ResidualEvaluator:
             )
         return residual
 
-    def rank_singles(
-        self, space: OrderingSpace, questions: Sequence[Question]
-    ) -> np.ndarray:
-        """``R_q`` for every candidate, one at a time (the scalar oracle).
-
-        Kept for verification; policies use the equivalent — and much
-        faster — :meth:`rank_singles_batch`.
-        """
-        return np.array(
-            [self.single(space, q) for q in questions], dtype=np.float64
-        )
-
     def rank_singles_batch(
         self,
         space: OrderingSpace,
@@ -208,8 +195,8 @@ class ResidualEvaluator:
         :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`
         calls — no intermediate :class:`OrderingSpace` objects, and all
         float temporaries bounded to ``chunk × L`` elements (chunk is
-        auto-sized from ``L`` when omitted).  Values match
-        :meth:`rank_singles` to float precision.
+        auto-sized from ``L`` when omitted).  Values match per-candidate
+        :meth:`single` to float precision.
         """
         count = len(questions)
         if count == 0:
@@ -349,8 +336,8 @@ class ResidualEvaluator:
         All (capped) answer patterns become rows of hypothetical posterior
         weight matrices priced by chunked ``evaluate_restrictions`` calls
         (chunks sized so memory stays bounded even when every ordering
-        induces its own pattern); values match
-        :meth:`set_residual_from_codes_scalar` to float precision.
+        induces its own pattern); values match a one-restricted-space-per-
+        pattern evaluation to float precision.
         """
         if codes.shape[1] == 0:
             return self.uncertainty(space)
@@ -496,44 +483,6 @@ class ResidualEvaluator:
                 residual += (1.0 - evaluated_mass) * current_uncertainty
             results[out_index] = residual
         return results
-
-    def set_residual_from_codes_scalar(
-        self,
-        space: OrderingSpace,
-        codes: np.ndarray,
-        pattern_cap: Optional[int] = None,
-    ) -> float:
-        """Scalar oracle for :meth:`set_residual_from_codes` (one restricted
-        space per answer pattern); retained for tests and benchmarks."""
-        if codes.shape[1] == 0:
-            return self.uncertainty(space)
-        patterns, inverse = np.unique(codes, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        masses = np.bincount(inverse, weights=space.probabilities)
-        order = np.argsort(-masses)
-        residual = 0.0
-        evaluated_mass = 0.0
-        for position, pattern_index in enumerate(order):
-            if pattern_cap is not None and position >= pattern_cap:
-                break
-            mass = masses[pattern_index]
-            if mass <= 0.0:
-                continue
-            pattern = patterns[pattern_index]
-            constrained = pattern != 0
-            if not np.any(constrained):
-                compatible = np.ones(space.size, dtype=bool)
-            else:
-                relevant = codes[:, constrained]
-                target = pattern[constrained]
-                compatible = np.all(
-                    (relevant == 0) | (relevant == target), axis=1
-                )
-            residual += mass * self.uncertainty(space.restrict(compatible))
-            evaluated_mass += mass
-        if evaluated_mass < 1.0 - 1e-12:
-            residual += (1.0 - evaluated_mass) * self.uncertainty(space)
-        return residual
 
     # ------------------------------------------------------------------
 

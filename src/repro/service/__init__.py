@@ -17,9 +17,7 @@ Runs many crowdsourcing sessions against shared, cached state:
 * :mod:`repro.service.sharding` — the multi-worker runtime behind
   ``repro serve --workers N``: a router that shards sessions across
   worker processes by BLAKE2b of the session key, with per-shard event
-  logs and crash-restart resume;
-* :mod:`repro.service.bench` — the throughput/cache-hit benchmarks behind
-  ``repro bench-service`` and ``benchmarks/bench_service.py``.
+  logs and crash-restart resume.
 """
 
 from repro.service.cache import TPOCache, instance_key

@@ -56,7 +56,6 @@ class TPOCache:
         configuration: the cache is a pure pass-through — every lookup
         misses, :meth:`insert` is a no-op, and the eviction counter never
         moves (no insert-then-immediately-evict churn) — which is what
-        the service benchmark uses as its baseline and what
         ``repro serve --cache-capacity 0`` means.
     """
 

@@ -51,6 +51,7 @@ from repro.experiments.store import ensure_trailing_newline
 from repro.questions.model import Question
 from repro.questions.residual import ResidualEvaluator
 from repro.service.cache import TPOCache, instance_key
+from repro.service.protocol import validate_answer
 from repro.tpo.builders import TPOBuilder
 from repro.uncertainty.base import UncertaintyMeasure
 from repro.uncertainty.entropy import EntropyMeasure
@@ -231,7 +232,7 @@ class SessionManager:
     cache:
         Shared TPO cache (default: a fresh 64-entry
         :class:`~repro.service.cache.TPOCache`; pass capacity 0 to
-        disable sharing, as the benchmark baseline does).
+        disable sharing).
     log_path:
         Optional JSONL event-log path.  When set, every create / answer /
         close is durably appended, and :meth:`resume` rebuilds the
@@ -422,6 +423,9 @@ class SessionManager:
 
         The pair is canonicalized to ``i < j`` (flipping ``holds``
         accordingly), matching the :class:`Question` identity rules.
+        Fields breaking :func:`~repro.service.protocol.validate_answer`
+        (tuples outside the session, non-boolean ``holds``, accuracy
+        outside ``[0, 1]``) raise ``ValueError`` and change nothing.
         """
         summary = self._submit(session_id, i, j, holds, accuracy)
         if self._log is not None:
@@ -448,12 +452,12 @@ class SessionManager:
         accuracy: float,
     ) -> Dict[str, Any]:
         managed = self._active(session_id)
-        i, j = int(i), int(j)
+        i, j, holds, accuracy = validate_answer(
+            i, j, holds, accuracy, managed.session.space.n_tuples
+        )
         if i > j:
             i, j, holds = j, i, not holds
-        managed.session.submit_answer(
-            Question(i, j), bool(holds), accuracy=float(accuracy)
-        )
+        managed.session.submit_answer(Question(i, j), holds, accuracy=accuracy)
         return {
             "session_id": session_id,
             "questions_asked": managed.session.questions_asked,

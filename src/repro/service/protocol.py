@@ -24,6 +24,7 @@ The legacy unversioned routes keep their historical flat
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -72,6 +73,50 @@ def _object_body(body: Any, what: str) -> Mapping:
     if not isinstance(body, Mapping):
         raise ProtocolError(f"{what} must be a JSON object")
     return body
+
+
+def validate_answer(
+    i: Any,
+    j: Any,
+    holds: Any,
+    accuracy: Any = 1.0,
+    n_tuples: Optional[int] = None,
+) -> Tuple[int, int, bool, float]:
+    """The one rule set for an incoming answer, nothing coerced.
+
+    ``i`` and ``j`` must be distinct integers (a bool is not one), inside
+    ``[0, n_tuples)`` when the session size is known; ``holds`` must be a
+    boolean; ``accuracy`` a finite number in ``[0, 1]``.  Any violation
+    raises :class:`ProtocolError` (a ``ValueError``, so both the HTTP
+    layer and event-log replay treat it as a bad request).
+    """
+    for name, value in (("i", i), ("j", j)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ProtocolError(
+                f"answer field {name!r} must be an integer, got {value!r}"
+            )
+        if n_tuples is not None and not 0 <= value < n_tuples:
+            raise ProtocolError(
+                f"answer field {name!r} must lie in [0, {n_tuples}), "
+                f"got {value!r}"
+            )
+    if i == j:
+        raise ProtocolError("an answer must compare two distinct tuples")
+    if not isinstance(holds, bool):
+        raise ProtocolError(
+            f"answer field 'holds' must be a boolean, got {holds!r}"
+        )
+    # NaN fails the range comparison, so it is rejected with the rest.
+    if (
+        isinstance(accuracy, bool)
+        or not isinstance(accuracy, numbers.Real)
+        or not 0.0 <= accuracy <= 1.0
+    ):
+        raise ProtocolError(
+            f"answer field 'accuracy' must be a number in [0, 1], "
+            f"got {accuracy!r}"
+        )
+    return int(i), int(j), bool(holds), float(accuracy)
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +189,9 @@ class AnswerRequest:
 
         ``strict`` (the versioned surface) rejects unknown fields, so a
         misspelled ``accuracy`` key cannot silently apply a full-weight
-        answer; the legacy routes keep their historical leniency.
+        answer; the legacy routes keep their historical leniency about
+        extra keys.  Field values are checked by :func:`validate_answer`
+        in both modes.
         """
         body = _object_body(body, "answer")
         _require(body, ("i", "j", "holds"), "answer")
@@ -154,15 +201,10 @@ class AnswerRequest:
                 raise ProtocolError(
                     f"unknown answer fields: {sorted(unknown)}"
                 )
-        try:
-            return cls(
-                i=int(body["i"]),
-                j=int(body["j"]),
-                holds=bool(body["holds"]),
-                accuracy=float(body.get("accuracy", 1.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad answer field types: {exc}") from None
+        i, j, holds, accuracy = validate_answer(
+            body["i"], body["j"], body["holds"], body.get("accuracy", 1.0)
+        )
+        return cls(i=i, j=j, holds=holds, accuracy=accuracy)
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +554,7 @@ __all__ = [
     "ErrorEnvelope",
     "CreateSessionRequest",
     "AnswerRequest",
+    "validate_answer",
     "CreateSessionResponse",
     "SessionListResponse",
     "ApproximationInfo",

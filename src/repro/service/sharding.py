@@ -164,8 +164,8 @@ _FANOUT_PATHS = {"healthz", "meta", "stats", "sessions"}
 class ShardedService:
     """The router process: owns the worker fleet and the public socket.
 
-    Lifecycle: :meth:`start_workers` (synchronous, before any event loop
-    — process forking and an active loop don't mix), then either
+    Lifecycle: :meth:`start_workers` (synchronous, before any event
+    loop), then either
     :meth:`run` (serve until cancelled, the CLI path) or :meth:`start`
     (bind and return, the test path) …finally :meth:`stop_workers`.
     """
@@ -181,8 +181,16 @@ class ShardedService:
         self.resume = resume
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
+            mp_context = "forkserver" if "forkserver" in methods else "spawn"
         self._ctx = multiprocessing.get_context(mp_context)
+        if mp_context == "forkserver":
+            # The monitor restarts workers while the router serves.  A
+            # plain fork would give the new worker copies of the router's
+            # listening and client sockets, and a client reading its
+            # response to EOF would then wait as long as that worker
+            # lives.  Forkserver children start from a clean process;
+            # preloading this module keeps their start as fast as a fork.
+            self._ctx.set_forkserver_preload(["repro.service.sharding"])
         self.monitor_interval = float(monitor_interval)
         self._procs: List[Any] = [None] * spec.workers
         self._ports: List[Optional[int]] = [None] * spec.workers
@@ -198,7 +206,7 @@ class ShardedService:
     # -- worker lifecycle ----------------------------------------------
 
     def start_workers(self) -> None:
-        """Fork the fleet and wait for every worker to report its port."""
+        """Start the fleet and wait for every worker to report its port."""
         for shard in range(self.spec.workers):
             self._launch(shard, resume=self.resume)
 

@@ -23,7 +23,7 @@ from repro.tpo.analysis import (
     question_impact_table,
     tuple_volatility,
 )
-from repro.tpo.node import ROOT_TUPLE, TPONode, TPONodeView
+from repro.tpo.node import ROOT_TUPLE, TPONodeView
 from repro.tpo.semantics import (
     answer_report,
     expected_ranks,
@@ -36,7 +36,6 @@ from repro.tpo.space import DegenerateSpaceError, OrderingSpace
 from repro.tpo.tree import TPOLevel, TPOTree
 
 __all__ = [
-    "TPONode",
     "TPONodeView",
     "ROOT_TUPLE",
     "TPOTree",

@@ -45,9 +45,8 @@ through the dropped subtrees, so a beam build certifies
 bind) and every retained ordering keeps its exact mass.  With the beam
 off, construction is bit-identical to the exact path.
 
-The retired pointer-chasing grid path survives in
-:mod:`repro.tpo._reference` as the parity oracle and the baseline of the
-``bench-engines`` regression gate.
+The retired pointer-chasing grid path survives only as a parity oracle
+in the test suite (``tests/oracles/pointer_tpo.py``).
 """
 
 from __future__ import annotations

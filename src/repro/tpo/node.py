@@ -5,17 +5,14 @@ index, and the path from the root to a depth-``k`` node is a possible
 top-``k`` prefix ranking; the node's probability is the probability that
 this prefix *is* the top-``k`` ranking.
 
-Since the flat level-table refactor, :class:`~repro.tpo.tree.TPOTree` no
-longer stores :class:`TPONode` objects internally — levels are
-structure-of-arrays tables and nodes are materialized on demand as
-:class:`TPONodeView` objects (``tree.root``, ``tree.leaves()``,
-``tree.iter_nodes()``).  :class:`TPONode` remains as a standalone
-pointer-based node for hand-built trees in tests and tools.
+:class:`~repro.tpo.tree.TPOTree` stores its levels as structure-of-arrays
+tables; nodes are materialized on demand as :class:`TPONodeView` objects
+(``tree.root``, ``tree.leaves()``, ``tree.iter_nodes()``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # circular at runtime: tree.py imports this module
     from repro.tpo.tree import TPOTree
@@ -24,102 +21,6 @@ import numpy as np
 
 #: Tuple index stored by the synthetic root node.
 ROOT_TUPLE = -1
-
-
-class TPONode:
-    """One pointer-based node of a hand-built TPO.
-
-    Attributes
-    ----------
-    tuple_index:
-        Index of the tuple this node ranks (``ROOT_TUPLE`` for the root).
-    probability:
-        Probability that the root-to-node prefix equals the true prefix
-        ranking of the underlying scores.
-    children:
-        Child nodes, each extending the prefix by one rank.
-    state:
-        Opaque builder payload (e.g. the prefix density ``h_k``), used by
-        the pointer-based reference engines; dropped by :meth:`clear_state`.
-    """
-
-    __slots__ = ("tuple_index", "probability", "children", "parent", "state")
-
-    def __init__(
-        self,
-        tuple_index: int,
-        probability: float,
-        parent: Optional["TPONode"] = None,
-    ) -> None:
-        self.tuple_index = tuple_index
-        self.probability = probability
-        self.children: List["TPONode"] = []
-        self.parent = parent
-        self.state: Any = None
-
-    # ------------------------------------------------------------------
-
-    @property
-    def is_root(self) -> bool:
-        """True for the synthetic root."""
-        return self.tuple_index == ROOT_TUPLE
-
-    @property
-    def is_leaf(self) -> bool:
-        """True when the node currently has no children."""
-        return not self.children
-
-    @property
-    def depth(self) -> int:
-        """Number of tuples on the root-to-node path (root = 0)."""
-        depth = 0
-        node = self
-        while node.parent is not None:
-            depth += 1
-            node = node.parent
-        return depth
-
-    def prefix(self) -> Tuple[int, ...]:
-        """Tuple indices on the root-to-node path, best rank first."""
-        indices: List[int] = []
-        node = self
-        while node.parent is not None:
-            indices.append(node.tuple_index)
-            node = node.parent
-        return tuple(reversed(indices))
-
-    # ------------------------------------------------------------------
-
-    def add_child(self, tuple_index: int, probability: float) -> "TPONode":
-        """Append a child extending this prefix and return it."""
-        child = TPONode(tuple_index, probability, parent=self)
-        self.children.append(child)
-        return child
-
-    def remove_child(self, child: "TPONode") -> None:
-        """Detach ``child`` from this node."""
-        self.children.remove(child)
-        child.parent = None
-
-    def iter_subtree(self) -> Iterator["TPONode"]:
-        """Yield this node and all descendants (pre-order)."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def clear_state(self, recursive: bool = True) -> None:
-        """Drop builder payloads to free memory once building is done."""
-        if recursive:
-            for node in self.iter_subtree():
-                node.state = None
-        else:
-            self.state = None
-
-    def __repr__(self) -> str:
-        label = "root" if self.is_root else f"t{self.tuple_index}"
-        return f"TPONode({label}, p={self.probability:.4g}, children={len(self.children)})"
 
 
 class TPONodeView:
@@ -238,4 +139,4 @@ class TPONodeView:
         )
 
 
-__all__ = ["TPONode", "TPONodeView", "ROOT_TUPLE"]
+__all__ = ["TPONodeView", "ROOT_TUPLE"]

@@ -113,7 +113,7 @@ class EntropyMeasure(UncertaintyMeasure):
 
         The per-path ``p·ln p`` vector is computed once, so each row costs
         two mask–vector products and zero transcendentals — the fast path
-        behind the ≥5× selection-step speedup ``bench_policies.py`` tracks.
+        behind batched question ranking.
         """
         masks = np.asarray(masks, dtype=float)
         p = space.probabilities

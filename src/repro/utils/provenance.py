@@ -1,9 +1,9 @@
-"""Build provenance for benchmark artifacts.
+"""Build provenance for generated report artifacts.
 
-Every ``BENCH_*.json`` artifact carries the git SHA and an ISO-8601 UTC
+Every ``EVAL_report*.json`` carries the git SHA and an ISO-8601 UTC
 timestamp of the run that produced it, so a directory of downloaded CI
-artifacts reconstructs the performance trajectory of the repository
-without consulting the CI provider's metadata.
+artifacts reconstructs the repository's history without consulting the
+CI provider's metadata.
 """
 
 from __future__ import annotations

@@ -21,6 +21,8 @@ from repro.questions import (
 )
 from repro.uncertainty import EntropyMeasure
 
+from oracles.scalar_residual import rank_singles
+
 
 @pytest.fixture
 def evaluator():
@@ -85,7 +87,7 @@ class TestTopB:
     ):
         policy = TopBPolicy()
         picked = policy.select(small_space, candidates, 2, evaluator, rng)
-        residuals = evaluator.rank_singles(small_space, candidates)
+        residuals = rank_singles(evaluator, small_space, candidates)
         best_two = np.sort(residuals)[:2]
         picked_residuals = np.sort(
             [evaluator.single(small_space, q) for q in picked]
@@ -196,7 +198,7 @@ class TestOnline:
         question = policy.next_question(
             small_space, candidates, 5, evaluator, rng
         )
-        residuals = evaluator.rank_singles(small_space, candidates)
+        residuals = rank_singles(evaluator, small_space, candidates)
         assert question == candidates[int(np.argmin(residuals))]
 
     def test_top1_terminates_on_certainty(self, evaluator, rng):

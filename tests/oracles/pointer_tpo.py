@@ -1,33 +1,125 @@
-"""The retired pointer-chasing grid engine, kept as oracle and baseline.
+"""The retired pointer-chasing grid engine, kept as a parity oracle.
 
-Before the flat level-table refactor, :class:`~repro.tpo.builders.GridBuilder`
-grew a tree of :class:`~repro.tpo.node.TPONode` objects: a Python loop over
-the frontier, one ``TPONode`` allocation per child, and one exclude-one
-CDF-product sweep per parent.  This module preserves that exact numeric
-path — same recursion, same operation order, same ``min_probability``
-policy — for two jobs:
+Before the flat level-table refactor, ``repro.tpo.builders.GridBuilder``
+grew a tree of :class:`TPONode` objects: a Python loop over the frontier,
+one ``TPONode`` allocation per child, and one exclude-one CDF-product
+sweep per parent.  This module preserves that exact numeric path — same
+recursion, same operation order, same ``min_probability`` policy — so the
+engine cross-validation tests can assert that the flat batched path
+reproduces these leaf probabilities to ≤ 1e-9.
 
-* **parity oracle** — the engine cross-validation tests assert that the
-  flat batched path reproduces these leaf probabilities to ≤ 1e-9;
-* **regression baseline** — ``repro bench-engines`` gates the flat grid
-  engine at ≥ 4× the build throughput of this implementation.
-
-It is intentionally *not* registered in :data:`repro.api.ENGINES` and
-returns its own minimal pointer tree; production code should never import
-it outside tests and benchmarks.
+It is intentionally *not* registered in ``repro.api.ENGINES`` and
+returns its own minimal pointer tree.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.distributions.base import ScoreDistribution
 from repro.distributions.grid import Grid
 from repro.tpo.builders import TPOSizeError, _effective
-from repro.tpo.node import ROOT_TUPLE, TPONode
+from repro.tpo.node import ROOT_TUPLE
 from repro.tpo.space import OrderingSpace
+
+
+class TPONode:
+    """One pointer-based node of a hand-built TPO.
+
+    Attributes
+    ----------
+    tuple_index:
+        Index of the tuple this node ranks (``ROOT_TUPLE`` for the root).
+    probability:
+        Probability that the root-to-node prefix equals the true prefix
+        ranking of the underlying scores.
+    children:
+        Child nodes, each extending the prefix by one rank.
+    state:
+        Opaque builder payload (the prefix density ``h_k`` while
+        :class:`ReferenceGridBuilder` extends the tree); dropped by
+        :meth:`clear_state`.
+    """
+
+    __slots__ = ("tuple_index", "probability", "children", "parent", "state")
+
+    def __init__(
+        self,
+        tuple_index: int,
+        probability: float,
+        parent: Optional["TPONode"] = None,
+    ) -> None:
+        self.tuple_index = tuple_index
+        self.probability = probability
+        self.children: List["TPONode"] = []
+        self.parent = parent
+        self.state: Any = None
+
+    # ------------------------------------------------------------------
+
+    @property
+    def is_root(self) -> bool:
+        """True for the synthetic root."""
+        return self.tuple_index == ROOT_TUPLE
+
+    @property
+    def is_leaf(self) -> bool:
+        """True when the node currently has no children."""
+        return not self.children
+
+    @property
+    def depth(self) -> int:
+        """Number of tuples on the root-to-node path (root = 0)."""
+        depth = 0
+        node = self
+        while node.parent is not None:
+            depth += 1
+            node = node.parent
+        return depth
+
+    def prefix(self) -> Tuple[int, ...]:
+        """Tuple indices on the root-to-node path, best rank first."""
+        indices: List[int] = []
+        node = self
+        while node.parent is not None:
+            indices.append(node.tuple_index)
+            node = node.parent
+        return tuple(reversed(indices))
+
+    # ------------------------------------------------------------------
+
+    def add_child(self, tuple_index: int, probability: float) -> "TPONode":
+        """Append a child extending this prefix and return it."""
+        child = TPONode(tuple_index, probability, parent=self)
+        self.children.append(child)
+        return child
+
+    def remove_child(self, child: "TPONode") -> None:
+        """Detach ``child`` from this node."""
+        self.children.remove(child)
+        child.parent = None
+
+    def iter_subtree(self) -> Iterator["TPONode"]:
+        """Yield this node and all descendants (pre-order)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def clear_state(self, recursive: bool = True) -> None:
+        """Drop builder payloads to free memory once building is done."""
+        if recursive:
+            for node in self.iter_subtree():
+                node.state = None
+        else:
+            self.state = None
+
+    def __repr__(self) -> str:
+        label = "root" if self.is_root else f"t{self.tuple_index}"
+        return f"TPONode({label}, p={self.probability:.4g}, children={len(self.children)})"
 
 
 class PointerTPOTree:
@@ -154,4 +246,4 @@ def _exclude_one_products_2d(stacked: np.ndarray) -> np.ndarray:
     return prefix * suffix
 
 
-__all__ = ["PointerTPOTree", "ReferenceGridBuilder"]
+__all__ = ["PointerTPOTree", "ReferenceGridBuilder", "TPONode"]

@@ -16,6 +16,8 @@ from repro.questions import (
 from repro.tpo.space import OrderingSpace
 from repro.uncertainty import EntropyMeasure
 
+from oracles.scalar_residual import rank_singles
+
 
 class TestQuestionModel:
     def test_canonicalizes_order(self):
@@ -98,7 +100,7 @@ class TestSingleResidual:
 
     def test_rank_singles_aligned(self, toy_space, evaluator):
         questions = informative_questions(toy_space)
-        residuals = evaluator.rank_singles(toy_space, questions)
+        residuals = rank_singles(evaluator, toy_space, questions)
         assert residuals.shape == (len(questions),)
         for question, value in zip(questions, residuals, strict=True):
             assert value == pytest.approx(

@@ -2,7 +2,7 @@
 
 The batched path (`rank_singles_batch`, batched `set_residual_from_codes`,
 `UncertaintyMeasure.evaluate_batch`) must reproduce the scalar oracle
-(`single`/`rank_singles`/`set_residual_from_codes_scalar`) to 1e-9 across
+(`single` and `tests/oracles/scalar_residual.py`) to 1e-9 across
 every registered uncertainty measure and every TPO construction engine.
 """
 
@@ -15,6 +15,11 @@ from repro.questions.residual import ResidualEvaluator
 from repro.api import ENGINES, MEASURES
 from repro.tpo.space import OrderingSpace
 from repro.uncertainty.base import UncertaintyMeasure
+
+from oracles.scalar_residual import (
+    rank_singles,
+    set_residual_from_codes_scalar,
+)
 
 ENGINE_PARAMS = {
     "grid": {"resolution": 64},
@@ -49,7 +54,7 @@ def test_rank_singles_batch_matches_scalar_across_engines(engine, name):
     questions = all_pair_questions(space)
     np.testing.assert_allclose(
         evaluator.rank_singles_batch(space, questions),
-        evaluator.rank_singles(space, questions),
+        rank_singles(evaluator, space, questions),
         rtol=0.0,
         atol=1e-9,
     )
@@ -63,7 +68,7 @@ def test_rank_singles_batch_matches_scalar_on_random_spaces(seed, name):
     questions = all_pair_questions(space)
     np.testing.assert_allclose(
         evaluator.rank_singles_batch(space, questions),
-        evaluator.rank_singles(space, questions),
+        rank_singles(evaluator, space, questions),
         rtol=0.0,
         atol=1e-9,
     )
@@ -77,8 +82,8 @@ def test_set_residual_batch_matches_scalar(name, pattern_cap):
     questions = all_pair_questions(space)[:5]
     codes = evaluator.codes_matrix(space, questions)
     batched = evaluator.set_residual_from_codes(space, codes, pattern_cap)
-    scalar = evaluator.set_residual_from_codes_scalar(
-        space, codes, pattern_cap
+    scalar = set_residual_from_codes_scalar(
+        evaluator, space, codes, pattern_cap
     )
     assert abs(batched - scalar) < 1e-9
 
@@ -98,7 +103,7 @@ def test_rank_singles_batch_matches_scalar_on_tied_masses(name):
     questions = all_pair_questions(space)
     np.testing.assert_allclose(
         evaluator.rank_singles_batch(space, questions),
-        evaluator.rank_singles(space, questions),
+        rank_singles(evaluator, space, questions),
         rtol=0.0,
         atol=1e-9,
     )
@@ -122,7 +127,7 @@ def test_rank_singles_batch_matches_scalar_with_zero_probability_paths(name):
         questions = all_pair_questions(space)
         np.testing.assert_allclose(
             evaluator.rank_singles_batch(space, questions),
-            evaluator.rank_singles(space, questions),
+            rank_singles(evaluator, space, questions),
             rtol=0.0,
             atol=1e-9,
         )
@@ -168,8 +173,8 @@ def test_rank_set_extensions_matches_per_candidate_scalar(name):
         batched = evaluator.rank_set_extensions(space, codes, base, candidates)
         scalar = np.array(
             [
-                evaluator.set_residual_from_codes_scalar(
-                    space, codes[:, base + [c]]
+                set_residual_from_codes_scalar(
+                    evaluator, space, codes[:, base + [c]]
                 )
                 for c in candidates
             ]
@@ -212,7 +217,7 @@ def test_generic_fallback_keeps_custom_measures_correct():
     questions = all_pair_questions(space)
     np.testing.assert_allclose(
         evaluator.rank_singles_batch(space, questions),
-        evaluator.rank_singles(space, questions),
+        rank_singles(evaluator, space, questions),
         rtol=0.0,
         atol=1e-12,
     )
@@ -240,7 +245,7 @@ def test_rank_singles_batch_chunked_matches_unchunked(name):
     questions = all_pair_questions(space)
     np.testing.assert_allclose(
         evaluator.rank_singles_batch(space, questions, chunk=3),
-        evaluator.rank_singles(space, questions),
+        rank_singles(evaluator, space, questions),
         rtol=0.0,
         atol=1e-9,
     )

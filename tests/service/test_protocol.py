@@ -74,6 +74,21 @@ def with_server(coro):
     return asyncio.run(runner())
 
 
+#: Malformed answer bodies for an N=8 session, each with the field its
+#: 400 message must name: nothing may be coerced (1.9 -> 1, "false" ->
+#: True, true -> 1), wrapped (-1 -> 7) or left to fail as a 500 (99).
+BAD_ANSWERS = [
+    ({"i": 0, "j": 1.9, "holds": True}, "'j'"),
+    ({"i": 0, "j": 1, "holds": "false"}, "'holds'"),
+    ({"i": 0, "j": 1, "holds": True, "accuracy": 7.0}, "'accuracy'"),
+    ({"i": 0, "j": 1, "holds": True, "accuracy": float("nan")}, "'accuracy'"),
+    ({"i": True, "j": 2, "holds": True}, "'i'"),
+    ({"i": 0, "j": 99, "holds": True}, "'j'"),
+    ({"i": -1, "j": 2, "holds": True}, "'i'"),
+    ({"i": 3, "j": 3, "holds": True}, "distinct"),
+]
+
+
 def assert_envelope(body, code):
     """The uniform v1 error shape with the expected machine code."""
     assert set(body) == {"error"}
@@ -356,6 +371,25 @@ class TestV1ErrorEnvelopes:
             assert status == 400
             error = assert_envelope(body, "bad_request")
             assert "holds" in error["message"]
+            # Malformed answer values are refused, never coerced or
+            # applied, on the versioned and the legacy route alike.
+            for probe, field in BAD_ANSWERS:
+                for prefix in ("/v1", ""):
+                    status, _, body = await http(
+                        host,
+                        port,
+                        "POST",
+                        f"{prefix}/sessions/{sid}/answers",
+                        probe,
+                    )
+                    assert status == 400, (prefix, probe)
+                    message = (
+                        assert_envelope(body, "bad_request")["message"]
+                        if prefix
+                        else body["error"]
+                    )
+                    assert field in message, (prefix, probe, message)
+            assert manager.questions_asked(sid) == 0
 
         with_server(scenario)
 

@@ -3,12 +3,15 @@
 import asyncio
 import collections
 import json
+import os
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.api.specs import ServeSpec, StoreSpec
+from repro.api.specs import EngineSpec, ServeSpec, StoreSpec
+from repro.service.manager import SessionManager
+from repro.service.protocol import SnapshotResponse
 from repro.service.sharding import (
     ShardedService,
     shard_for,
@@ -63,6 +66,31 @@ class TestWorkerLogPath:
     def test_shards_never_collide(self):
         paths = {worker_log_path("events.jsonl", s) for s in range(8)}
         assert len(paths) == 8
+
+
+def ids_on_every_shard(per_shard, workers=2):
+    """Client-chosen session ids, ``per_shard`` of them hashed to each
+    shard (random server-minted ids can all land on one shard)."""
+    by_shard = {shard: [] for shard in range(workers)}
+    index = 0
+    while min(len(ids) for ids in by_shard.values()) < per_shard:
+        sid = f"s{index:04d}"
+        shard = by_shard[shard_for(sid, workers)]
+        if len(shard) < per_shard:
+            shard.append(sid)
+        index += 1
+    return [sid for shard in sorted(by_shard) for sid in by_shard[shard]]
+
+
+def fd_links(fds):
+    """Targets of a process's open descriptors (``/proc/<pid>/fd``)."""
+    links = set()
+    for fd in fds.iterdir():
+        try:
+            links.add(os.readlink(fd))
+        except OSError:  # closed while listing
+            pass
+    return links
 
 
 async def http(host, port, method, path, body=None):
@@ -129,14 +157,18 @@ class TestFleetHttp:
             assert meta["topology"]["strategy"] == "blake2b"
 
             # Sessions land on the shard their id hashes to and are
-            # reachable back through the router.
-            sids = []
-            for _ in range(6):
+            # reachable back through the router; three on each shard.
+            sids = ids_on_every_shard(3)
+            for sid in sids:
                 status, created = await http(
-                    host, port, "POST", "/v1/sessions", {"spec": SPEC}
+                    host,
+                    port,
+                    "POST",
+                    "/v1/sessions",
+                    {"spec": SPEC, "session_id": sid},
                 )
                 assert status == 200
-                sids.append(created["session_id"])
+                assert created["session_id"] == sid
 
             for sid in sids:
                 status, nxt = await http(
@@ -258,5 +290,91 @@ class TestFleetHttp:
             assert service.restarts >= 1
             # The restarted worker replayed its shard log: identical state.
             assert after == before
+            # It holds no copy of the router's listening socket (nor, by
+            # the same token, of a client connection, whose client would
+            # then wait for EOF as long as the worker lives).
+            fds = Path(f"/proc/{service._procs[shard].pid}/fd")
+            if fds.is_dir():
+                listener = service._server.sockets[0].fileno()
+                inode = f"socket:[{os.fstat(listener).st_ino}]"
+                assert inode not in fd_links(fds)
+
+        with_fleet(scenario, tmp_path)
+
+    def test_fleet_results_match_single_process(self, tmp_path):
+        # Two instances, sessions on both shards, noisy and perfect
+        # answers: every question offered and every final state must
+        # equal one in-process manager driven with the same answers.
+        sids = ids_on_every_shard(2)
+        specs = {
+            sid: {**SPEC, "seed": 6 + index % 2}
+            for index, sid in enumerate(sids)
+        }
+
+        def answer(index, i, j):
+            return {
+                "i": i,
+                "j": j,
+                "holds": (i + j + index) % 3 != 0,
+                "accuracy": 1.0 if index in (0, 3) else 0.9,
+            }
+
+        single = SessionManager(
+            builder=EngineSpec("grid", {"resolution": 256}).build()
+        )
+        expected_questions = {}
+        expected_states = {}
+        for index, sid in enumerate(sids):
+            single.create_session(specs[sid], session_id=sid)
+            asked = []
+            for _ in range(3):
+                question = single.next_question(sid)
+                if question is None:
+                    break
+                asked.append([question.i, question.j])
+                body = answer(index, question.i, question.j)
+                single.submit_answer(
+                    sid, body["i"], body["j"], body["holds"], body["accuracy"]
+                )
+            expected_questions[sid] = asked
+            expected_states[sid] = json.loads(
+                json.dumps(
+                    SnapshotResponse.from_snapshot(
+                        single.snapshot(sid)
+                    ).to_payload()
+                )
+            )
+        assert all(len(asked) == 3 for asked in expected_questions.values())
+
+        async def scenario(host, port, service):
+            for index, sid in enumerate(sids):
+                status, _ = await http(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/sessions",
+                    {"spec": specs[sid], "session_id": sid},
+                )
+                assert status == 200
+                asked = []
+                for _ in range(3):
+                    _, nxt = await http(
+                        host, port, "GET", f"/v1/sessions/{sid}/next"
+                    )
+                    if "question" not in nxt:  # settled
+                        break
+                    i, j = nxt["question"]["i"], nxt["question"]["j"]
+                    asked.append([i, j])
+                    status, _ = await http(
+                        host,
+                        port,
+                        "POST",
+                        f"/v1/sessions/{sid}/answers",
+                        answer(index, i, j),
+                    )
+                    assert status == 200
+                assert asked == expected_questions[sid]
+                _, state = await http(host, port, "GET", f"/v1/sessions/{sid}")
+                assert state == expected_states[sid]
 
         with_fleet(scenario, tmp_path)

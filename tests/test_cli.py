@@ -178,22 +178,6 @@ class TestServiceCommands:
         assert spec.workers == 1
         assert spec.store.backend == "none"  # single process unchanged
 
-    def test_bench_service_smoke(self, capsys, tmp_path):
-        artifact = str(tmp_path / "BENCH_service.json")
-        code = main(["bench-service", "--smoke", "--json", artifact])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "resumed run identical: True" in out
-
-    def test_bench_engines_smoke(self, capsys, tmp_path):
-        artifact = str(tmp_path / "BENCH_engines.json")
-        code = main(["bench-engines", "--smoke", "--json", artifact])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "leaf order identical=True" in out
-
 
 class TestEval:
     def test_eval_golden_suite_passes(self, capsys):

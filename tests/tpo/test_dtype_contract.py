@@ -15,6 +15,8 @@ from repro.questions.residual import ResidualEvaluator
 from repro.tpo.builders import ExactBuilder, GridBuilder, MonteCarloBuilder
 from repro.uncertainty.entropy import EntropyMeasure
 
+from oracles.scalar_residual import rank_singles
+
 
 class TestEngineDefaultsContract:
     """The documented per-engine ``min_probability`` defaults are load-
@@ -60,7 +62,7 @@ class TestResidualDtypes:
         evaluator = ResidualEvaluator(EntropyMeasure())
         questions = all_pair_questions(toy_space)
         assert questions, "toy space should have candidate questions"
-        scalar = evaluator.rank_singles(toy_space, questions)
+        scalar = rank_singles(evaluator, toy_space, questions)
         batch = evaluator.rank_singles_batch(toy_space, questions)
         assert scalar.dtype == np.float64
         assert batch.dtype == np.float64
@@ -68,5 +70,5 @@ class TestResidualDtypes:
 
     def test_rank_singles_empty_is_float64(self, toy_space):
         evaluator = ResidualEvaluator(EntropyMeasure())
-        assert evaluator.rank_singles(toy_space, []).dtype == np.float64
+        assert rank_singles(evaluator, toy_space, []).dtype == np.float64
         assert evaluator.rank_singles_batch(toy_space, []).dtype == np.float64

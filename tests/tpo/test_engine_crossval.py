@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.distributions import Histogram, PointMass, Triangular, Uniform
 from repro.tpo import ExactBuilder, GridBuilder, MonteCarloBuilder
-from repro.tpo._reference import ReferenceGridBuilder
+
+from oracles.pointer_tpo import ReferenceGridBuilder
 
 
 @st.composite
@@ -82,8 +83,8 @@ def test_flat_grid_vs_pointer_grid(dists, k):
     """Flat and pointer grid paths are numerically interchangeable.
 
     Same grid, same recursion — the flat path must reproduce the retired
-    pointer implementation's leaf table row for row to 1e-9 (the
-    ``bench-engines`` parity gate, exercised here on random instances).
+    pointer implementation's leaf table row for row (identical leaf
+    order) to 1e-9 on random instances.
     """
     k = min(k, len(dists))
     flat = GridBuilder(resolution=700).build(dists, k).to_space()

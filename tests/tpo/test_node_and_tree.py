@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.distributions import Uniform
-from repro.tpo import GridBuilder, TPONode, TPOTree
+from repro.tpo import GridBuilder, TPOTree
 from repro.tpo.node import ROOT_TUPLE
 from repro.tpo.space import DegenerateSpaceError
+
+from oracles.pointer_tpo import TPONode
 
 
 class TestNode:
