@@ -133,6 +133,11 @@ def _reference_specs() -> List[SessionSpec]:
         spec("T1-on", "Hw", n=10, k=4, seed=16, budget=6, engine="mc",
              engine_params={"samples": 4000, "seed": 7,
                             "beam_epsilon": 0.02, "beam_width": 48}),
+        # Set-extension selection (C-off, A*-off): pins the greedy and
+        # best-first question sets priced by rank_set_extensions.
+        spec("C-off", "H", n=10, k=4, seed=17, budget=6),
+        spec("A*-off", "Hw", n=9, k=4, seed=18, budget=4),
+        spec("C-off", "ORA", n=9, k=4, seed=19, budget=5),
     ]
 
 
