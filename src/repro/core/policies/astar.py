@@ -36,6 +36,7 @@ from repro.core.policies.base import OfflinePolicy, OnlinePolicy
 from repro.questions.model import Question
 from repro.questions.residual import ResidualEvaluator
 from repro.tpo.space import OrderingSpace
+from repro.utils.validation import check_cap
 
 
 class AStarOfflinePolicy(OfflinePolicy):
@@ -66,8 +67,8 @@ class AStarOfflinePolicy(OfflinePolicy):
         if max_expansions < 1:
             raise ValueError("max_expansions must be positive")
         self.max_expansions = max_expansions
-        self.candidate_cap = candidate_cap
-        self.pattern_cap = pattern_cap
+        self.candidate_cap = check_cap("candidate_cap", candidate_cap)
+        self.pattern_cap = check_cap("pattern_cap", pattern_cap)
         #: Diagnostics of the most recent search.
         self.last_search_complete: bool = True
         self.last_expansions: int = 0

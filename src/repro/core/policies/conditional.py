@@ -19,6 +19,7 @@ from repro.core.policies.base import OfflinePolicy
 from repro.questions.model import Question
 from repro.questions.residual import ResidualEvaluator
 from repro.tpo.space import OrderingSpace
+from repro.utils.validation import check_cap
 
 
 class ConditionalPolicy(OfflinePolicy):
@@ -29,13 +30,13 @@ class ConditionalPolicy(OfflinePolicy):
     pattern_cap:
         Optional bound on answer patterns evaluated per candidate set
         (see :meth:`ResidualEvaluator.set_residual_from_codes`); ``None``
-        evaluates exactly.
+        evaluates exactly, otherwise an ``int`` >= 1.
     """
 
     name = "C-off"
 
     def __init__(self, pattern_cap: Optional[int] = None) -> None:
-        self.pattern_cap = pattern_cap
+        self.pattern_cap = check_cap("pattern_cap", pattern_cap)
 
     def select(
         self,

@@ -15,22 +15,18 @@ DESIGN.md §3.3).
 
 Batched evaluation
 ------------------
-Selection policies score *every* candidate pair per step, which under the
-scalar path means two throwaway :class:`~repro.tpo.space.OrderingSpace`
-objects per candidate.  The batch engine instead works on *hypothetical
-posteriors*: an answer outcome is just a masked reweighting of the path
-probability vector, so
-
-1. :meth:`ResidualEvaluator.stance_matrix` computes the full ``(L, B)``
-   stance matrix for all candidates in one shot from ``positions()``;
-2. both answer branches of every candidate become rows of one ``(≤2B, L)``
-   weight matrix, priced by a single call to
-   :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_batch`
-   (each measure vectorizes over rows, no intermediate spaces);
-3. :meth:`ResidualEvaluator.rank_singles_batch` combines the branch values
-   into the ``(B,)`` residual vector the policies consume, and
-   :meth:`ResidualEvaluator.set_residual_from_codes` prices all answer
-   patterns of a question set the same way.
+Policies score *every* candidate per step without building throwaway
+:class:`~repro.tpo.space.OrderingSpace` objects: an answer outcome keeps a
+subset of the paths, i.e. one boolean mask row priced by
+:meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`.
+:meth:`ResidualEvaluator.rank_singles_batch` masks the ``L`` paths with
+the one-shot ``(L, B)`` stance matrix.  The set paths
+(:meth:`ResidualEvaluator.set_residual_from_codes`,
+:meth:`ResidualEvaluator.rank_set_extensions`) mask *cells* instead: the
+paths sharing one answer pattern.  A pattern's restriction is the union
+of the cells it agrees with wherever both are decisive, so its row is
+only as wide as the cells, and ``U_H`` sums ``p`` and ``p·ln p`` per cell
+once per call.  Every mask temporary is chunked by ``_rows_per_chunk``.
 
 :meth:`ResidualEvaluator.single` prices one question the scalar way
 (two restricted spaces); the test suite holds the batched paths to it,
@@ -52,11 +48,28 @@ from repro.uncertainty.base import UncertaintyMeasure
 def _rows_per_chunk(size: int, cap: int = 4096) -> int:
     """Hypothetical-posterior rows per batched measure call.
 
-    Bounds the ``rows × L`` float64 temporaries the measures allocate to
-    ~128 MB regardless of ``L``, so the batch engine never exceeds the
-    O(L) working set of the scalar path by more than a constant.
+    Bounds the ``rows × size`` float64 temporaries (``size`` = mask width:
+    ``L`` paths or the cell count) to ~128 MB regardless of ``L``, so the
+    batch engine never exceeds the O(L) working set of the scalar path by
+    more than a constant.
     """
     return max(1, min(cap, (1 << 24) // max(size, 1)))
+
+
+def _pattern_ids(codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Dense answer-pattern id of every row of ``codes``, and the patterns.
+
+    Ids are folded one column at a time (``id·3 + code + 1``, kept dense by
+    a 1-D ``np.unique``), so ascending ids follow the lexicographic order
+    of ``np.unique(codes, axis=0)`` without sorting whole rows.
+    """
+    ids = np.zeros(codes.shape[0], dtype=np.intp)
+    for column in codes.T:
+        _, ids = np.unique(
+            ids * 3 + column.astype(np.intp) + 1, return_inverse=True
+        )
+    _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
+    return ids, codes[first]
 
 
 def select_min_residual(
@@ -333,50 +346,19 @@ class ResidualEvaluator:
     ) -> float:
         """``R_Q`` given a precomputed ``(L, B)`` stance matrix.
 
-        All (capped) answer patterns become rows of hypothetical posterior
-        weight matrices priced by chunked ``evaluate_restrictions`` calls
-        (chunks sized so memory stays bounded even when every ordering
-        induces its own pattern); values match a one-restricted-space-per-
-        pattern evaluation to float precision.
+        The cells are the distinct answer patterns of ``codes``; the
+        (capped) patterns are priced by :meth:`_price_cells`.  Values match
+        a one-restricted-space-per-pattern evaluation to float precision.
         """
         if codes.shape[1] == 0:
             return self.uncertainty(space)
-        patterns, inverse = np.unique(codes, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        masses = np.bincount(inverse, weights=space.probabilities)
-        order = np.argsort(-masses)
-        if pattern_cap is not None:
-            order = order[:pattern_cap]
-        order = order[masses[order] > 0.0]
-        if order.size == 0:
-            return self.uncertainty(space)
-        # One compatibility mask per evaluated pattern: a path survives
-        # when, on every question the pattern constrains, it either agrees
-        # or is silent.
-        chunk = _rows_per_chunk(space.size)
-        residual = 0.0
-        for start in range(0, order.size, chunk):
-            block = order[start : start + chunk]
-            rows = np.empty((block.size, space.size), dtype=bool)
-            for row_index, pattern_index in enumerate(block):
-                pattern = patterns[pattern_index]
-                constrained = pattern != 0
-                if not np.any(constrained):
-                    # Totally silent pattern: observing "answers" compatible
-                    # with it leaves the space untouched.
-                    rows[row_index] = True
-                else:
-                    relevant = codes[:, constrained]
-                    target = pattern[constrained]
-                    rows[row_index] = np.all(
-                        (relevant == 0) | (relevant == target), axis=1
-                    )
-            values = self.measure.evaluate_restrictions(space, rows)
-            residual += float(np.dot(masses[block], values))
-        self.evaluations += order.size
-        evaluated_mass = float(masses[order].sum())
-        if evaluated_mass < 1.0 - 1e-12:
-            residual += (1.0 - evaluated_mass) * self.uncertainty(space)
+        cells, patterns = _pattern_ids(codes)
+        masses = np.bincount(cells, weights=space.probabilities)
+        residual, covered = self._price_cells(
+            space, patterns, cells, masses, pattern_cap
+        )
+        if covered < 1.0 - 1e-12:
+            residual += (1.0 - covered) * self.uncertainty(space)
         return residual
 
     def rank_set_extensions(
@@ -391,98 +373,74 @@ class ResidualEvaluator:
 
         The greedy set policies (``C-off``, ``A*``) score every remaining
         candidate as an extension of the same already-chosen set ``S``.
-        Recomputing the answer-pattern partition per candidate makes the
-        ``np.unique`` sort the bottleneck; here the partition of ``S`` is
-        computed once, each extension's patterns are derived by a
-        ``bincount`` over ``3·base_pattern + stance`` ids, and all
-        compatibility masks are assembled vectorized.  Values match
-        per-candidate :meth:`set_residual_from_codes` to float precision,
-        including the tie resolution of a ``pattern_cap`` cut (both paths
-        rank the identical lexicographically-ordered mass array).
+        The base patterns of ``S`` are computed once; each extension's
+        cells are ``3·base_pattern + stance`` ids, counted by ``bincount``
+        and priced by :meth:`_price_cells`.  Values match per-candidate
+        :meth:`set_residual_from_codes` to float precision, including the
+        tie resolution of a ``pattern_cap`` cut (both paths rank the
+        identical lexicographically-ordered mass array).
         """
-        base_columns = list(base_columns)
-        candidate_columns = list(candidate_columns)
-        if not candidate_columns:
-            return np.zeros(0, dtype=np.float64)
-        p = space.probabilities
-        size = space.size
-        if base_columns:
-            base_codes = codes[:, base_columns]
-            base_patterns, base_inverse = np.unique(
-                base_codes, axis=0, return_inverse=True
-            )
-            base_inverse = base_inverse.ravel()
-        else:
-            base_patterns = np.zeros((1, 0), dtype=codes.dtype)
-            base_inverse = np.zeros(size, dtype=np.intp)
-        n_base = base_patterns.shape[0]
-        # Compatibility masks of base patterns, built lazily: under a
-        # pattern_cap only the capped patterns of each candidate are ever
-        # touched, so memory stays O(touched · L) rather than
-        # O(n_base · L · |S|) — n_base can approach L on large spaces.
-        compat_cache: dict = {}
-
-        def base_compat_row(pattern_index: int) -> np.ndarray:
-            row = compat_cache.get(pattern_index)
-            if row is None:
-                pattern = base_patterns[pattern_index]
-                # A pattern constrains only the questions it is decisive
-                # on; a path is compatible when it is silent or agrees.
-                constrained = pattern != 0
-                if not np.any(constrained):
-                    row = np.ones(size, dtype=bool)
-                else:
-                    relevant = base_codes[:, constrained]
-                    row = np.all(
-                        (relevant == 0) | (relevant == pattern[constrained]),
-                        axis=1,
-                    )
-                compat_cache[pattern_index] = row
-            return row
+        base_ids, base_patterns = _pattern_ids(codes[:, list(base_columns)])
+        n_ids = 3 * base_patterns.shape[0]
+        compressed = np.empty(n_ids, dtype=np.intp)
         results = np.empty(len(candidate_columns), dtype=np.float64)
-        current_uncertainty: Optional[float] = None
-        chunk = _rows_per_chunk(size)
+        covered = np.empty_like(results)
         for out_index, column in enumerate(candidate_columns):
             stances = codes[:, column]
-            ids = base_inverse * 3 + (stances.astype(np.intp) + 1)
-            # Compress to ids actually realized by some path: ascending id
-            # order equals np.unique's lexicographic pattern order (base
-            # pattern rank, then stance −1 < 0 < +1), so the capped
-            # argsort below sees the *same* mass array as
-            # set_residual_from_codes and resolves mass ties identically.
-            realized = np.flatnonzero(np.bincount(ids, minlength=3 * n_base))
-            masses = np.bincount(ids, weights=p, minlength=3 * n_base)[
-                realized
-            ]
-            order = np.argsort(-masses)
-            if pattern_cap is not None:
-                order = order[:pattern_cap]
-            order = order[masses[order] > 0.0]
-            residual = 0.0
-            for start in range(0, order.size, chunk):
-                block_positions = order[start : start + chunk]
-                block = realized[block_positions]
-                base_index = block // 3
-                stance_index = block % 3  # 0 → −1, 1 → silent, 2 → +1
-                rows = np.empty((block.size, size), dtype=bool)
-                for row_index, pattern_index in enumerate(base_index):
-                    rows[row_index] = base_compat_row(int(pattern_index))
-                decisive = stance_index != 1
-                if np.any(decisive):
-                    targets = (stance_index[decisive] - 1).astype(codes.dtype)
-                    rows[decisive] &= (stances[None, :] == 0) | (
-                        stances[None, :] == targets[:, None]
-                    )
-                values = self.measure.evaluate_restrictions(space, rows)
-                residual += float(np.dot(masses[block_positions], values))
-            self.evaluations += order.size
-            evaluated_mass = float(masses[order].sum())
-            if evaluated_mass < 1.0 - 1e-12:
-                if current_uncertainty is None:
-                    current_uncertainty = self.uncertainty(space)
-                residual += (1.0 - evaluated_mass) * current_uncertainty
-            results[out_index] = residual
+            ids = base_ids * 3 + (stances.astype(np.intp) + 1)
+            # Compress to ids realized by some path: ascending ids follow
+            # np.unique's lexicographic order (base pattern, then stance
+            # −1 < 0 < +1), so the capped argsort sees the *same* mass
+            # array as set_residual_from_codes and breaks ties identically.
+            realized = np.flatnonzero(np.bincount(ids, minlength=n_ids))
+            masses = np.bincount(
+                ids, weights=space.probabilities, minlength=n_ids
+            )[realized]
+            compressed[realized] = np.arange(realized.size)
+            patterns = np.column_stack(
+                (base_patterns[realized // 3], realized % 3 - 1)
+            )
+            results[out_index], covered[out_index] = self._price_cells(
+                space, patterns, compressed[ids], masses, pattern_cap
+            )
+        tail = covered < 1.0 - 1e-12
+        if np.any(tail):
+            results[tail] += (1.0 - covered[tail]) * self.uncertainty(space)
         return results
+
+    def _price_cells(
+        self,
+        space: OrderingSpace,
+        patterns: np.ndarray,
+        cells: np.ndarray,
+        masses: np.ndarray,
+        pattern_cap: Optional[int],
+    ) -> "tuple[float, float]":
+        """Mass-weighted measure over the heaviest ``pattern_cap`` patterns.
+
+        ``patterns`` holds one distinct answer pattern per cell (ascending
+        lexicographic order), ``cells`` maps each path to its cell and
+        ``masses`` is each cell's probability.  Pattern ``r`` keeps every
+        cell it agrees with wherever both are decisive.  Returns the
+        weighted sum and the probability mass it covers.
+        """
+        order = np.argsort(-masses)
+        if pattern_cap is not None:
+            order = order[:pattern_cap]
+        order = order[masses[order] > 0.0]
+        signs = patterns.astype(np.float32)
+        decisive = np.abs(signs)
+        values = np.empty(order.size, dtype=np.float64)
+        chunk = _rows_per_chunk(masses.size)
+        for start in range(0, order.size, chunk):
+            block = order[start : start + chunk]
+            # Σ|r·c| = Σ r·c exactly when no question has r·c = −1.
+            masks = decisive[block] @ decisive.T == signs[block] @ signs.T
+            values[start : start + chunk] = (
+                self.measure.evaluate_restrictions(space, masks, cells=cells)
+            )
+        self.evaluations += order.size
+        return float(np.dot(masses[order], values)), float(masses[order].sum())
 
     # ------------------------------------------------------------------
 

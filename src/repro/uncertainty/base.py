@@ -18,7 +18,7 @@ machinery never compares values across budgets or datasets.
 from __future__ import annotations
 
 import abc
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,7 +90,10 @@ class UncertaintyMeasure(abc.ABC):
         return values
 
     def evaluate_restrictions(
-        self, space: OrderingSpace, masks: np.ndarray
+        self,
+        space: OrderingSpace,
+        masks: np.ndarray,
+        cells: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Evaluate the measure after many hypothetical *prunings* at once.
 
@@ -102,8 +105,14 @@ class UncertaintyMeasure(abc.ABC):
         maskings of one shared vector lets measures precompute per-path
         statistics once and reduce each row to dot products (see
         :class:`~repro.uncertainty.entropy.EntropyMeasure`).
+
+        With ``cells`` (each path's cell, ``(L,)``) the rows mask cells
+        and a path survives when its cell does; this fallback prices the
+        expanded path masks ``masks[:, cells]``.
         """
         masks = np.asarray(masks)
+        if cells is not None:
+            masks = masks[:, cells]
         return self.evaluate_batch(
             space, masks * space.probabilities[None, :]
         )

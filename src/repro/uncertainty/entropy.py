@@ -9,7 +9,7 @@ leaf entropy but different agreement on the first ranks are told apart.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,19 +107,26 @@ class EntropyMeasure(UncertaintyMeasure):
         return shannon_entropy_rows(weights, self.base)
 
     def evaluate_restrictions(
-        self, space: OrderingSpace, masks: np.ndarray
+        self,
+        space: OrderingSpace,
+        masks: np.ndarray,
+        cells: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pruning hypotheticals via ``Σ q·ln q = (Σ_S p·ln p)/T − ln T``.
 
         The per-path ``p·ln p`` vector is computed once, so each row costs
         two mask–vector products and zero transcendentals — the fast path
-        behind batched question ranking.
+        behind batched question ranking.  Cell masks sum ``p`` and
+        ``p·ln p`` per cell first, so rows are only as wide as the cells.
         """
         masks = np.asarray(masks, dtype=float)
         p = space.probabilities
         plogp = np.zeros_like(p)
         positive = p > 0.0
         plogp[positive] = p[positive] * np.log(p[positive])
+        if cells is not None:
+            p = np.bincount(cells, weights=p, minlength=masks.shape[1])
+            plogp = np.bincount(cells, weights=plogp, minlength=p.size)
         totals = masks @ p
         if np.any(totals <= 0.0):
             raise ValueError("every restriction needs surviving mass")

@@ -14,7 +14,7 @@ a relation the property tests check on small instances.
 from __future__ import annotations
 
 import weakref
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -176,7 +176,10 @@ class ORAUncertainty(UncertaintyMeasure):
         return self._borda_values(space, weights, support=weights > 0.0)
 
     def evaluate_restrictions(
-        self, space: OrderingSpace, masks: np.ndarray
+        self,
+        space: OrderingSpace,
+        masks: np.ndarray,
+        cells: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pruning hypotheticals keep the mask as the survivor set.
 
@@ -186,6 +189,8 @@ class ORAUncertainty(UncertaintyMeasure):
         the path — deriving support from the weights would silently drop
         such tuples and break scalar parity.
         """
+        if cells is not None:
+            masks = np.asarray(masks)[:, cells]
         if self.method != "borda":
             return super().evaluate_restrictions(space, masks)
         masks = np.asarray(masks, dtype=bool)

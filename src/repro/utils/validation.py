@@ -6,7 +6,7 @@ parameter, so call sites stay one-liners and errors never pass silently.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,14 @@ def check_probability_vector(
     return np.clip(array, 0.0, None)
 
 
+def check_cap(name: str, value: Optional[int]) -> Optional[int]:
+    """Require ``None`` or an ``int`` >= 1 (a bool is not a count)."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if value is not None and not (integral and value >= 1):
+        raise ValueError(f"{name} must be None or an int >= 1, got {value!r}")
+    return value
+
+
 def check_index(name: str, value: int, size: int) -> int:
     """Require ``0 <= value < size``."""
     if not 0 <= value < size:
@@ -56,5 +64,6 @@ __all__ = [
     "check_positive",
     "check_fraction",
     "check_probability_vector",
+    "check_cap",
     "check_index",
 ]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import PolicySpec
 from repro.core import POLICIES, make_policy
 from repro.core.policies import (
     AStarOfflinePolicy,
@@ -180,6 +181,33 @@ class TestAStarOffline:
     def test_validation(self):
         with pytest.raises(ValueError):
             AStarOfflinePolicy(max_expansions=0)
+
+
+class TestCapValidation:
+    """``pattern_cap``/``candidate_cap`` accept only ``None`` or an int >= 1
+    (regression: -1 silently dropped each candidate's lightest pattern, 0
+    priced everything at the current U, 2.5 raised a bare numpy TypeError
+    and True was taken as 1)."""
+
+    CAPS = [
+        ("C-off", "pattern_cap"),
+        ("A*-off", "pattern_cap"),
+        ("A*-off", "candidate_cap"),
+        ("A*-on", "pattern_cap"),
+    ]
+
+    @pytest.mark.parametrize("policy,param", CAPS)
+    @pytest.mark.parametrize(
+        "value", [-1, 0, 2.5, True], ids=["negative", "zero", "float", "bool"]
+    )
+    def test_rejects_bad_cap(self, policy, param, value):
+        with pytest.raises(ValueError, match=param):
+            PolicySpec(policy, {param: value}).build()
+
+    @pytest.mark.parametrize("policy,param", CAPS)
+    @pytest.mark.parametrize("value", [None, 1, 7, np.int64(3)])
+    def test_accepts_valid_cap(self, policy, param, value):
+        PolicySpec(policy, {param: value}).build()
 
 
 class TestExhaustive:

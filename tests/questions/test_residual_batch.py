@@ -4,12 +4,18 @@ The batched path (`rank_singles_batch`, batched `set_residual_from_codes`,
 `UncertaintyMeasure.evaluate_batch`) must reproduce the scalar oracle
 (`single` and `tests/oracles/scalar_residual.py`) to 1e-9 across
 every registered uncertainty measure and every TPO construction engine.
+The set paths price restrictions as masks over answer-pattern cells
+(`evaluate_restrictions(..., cells=...)`); those must equal the expanded
+path masks and stay within their chunk memory bound.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.distributions.uniform import Uniform
+from repro.questions import residual as residual_module
 from repro.questions.candidates import all_pair_questions
 from repro.questions.residual import ResidualEvaluator
 from repro.api import ENGINES, MEASURES
@@ -221,6 +227,91 @@ def test_generic_fallback_keeps_custom_measures_correct():
         rtol=0.0,
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("name", [*MEASURES.available(), "leafcount"])
+def test_evaluate_restrictions_cells_match_path_masks(name):
+    """Cell masks priced with ``cells=`` equal their expansion to paths."""
+    rng = np.random.default_rng(41)
+    measure = (
+        _LeafCountMeasure() if name == "leafcount" else MEASURES.create(name)
+    )
+    for trial in range(4):
+        space = random_space(10 + trial)
+        n_cells = 6
+        cells = rng.integers(0, n_cells, space.size)
+        cell_masks = rng.random((9, n_cells)) < 0.6
+        cell_masks[:, cells[0]] = True  # every row keeps some mass
+        np.testing.assert_allclose(
+            measure.evaluate_restrictions(space, cell_masks, cells=cells),
+            measure.evaluate_restrictions(space, cell_masks[:, cells]),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
+def _set_path_values(evaluator, space, codes, pattern_cap):
+    """Both set paths on a few base sets (extensions and whole sets)."""
+    values = []
+    for base in ([], [0], [1, 4], [0, 2, 3, 5]):
+        candidates = [c for c in range(codes.shape[1]) if c not in base]
+        values.append(
+            evaluator.rank_set_extensions(
+                space, codes, base, candidates, pattern_cap
+            )
+        )
+        values.append(
+            [evaluator.set_residual_from_codes(
+                space, codes[:, base + [candidates[0]]], pattern_cap
+            )]
+        )
+    return np.concatenate(values)
+
+
+@pytest.mark.parametrize("pattern_cap", [None, 4])
+@pytest.mark.parametrize("name", MEASURES.available())
+def test_set_paths_chunked_match_unchunked(name, pattern_cap, monkeypatch):
+    """Three-row chunks of cell masks must not change set residuals
+    (beyond the last ulp a differently-sized measure batch may round)."""
+    space = engine_space("grid")
+    evaluator = ResidualEvaluator(MEASURES.create(name))
+    codes = evaluator.codes_matrix(space, all_pair_questions(space)[:8])
+    whole = _set_path_values(evaluator, space, codes, pattern_cap)
+    monkeypatch.setattr(residual_module, "_rows_per_chunk", lambda size: 3)
+    chunked = _set_path_values(evaluator, space, codes, pattern_cap)
+    np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-12)
+
+
+def test_set_extension_memory_stays_within_chunk_bound(monkeypatch):
+    """With many base patterns, no temporary outgrows one chunk of cell
+    masks: a full cell-by-cell table here would take ≥ 14 MB."""
+    rng = np.random.default_rng(3)
+    paths = np.unique(
+        np.array([rng.permutation(14)[:5] for _ in range(5000)]), axis=0
+    )
+    space = OrderingSpace(paths, rng.random(paths.shape[0]) + 1e-3, 14)
+    evaluator = ResidualEvaluator(MEASURES.create("H"))
+    questions = all_pair_questions(space)
+    base = list(range(0, 70, 7))
+    candidates = [1, 2, 3]
+    codes = evaluator.codes_matrix(space, questions)
+    _, base_patterns = residual_module._pattern_ids(codes[:, base])
+    n_cells = 3 * base_patterns.shape[0]
+    assert n_cells**2 >= 14_000_000  # what a full table would hold
+    bound = 1 << 14  # elements per chunk of rows
+    monkeypatch.setattr(
+        residual_module,
+        "_rows_per_chunk",
+        lambda size: max(1, bound // max(size, 1)),
+    )
+    tracemalloc.start()
+    try:
+        evaluator.rank_set_extensions(space, codes, base, candidates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A few chunk-sized temporaries plus O(L) index vectors.
+    assert peak < 8 * bound * 8 + 64 * space.size
 
 
 def test_evaluate_batch_rejects_bad_weights():
