@@ -16,10 +16,10 @@ Quick start (the typed :mod:`repro.api` front door)::
     print(result.summary())
 
 Lower-level building blocks (distributions, builders, sessions, crowds)
-remain importable from this package for programmatic composition.  The
-old module-level factories (``make_policy``, ``get_measure``,
-``make_workload``, ``make_builder``) are deprecated shims over
-:mod:`repro.api` and emit :class:`DeprecationWarning`.
+remain importable from this package for programmatic composition.
+Plugins are built by name through :mod:`repro.api` alone: its registries
+(``POLICIES.create``, ``MEASURES.create``, …) and specs are the only
+factories.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced figure and table.
@@ -39,7 +39,6 @@ from repro.core import (
     Top1OnlinePolicy,
     TopBPolicy,
     UncertaintyReductionSession,
-    make_policy,
 )
 from repro.crowd import (
     GroundTruth,
@@ -75,7 +74,6 @@ from repro.tpo import (
     OrderingSpace,
     TPOTree,
     expected_ranks,
-    make_builder,
     profile_space,
     pt_k,
     u_kranks,
@@ -86,10 +84,9 @@ from repro.uncertainty import (
     MPOUncertainty,
     ORAUncertainty,
     WeightedEntropyMeasure,
-    get_measure,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -111,7 +108,6 @@ __all__ = [
     "GridBuilder",
     "ExactBuilder",
     "MonteCarloBuilder",
-    "make_builder",
     "u_topk",
     "u_kranks",
     "pt_k",
@@ -122,7 +118,6 @@ __all__ = [
     "WeightedEntropyMeasure",
     "ORAUncertainty",
     "MPOUncertainty",
-    "get_measure",
     # questions
     "Question",
     "Answer",
@@ -139,7 +134,6 @@ __all__ = [
     # core
     "UncertaintyReductionSession",
     "SessionResult",
-    "make_policy",
     "POLICIES",
     "RandomPolicy",
     "NaivePolicy",

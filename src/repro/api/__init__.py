@@ -25,11 +25,6 @@ Quick start::
     )
     result = run_session(spec)
     print(result.summary())
-
-The deprecated module-level factories (``repro.core.make_policy``,
-``repro.uncertainty.get_measure``, ``repro.workloads.make_workload``,
-``repro.tpo.make_builder``) are thin shims over this package and emit
-:class:`DeprecationWarning`.
 """
 
 from repro.api.canonical import canonical_json, content_key

@@ -5,9 +5,9 @@ uncertainty measures, workload generators, realistic scenarios, crowd
 worker models, score-distribution families, TPO construction engines — is
 registered here, lazily, as a ``"module:attr"`` dotted path.  Nothing
 heavy is imported until a plugin is actually constructed, which is what
-lets the deprecated front doors (``repro.core.POLICIES``,
-``repro.workloads.GENERATORS``, …) alias these registries without import
-cycles.
+lets the module-level aliases (``repro.core.POLICIES``,
+``repro.workloads.GENERATORS``, …) point at these registries without
+import cycles.
 
 Downstream users extend the system by registering into these instances::
 
@@ -103,9 +103,6 @@ ENGINES.register("mc", "repro.tpo.builders:MonteCarloBuilder")
 STORES = Registry("store backend")
 STORES.register("memory", "repro.service.store:MemoryColdTier")
 STORES.register("disk-npz", "repro.service.store:DiskNpzColdTier")
-STORES.register(
-    "shared-memory", "repro.service.store:SharedMemoryColdTier"
-)
 
 #: Evaluation suites (fidelity gates: calibration / regret / golden).
 EVALS = Registry("eval suite")

@@ -14,11 +14,12 @@ engines), each with its own error message and no way to extend the others.
   close-match suggestions (``difflib.get_close_matches``) so a typo like
   ``"Hww"`` answers "did you mean 'Hw'?" instead of only dumping the list.
 
-Registries are iterable mappings of names: ``sorted(registry)``,
+Registries are read-only mappings of names: ``sorted(registry)``,
 ``name in registry`` and ``registry[name]`` behave like the ad-hoc dicts
-they replace, which is what lets the old module-level tables
-(``repro.core.POLICIES``, ``repro.workloads.GENERATORS``, …) stay alive as
-aliases of the shared instances.
+they replace, which is what lets the module-level tables
+(``repro.core.POLICIES``, ``repro.workloads.GENERATORS``, …) be aliases
+of the shared instances.  There is no item assignment or deletion:
+``register`` (collision-checked) and ``unregister`` are the only writes.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class RegistryError(ValueError):
 class UnknownNameError(RegistryError, KeyError):
     """An unregistered name was looked up.
 
-    Subclasses both :class:`ValueError` (what the deprecated factories
-    raised) and :class:`KeyError` (what dict-style lookups raise), so both
-    historical handling styles catch it.  ``suggestions`` holds the
+    Subclasses both :class:`ValueError` (what spec validation raises) and
+    :class:`KeyError` (what dict-style lookups raise), so both handling
+    styles catch it.  ``suggestions`` holds the
     close matches embedded in the message.
     """
 

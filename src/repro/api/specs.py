@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # deferred: specs must import nothing heavy at runtime
     from repro.crowd.simulator import SimulatedCrowd
     from repro.distributions.base import ScoreDistribution
 
-from repro.api._deprecation import warn_deprecated
 from repro.api.canonical import canonical_json, content_key
 from repro.api.catalog import (
     CROWD_MODELS,
@@ -43,7 +42,7 @@ from repro.api.catalog import (
     STORES,
     WORKLOADS,
 )
-from repro.utils.validation import check_fraction
+from repro.utils.validation import check_fraction, check_int
 
 
 def _canonical_params(params: Any, owner: str) -> Dict[str, Any]:
@@ -69,9 +68,10 @@ class InstanceSpec:
     """One uncertain top-K instance: workload, size, depth, RNG stream.
 
     The canonical dict form has exactly the keys ``workload``/``n``/``k``/
-    ``seed``/``params`` with normalized types, so equal instances hash
-    equal regardless of how the caller phrased them.  ``k`` is clamped to
-    ``n``.
+    ``seed``/``params``, so equal instances hash equal regardless of how
+    the caller phrased them.  ``n``, ``k`` and ``seed`` must be integers
+    (a float, string or bool is rejected, never truncated); ``k`` is
+    clamped to ``n``.
     """
 
     n: int
@@ -83,15 +83,15 @@ class InstanceSpec:
     def __post_init__(self) -> None:
         if self.workload not in WORKLOADS:
             WORKLOADS.get(self.workload)  # raises UnknownNameError
-        n = int(self.n)
+        n = check_int("n", self.n)
         if n < 2:
             raise ValueError(f"spec needs n >= 2 tuples, got {n}")
-        k = int(self.k)
+        k = check_int("k", self.k)
         if k < 1:
             raise ValueError(f"spec needs k >= 1, got {k}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", min(k, n))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_int("seed", self.seed))
         object.__setattr__(
             self, "params", _canonical_params(self.params, "spec")
         )
@@ -437,10 +437,9 @@ class SessionSpec:
 
     The engine is configured with a typed :class:`EngineSpec` (pass one
     — or its dict form — as ``engine``); the loose ``engine`` string +
-    ``engine_params`` dict pair remains as the storage/wire shape, and
-    passing a non-empty ``engine_params`` directly to the constructor is
-    deprecated.  :meth:`from_dict` replays historical payloads without
-    warning.
+    ``engine_params`` dict pair is the storage/wire shape, and a string
+    engine plus params folds through :class:`EngineSpec`, so both
+    spellings get the same validation.
     """
 
     instance: InstanceSpec
@@ -480,21 +479,13 @@ class SessionSpec:
             if self.engine_params:
                 raise ValueError(
                     "pass engine parameters inside the EngineSpec, not "
-                    "through the deprecated engine_params field"
+                    "also through the engine_params field"
                 )
             spec = EngineSpec.from_dict(self.engine)
-            object.__setattr__(self, "engine", spec.name)
-            object.__setattr__(self, "engine_params", dict(spec.params))
         else:
-            if self.engine not in ENGINES:
-                ENGINES.get(self.engine)
-            params = _canonical_params(self.engine_params, "engine")
-            if params:
-                warn_deprecated(
-                    "SessionSpec(engine_params=...)",
-                    "repro.api.EngineSpec",
-                )
-            object.__setattr__(self, "engine_params", params)
+            spec = EngineSpec(name=self.engine, params=self.engine_params)
+        object.__setattr__(self, "engine", spec.name)
+        object.__setattr__(self, "engine_params", dict(spec.params))
 
     # -- round trip ----------------------------------------------------
 
@@ -530,21 +521,14 @@ class SessionSpec:
         )
         if "instance" not in payload:
             raise ValueError("session spec needs an 'instance' field")
-        # Replaying stored payloads must not warn: fold the historical
-        # engine + engine_params pair into a typed EngineSpec up front.
-        engine = payload.get("engine", "grid")
-        engine_params = payload.get("engine_params", {})
-        if not isinstance(engine, (EngineSpec, Mapping)) and engine_params:
-            engine = EngineSpec(name=engine, params=engine_params)
-            engine_params = {}
         return cls(
             instance=InstanceSpec.from_dict(payload["instance"]),
             policy=PolicySpec.from_dict(payload.get("policy", {})),
             measure=MeasureSpec.from_dict(payload.get("measure", {})),
             crowd=CrowdSpec.from_dict(payload.get("crowd", {})),
             budget=BudgetSpec.from_dict(payload.get("budget", {})),
-            engine=engine,
-            engine_params=engine_params,
+            engine=payload.get("engine", "grid"),
+            engine_params=payload.get("engine_params", {}),
         )
 
     def canonical_json(self) -> str:
@@ -575,15 +559,14 @@ SHARD_STRATEGIES = ("blake2b",)
 class StoreSpec:
     """The TPO store a serve worker runs: hot LRU, optional cold tier.
 
-    ``backend`` is either ``"none"`` — the historical single-process
-    configuration, a bare :class:`~repro.service.cache.TPOCache` of
-    ``hot_capacity`` entries — or a name from the ``STORES`` registry
-    (``memory``/``disk-npz``/``shared-memory``), in which case
-    :meth:`build` yields a :class:`~repro.service.store.TwoTierStore`
-    whose per-worker hot cache sits over the shared cold tier.  ``path``
-    is the cold-tier directory (required for ``disk-npz``, ignored by
-    the in-process backends); ``params`` passes backend keyword
-    arguments through verbatim (e.g. ``prefix`` for ``shared-memory``).
+    :meth:`build` always yields a :class:`~repro.service.cache.TPOCache`
+    of ``hot_capacity`` hot entries.  ``backend`` is either ``"none"`` —
+    the historical single-process configuration, no cold tier — or a
+    name from the ``STORES`` registry (``memory``/``disk-npz``), whose
+    cold tier the per-worker hot cache then sits over.  ``path`` is the
+    cold-tier directory (required for ``disk-npz``, ignored by
+    ``memory``); ``params`` passes backend keyword arguments through
+    verbatim (e.g. ``lock_timeout`` for ``disk-npz``).
     """
 
     backend: str = "none"
@@ -594,7 +577,7 @@ class StoreSpec:
     def __post_init__(self) -> None:
         if self.backend != "none" and self.backend not in STORES:
             STORES.get(self.backend)  # raises UnknownNameError
-        hot = int(self.hot_capacity)
+        hot = check_int("hot_capacity", self.hot_capacity)
         if hot < 0:
             raise ValueError(f"hot_capacity must be >= 0, got {hot}")
         object.__setattr__(self, "hot_capacity", hot)
@@ -643,20 +626,17 @@ class StoreSpec:
         return content_key(self.to_dict())
 
     def build(self) -> Any:
-        """The configured store: a bare ``TPOCache`` for ``"none"``,
-        otherwise a ``TwoTierStore`` over the registered cold tier."""
+        """The configured :class:`~repro.service.cache.TPOCache`, over
+        the registered cold tier unless the backend is ``"none"``."""
         from repro.service.cache import TPOCache
 
-        hot = TPOCache(capacity=self.hot_capacity)
-        if self.backend == "none":
-            return hot
-        from repro.service.store import TwoTierStore
-
-        kwargs = dict(self.params)
-        if self.backend == "disk-npz":
-            kwargs["path"] = self.path
-        cold = STORES.create(self.backend, **kwargs)
-        return TwoTierStore(hot=hot, cold=cold)
+        cold = None
+        if self.backend != "none":
+            kwargs = dict(self.params)
+            if self.backend == "disk-npz":
+                kwargs["path"] = self.path
+            cold = STORES.create(self.backend, **kwargs)
+        return TPOCache(capacity=self.hot_capacity, cold=cold)
 
 
 @dataclass(frozen=True)
@@ -683,11 +663,11 @@ class ServeSpec:
     def __post_init__(self) -> None:
         if not self.host:
             raise ValueError("serve spec needs a host")
-        port = int(self.port)
+        port = check_int("port", self.port)
         if not 0 <= port <= 65535:
             raise ValueError(f"port must be in [0, 65535], got {port}")
         object.__setattr__(self, "port", port)
-        workers = int(self.workers)
+        workers = check_int("workers", self.workers)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         object.__setattr__(self, "workers", workers)
@@ -702,7 +682,7 @@ class ServeSpec:
             )
         if self.log is not None:
             object.__setattr__(self, "log", str(self.log))
-        resolution = int(self.resolution)
+        resolution = check_int("resolution", self.resolution)
         if resolution < 2:
             raise ValueError(
                 f"resolution must be >= 2, got {resolution}"
@@ -713,8 +693,7 @@ class ServeSpec:
             # every TPO per worker; require an explicit shared backend.
             raise ValueError(
                 f"workers={self.workers} needs a cross-process store "
-                f"backend (disk-npz or shared-memory), "
-                f"got {self.store.backend!r}"
+                f"backend (disk-npz), got {self.store.backend!r}"
             )
 
     def to_dict(self) -> Dict[str, Any]:

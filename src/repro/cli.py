@@ -49,7 +49,7 @@ from repro.api import (
     all_registries,
     prepare_session,
 )
-from repro.api.catalog import POLICIES, WORKLOADS
+from repro.api.catalog import POLICIES, STORES, WORKLOADS
 from repro.api.specs import EngineSpec
 from repro.tpo.analysis import (
     overlap_statistics,
@@ -222,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         default=None,
-        choices=["none", "memory", "disk-npz", "shared-memory"],
+        choices=["none", *STORES.available()],
         help=(
             "cold-tier store backend behind the per-worker hot cache "
             "(default: none for --workers 1, disk-npz otherwise)"

@@ -5,7 +5,6 @@ top-K query results, plus the session engine that runs them against a
 budget and a (simulated) crowd.
 """
 
-from repro.api._deprecation import warn_deprecated
 from repro.api.catalog import POLICIES
 from repro.core.incremental import IncrementalAlgorithm
 from repro.core.policies import (
@@ -25,15 +24,6 @@ from repro.core.policies import (
 from repro.core.session import SessionResult, UncertaintyReductionSession
 
 
-def make_policy(name: str, **kwargs) -> Policy:
-    """Deprecated shim: use :class:`repro.api.PolicySpec` or
-    ``repro.api.POLICIES.create`` instead."""
-    warn_deprecated(
-        "repro.core.make_policy", "repro.api.POLICIES.create"
-    )
-    return POLICIES.create(name, **kwargs)
-
-
 __all__ = [
     "Policy",
     "OfflinePolicy",
@@ -51,5 +41,4 @@ __all__ = [
     "UncertaintyReductionSession",
     "SessionResult",
     "POLICIES",
-    "make_policy",
 ]

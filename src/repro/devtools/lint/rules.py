@@ -346,119 +346,6 @@ class ExplicitDtypeRule(Rule):
         )
 
 
-#: Deprecated pre-``repro.api`` entry points and the modules defining them.
-_DEPRECATED_SHIMS = frozenset(
-    {
-        "make_policy",
-        "get_measure",
-        "register_measure",
-        "available_measures",
-        "make_workload",
-        "make_builder",
-        "normalize_spec",
-        "materialize_instance",
-    }
-)
-#: Module-level registry aliases that must not be mutated like dicts.
-_REGISTRY_NAMES = frozenset(
-    {
-        "POLICIES",
-        "MEASURES",
-        "WORKLOADS",
-        "SCENARIOS",
-        "CROWD_MODELS",
-        "DISTRIBUTIONS",
-        "ENGINES",
-        "STORES",
-        "EVALS",
-        "GENERATORS",
-        "LINT_RULES",
-        "CHECKS",
-    }
-)
-
-
-@LINT_RULES.register("RPL006")
-class NoDeprecatedShimRule(Rule):
-    """First-party code never imports the deprecated shims or pokes
-    registries as dicts.
-
-    The shims (``make_policy``, ``get_measure``, …) raise
-    ``DeprecationWarning`` — which CI promotes to an error — and bypass
-    the typed spec layer; subscript-assignment on a registry alias skips
-    collision detection and lazy resolution.  Use ``repro.api`` specs and
-    ``Registry.register``.
-    """
-
-    code = "RPL006"
-    name = "no-deprecated-entry-points"
-    rationale = (
-        "shims bypass the typed repro.api layer (and warn, which CI "
-        "escalates); dict-mutation skips registry collision detection"
-    )
-
-    #: Modules that define or re-export the shims for compatibility.
-    ALLOWED = frozenset(
-        {
-            "src/repro/__init__.py",
-            "src/repro/api/_deprecation.py",
-            "src/repro/core/__init__.py",
-            "src/repro/uncertainty/registry.py",
-            "src/repro/uncertainty/__init__.py",
-            "src/repro/workloads/synthetic.py",
-            "src/repro/workloads/__init__.py",
-            "src/repro/tpo/builders.py",
-            "src/repro/tpo/__init__.py",
-            "src/repro/service/manager.py",
-            "src/repro/service/__init__.py",
-        }
-    )
-
-    def visit_node(
-        self, node: ast.AST, ctx: FileContext
-    ) -> Iterator[Violation]:
-        if isinstance(node, ast.ImportFrom) and ctx.path not in self.ALLOWED:
-            if node.level or (node.module or "").startswith("repro"):
-                for alias in node.names:
-                    if alias.name in _DEPRECATED_SHIMS:
-                        yield self.violation(
-                            node,
-                            ctx,
-                            f"import of deprecated shim {alias.name!r}; "
-                            "construct through repro.api instead",
-                        )
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in _REGISTRY_NAMES
-                ):
-                    yield self.violation(
-                        node,
-                        ctx,
-                        f"direct mutation of registry "
-                        f"{target.value.id!r}; use .register() "
-                        "(collision-checked, lazy-path aware)",
-                    )
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in _REGISTRY_NAMES
-                ):
-                    yield self.violation(
-                        node,
-                        ctx,
-                        f"direct deletion from registry "
-                        f"{target.value.id!r}; use .unregister()",
-                    )
-
-
 @LINT_RULES.register("RPL007")
 class TornTailAppendRule(Rule):
     """Append-mode JSONL writes go through the torn-tail-safe helpers.
@@ -702,7 +589,6 @@ __all__ = [
     "FrozenSpecRule",
     "AsyncBlockingRule",
     "ExplicitDtypeRule",
-    "NoDeprecatedShimRule",
     "TornTailAppendRule",
     "MutableDefaultRule",
     "EngineSpecConstructionRule",

@@ -2,8 +2,9 @@
 
 Runs many crowdsourcing sessions against shared, cached state:
 
-* :mod:`repro.service.cache` — a bounded LRU of built TPOs keyed by a
-  BLAKE2b content hash of the canonical instance, so N sessions over the
+* :mod:`repro.service.cache` — :class:`TPOCache`, the one TPO store: a
+  bounded LRU of built TPOs keyed by a BLAKE2b content hash of the
+  canonical instance, over an optional cold tier, so N sessions over the
   same (or hashed-equal) instance pay one tree build;
 * :mod:`repro.service.manager` — :class:`SessionManager`: session
   lifecycle (create / next-question / submit-answer / snapshot / resume),
@@ -11,9 +12,9 @@ Runs many crowdsourcing sessions against shared, cached state:
   and cross-session coalescing of next-question rankings;
 * :mod:`repro.service.server` — a dependency-free asyncio HTTP front end
   (``repro serve``);
-* :mod:`repro.service.store` — the two-tier TPO store: a per-worker hot
-  :class:`TPOCache` over a cross-process content-addressed cold tier of
-  binary (npz) level tables, so a fleet builds each TPO once;
+* :mod:`repro.service.store` — the cold tiers behind the cache: a
+  cross-process content-addressed store of binary (npz) level tables,
+  so a fleet builds each TPO once;
 * :mod:`repro.service.sharding` — the multi-worker runtime behind
   ``repro serve --workers N``: a router that shards sessions across
   worker processes by BLAKE2b of the session key, with per-shard event
@@ -22,6 +23,5 @@ Runs many crowdsourcing sessions against shared, cached state:
 
 from repro.service.cache import TPOCache, instance_key
 from repro.service.manager import SessionManager
-from repro.service.store import TwoTierStore
 
-__all__ = ["TPOCache", "SessionManager", "TwoTierStore", "instance_key"]
+__all__ = ["TPOCache", "SessionManager", "instance_key"]

@@ -38,15 +38,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
-if TYPE_CHECKING:  # avoid importing the store stack at runtime
-    from repro.service.store import SpaceStore
-
-from repro.api._deprecation import warn_deprecated
-from repro.api.specs import EngineSpec, InstanceSpec, as_instance_spec
+from repro.api.specs import EngineSpec, as_instance_spec
 from repro.core.session import InteractiveSession
-from repro.distributions.base import ScoreDistribution
 from repro.experiments.store import ensure_trailing_newline
 from repro.questions.model import Question
 from repro.questions.residual import ResidualEvaluator
@@ -66,32 +61,6 @@ class UnknownSessionError(KeyError):
 
 class ClosedSessionError(ValueError):
     """Raised when an operation targets a closed session."""
-
-
-# ----------------------------------------------------------------------
-# Instance specs (deprecated shims — the real thing is repro.api)
-# ----------------------------------------------------------------------
-
-
-def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Deprecated shim: use :class:`repro.api.InstanceSpec` instead.
-
-    ``InstanceSpec.from_dict(spec).to_dict()`` produces the identical
-    canonical dict this function always returned.
-    """
-    warn_deprecated(
-        "repro.service.manager.normalize_spec", "repro.api.InstanceSpec"
-    )
-    return InstanceSpec.from_dict(spec).to_dict()
-
-
-def materialize_instance(spec: Dict[str, Any]) -> List[ScoreDistribution]:
-    """Deprecated shim: use :meth:`repro.api.InstanceSpec.materialize`."""
-    warn_deprecated(
-        "repro.service.manager.materialize_instance",
-        "repro.api.InstanceSpec.materialize",
-    )
-    return as_instance_spec(spec).materialize()
 
 
 def builder_signature(builder: TPOBuilder) -> Dict[str, Any]:
@@ -248,7 +217,7 @@ class SessionManager:
 
     def __init__(
         self,
-        cache: Optional["SpaceStore"] = None,
+        cache: Optional[TPOCache] = None,
         log_path: Optional[PathLike] = None,
         builder: Optional[TPOBuilder] = None,
         measure: Optional[UncertaintyMeasure] = None,
@@ -291,9 +260,10 @@ class SessionManager:
     def session_ids(self, status: Optional[str] = "active") -> List[str]:
         """Ids of sessions with the given status (None = all), in creation
         order."""
+        # Iterate a snapshot: the server creates sessions on its executor.
         return [
             sid
-            for sid, managed in self._sessions.items()
+            for sid, managed in list(self._sessions.items())
             if status is None or managed.status == status
         ]
 
@@ -523,8 +493,9 @@ class SessionManager:
 
     def stats(self) -> Dict[str, Any]:
         """Service counters for the ``/stats`` endpoint and benchmarks."""
+        sessions = list(self._sessions.values())  # see session_ids
         by_status: Dict[str, int] = {}
-        for managed in self._sessions.values():
+        for managed in sessions:
             by_status[managed.status] = by_status.get(managed.status, 0) + 1
         stats = {
             "sessions": by_status,
@@ -541,7 +512,7 @@ class SessionManager:
         if getattr(self.builder, "beam_active", False):
             lost = [
                 managed.session.space.lost_mass
-                for managed in self._sessions.values()
+                for managed in sessions
                 if managed.status == "active"
             ]
             stats["approximation"] = {
@@ -625,7 +596,5 @@ __all__ = [
     "BufferedEventLog",
     "UnknownSessionError",
     "ClosedSessionError",
-    "normalize_spec",
-    "materialize_instance",
     "builder_signature",
 ]

@@ -402,10 +402,11 @@ class StatsResponse:
     The flat key set is the historical ``/stats`` shape (``sessions`` /
     ``cache`` / ``rankings`` / ``evaluations`` / ``contradictions`` /
     ``replay_skipped`` plus the batcher's ``next_batches`` /
-    ``next_requests``) so existing dashboards keep working; ``store``
-    aliases the cache block (which for a two-tier store carries
-    ``hot``/``cold``/``cold_hit_rate``/per-tier byte counts), and
-    ``topology`` says which process of which fleet answered.
+    ``next_requests``) so existing dashboards keep working; ``cache``
+    is :meth:`repro.service.cache.TPOCache.stats` (flat hot-tier
+    counters plus ``builds``/``cold_hits``/``cold_hit_rate`` and a nested
+    ``cold`` tier block), ``store`` aliases it, and ``topology`` says
+    which process of which fleet answered.
     """
 
     sessions: Dict[str, int]
@@ -486,9 +487,8 @@ class ClusterStatsResponse:
             next_batches += worker.get("next_batches", 0)
             next_requests += worker.get("next_requests", 0)
             cache = worker.get("cache", {})
-            hot = cache.get("hot", cache)
-            hot_hits += hot.get("hits", 0)
-            hot_misses += hot.get("misses", 0)
+            hot_hits += cache.get("hits", 0)
+            hot_misses += cache.get("misses", 0)
             cold_hits += cache.get("cold_hits", 0)
             cold_waited += cache.get("cold_waited", 0)
             builds += cache.get("builds", 0)

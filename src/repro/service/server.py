@@ -38,20 +38,29 @@ Concurrent ``/next`` requests are *coalesced*: handlers enqueue into a
 sessions in identical states share a single ranking pass — the asyncio
 face of the manager's cross-session batching.
 
-The manager is synchronous and only touched from the event-loop thread, so
-no locking is needed anywhere — with one deliberate exception: the durable
-event log.  :func:`start_server` swaps the manager's eager
-:class:`~repro.service.manager.EventLog` for a
-:class:`~repro.service.manager.BufferedEventLog`, so mutating handlers
-append in memory (no disk I/O on the loop thread — lint rule RPL004) and
-then await one flush hop through a single-thread executor *before*
-responding.  A 200 still means the event is on disk; the buffered log's
-own lock covers the loop-thread/executor-thread handoff.
+The manager is synchronous and touched from the event-loop thread, with
+two deliberate exceptions that run on one single-thread executor:
+
+* **The durable event log.**  :func:`start_server` swaps the manager's
+  eager :class:`~repro.service.manager.EventLog` for a
+  :class:`~repro.service.manager.BufferedEventLog`, so mutating handlers
+  append in memory (no disk I/O on the loop thread — lint rule RPL004)
+  and then await one flush hop through the executor *before* responding.
+  A 200 still means the event is on disk; the buffered log's own lock
+  covers the loop-thread/executor-thread handoff.
+* **Session creation.**  Fetching a session's initial space may read or
+  write the TPO cache's cold tier and wait for another worker's build of
+  the same tree, so ``POST /sessions`` runs
+  :meth:`~repro.service.manager.SessionManager.create_session` on the
+  executor.  Creations are serialized there, so the cache and builder are
+  only ever used by that one thread; the manager's loop-side readers of
+  its session table iterate snapshots.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -263,7 +272,7 @@ class Context:
         body: Any,
         params: Dict[str, str],
         versioned: bool,
-        log_executor: Optional[ThreadPoolExecutor] = None,
+        executor: Optional[ThreadPoolExecutor] = None,
         topology: Optional[TopologyInfo] = None,
     ) -> None:
         self.manager = manager
@@ -271,7 +280,7 @@ class Context:
         self.body = body
         self.params = params
         self.versioned = versioned
-        self.log_executor = log_executor
+        self.executor = executor
         self.topology = topology if topology is not None else TopologyInfo()
 
     async def flush_log(self) -> None:
@@ -279,10 +288,10 @@ class Context:
 
         Mutating handlers await this before responding so the wire
         contract stays "200 ⇒ logged", while the actual ``open``/``write``
-        happens on the (single-thread) log executor, never the loop.
+        happens on the (single-thread) executor, never the loop.
         """
         await asyncio.get_running_loop().run_in_executor(
-            self.log_executor, self.manager.flush_log
+            self.executor, self.manager.flush_log
         )
 
 
@@ -339,8 +348,15 @@ async def _handle_create_session(ctx: Context) -> Dict[str, Any]:
         # Legacy leniency: a bare spec body (no "spec" wrapper) is allowed.
         spec = ctx.body.get("spec", ctx.body)
         session_id = ctx.body.get("session_id")
+    create = functools.partial(
+        ctx.manager.create_session, spec, session_id=session_id
+    )
     try:
-        sid = ctx.manager.create_session(spec, session_id=session_id)
+        # Off the loop: the initial space may come from (or be published
+        # to) the cold tier, or wait on another worker's build.
+        sid = await asyncio.get_running_loop().run_in_executor(
+            ctx.executor, create
+        )
     except TPOSizeError as exc:
         # An instance whose TPO blows the engine's size budget is a
         # client-side resource limit, not an internal failure — surface
@@ -452,7 +468,7 @@ async def _route(
     body: Any,
     manager: SessionManager,
     batcher: NextQuestionBatcher,
-    log_executor: Optional[ThreadPoolExecutor] = None,
+    executor: Optional[ThreadPoolExecutor] = None,
     topology: Optional[TopologyInfo] = None,
 ) -> Tuple[Dict[str, Any], bool]:
     """Dispatch one request; returns ``(payload, versioned)``."""
@@ -484,7 +500,7 @@ async def _route(
                 body,
                 params,
                 versioned,
-                log_executor,
+                executor,
                 topology,
             )
             return await handler(ctx), versioned
@@ -512,7 +528,7 @@ async def _handle_connection(
     writer: asyncio.StreamWriter,
     manager: SessionManager,
     batcher: NextQuestionBatcher,
-    log_executor: Optional[ThreadPoolExecutor] = None,
+    executor: Optional[ThreadPoolExecutor] = None,
     topology: Optional[TopologyInfo] = None,
 ) -> None:
     status, payload = 500, {"error": "internal error"}
@@ -528,7 +544,7 @@ async def _handle_connection(
         ]
         body = await _read_body(reader, content_length)
         payload, versioned = await _route(
-            method, path, body, manager, batcher, log_executor, topology
+            method, path, body, manager, batcher, executor, topology
         )
         status = 200
     except HttpError as exc:
@@ -568,22 +584,21 @@ async def start_server(
     (:meth:`SessionManager.defer_log_writes`) with a dedicated
     single-thread executor doing the actual disk writes — handlers append
     in memory and await the flush, so the event loop never blocks on the
-    log file.  ``topology`` is what ``/v1/meta`` and ``/v1/stats`` report
-    as this process's place in the deployment (defaults to the
-    single-process role).
+    log file — and session creation.  ``topology`` is what ``/v1/meta``
+    and ``/v1/stats`` report as this process's place in the deployment
+    (defaults to the single-process role).
     """
     batcher = NextQuestionBatcher(manager)
-    log_executor: Optional[ThreadPoolExecutor] = None
-    if manager.defer_log_writes():
-        log_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-eventlog"
-        )
+    manager.defer_log_writes()
+    executor = ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="repro-service"
+    )
 
     async def handler(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         await _handle_connection(
-            reader, writer, manager, batcher, log_executor, topology
+            reader, writer, manager, batcher, executor, topology
         )
 
     return await asyncio.start_server(handler, host=host, port=port)

@@ -101,7 +101,7 @@ def worker_log_path(base: Optional[PathLike], shard: int) -> Optional[Path]:
 def build_worker_manager(
     spec: ServeSpec, shard: int, resume: bool = False
 ) -> SessionManager:
-    """One shard's session manager: two-tier store + per-shard log."""
+    """One shard's session manager: TPO cache over the shared cold tier + per-shard log."""
     from repro.api.specs import EngineSpec
 
     store = spec.store.build()

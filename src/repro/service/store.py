@@ -1,18 +1,16 @@
-"""Two-tier TPO store: per-worker hot LRU over a cross-process cold tier.
+"""Cold tiers: content-addressed binary TPO storage behind the TPO cache.
 
 The multi-worker runtime (:mod:`repro.service.sharding`) runs one
-:class:`~repro.service.manager.SessionManager` per worker process.  Each
-worker keeps its own hot :class:`~repro.service.cache.TPOCache` of
-deserialized :class:`~repro.tpo.space.OrderingSpace` objects, but a TPO
-built by *any* worker should be paid for once per fleet, not once per
-process — that is the cold tier's job.
+:class:`~repro.service.manager.SessionManager` per worker process, each
+with its own :class:`~repro.service.cache.TPOCache` of deserialized
+spaces.  A TPO built by *any* worker should be paid for once per fleet,
+not once per process — that is the cold tier's job.
 
-A **cold tier** (:class:`ColdTier`) is a content-addressed map from the
-existing BLAKE2b instance keys (:func:`repro.service.cache.instance_key`
-— unchanged by this module) to the binary level-table serialization of
-:mod:`repro.tpo.serialize` (``tree_to_npz`` / ``tree_from_npz``).  Three
-backends ship, registered in the ``STORES`` registry of
-:mod:`repro.api.catalog`:
+A **cold tier** (:class:`ColdTier`) maps the BLAKE2b instance keys of
+:func:`repro.service.cache.instance_key` to the binary level-table
+serialization of :mod:`repro.tpo.serialize` (``tree_to_npz`` /
+``tree_from_npz``).  Two backends ship, registered in the ``STORES``
+registry of :mod:`repro.api.catalog`:
 
 ``memory``
     An in-process dict of npz byte strings.  Not shared across
@@ -27,17 +25,10 @@ backends ship, registered in the ``STORES`` registry of
     a ``<key>.lock`` file (``O_CREAT | O_EXCL``) elects one builder; the
     losers poll for the winner's artifact instead of burning CPU on a
     duplicate build.
-``shared-memory``
-    POSIX shared-memory segments (:mod:`multiprocessing.shared_memory`),
-    one per instance, holding the same npz bytes behind a small
-    commit-marker header so a reader never parses a half-written
-    payload.  Zero filesystem traffic; segments created by this process
-    are unlinked by :meth:`~SharedMemoryColdTier.close`.
 
-:class:`TwoTierStore` composes a hot cache with a cold tier behind the
-exact ``get_space(key, distributions, build)`` interface the session
-manager already speaks, so it is a drop-in replacement for a bare
-:class:`TPOCache`.
+The base class is itself the ``none`` tier a cache uses when no backend
+is configured: it holds nothing, and ``put`` only round-trips the tree
+through the npz bytes a real tier would store.
 """
 
 from __future__ import annotations
@@ -45,10 +36,9 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Protocol, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.distributions.base import ScoreDistribution
-from repro.service.cache import TPOCache
 from repro.tpo.serialize import (
     TPOSerializationError,
     tree_from_npz,
@@ -56,51 +46,25 @@ from repro.tpo.serialize import (
     tree_to_npz,
     tree_to_npz_bytes,
 )
-from repro.tpo.space import OrderingSpace
 from repro.tpo.tree import TPOTree
 
 PathLike = Union[str, Path]
 
 
-class SpaceStore(Protocol):
-    """What the session manager needs from a TPO store.
-
-    Both the bare :class:`~repro.service.cache.TPOCache` and
-    :class:`TwoTierStore` satisfy this.
-    """
-
-    def get_space(
-        self,
-        key: str,
-        distributions: Sequence[ScoreDistribution],
-        build: Callable[[], TPOTree],
-    ) -> OrderingSpace: ...
-
-    def stats(self) -> Dict[str, Any]: ...
-
-    @property
-    def hit_rate(self) -> float: ...
-
-
-# ----------------------------------------------------------------------
-# Cold tiers
-# ----------------------------------------------------------------------
-
-
 class ColdTier:
-    """Base class for cross-process content-addressed TPO storage.
+    """Cross-process content-addressed TPO storage (base: stores nothing).
 
-    Subclasses implement :meth:`_load` / :meth:`_store`; the base class
-    provides uniform hit/miss/torn accounting and the (optional)
-    single-flight build-lock hooks.  ``get`` returns a rebuilt
-    :class:`TPOTree` or ``None``; ``put`` persists a tree and returns it
-    *as re-read from the stored payload*, which is what keeps the "cached
-    state equals a cold rebuild" invariant the manager's resume path
-    relies on.
+    Subclasses override :meth:`_load` / :meth:`_store` and the
+    bookkeeping; the base class provides uniform hit/miss/torn accounting
+    and the (optional) single-flight build-lock hooks.  ``get`` returns a
+    rebuilt :class:`TPOTree` or ``None``; ``put`` persists a tree and
+    returns it *as re-read from the stored payload*, which is what keeps
+    the "cached state equals a cold rebuild" invariant the manager's
+    resume path relies on.
     """
 
     #: Registry name of the backend (overridden per subclass).
-    name = "abstract"
+    name = "none"
 
     def __init__(self) -> None:
         self.hits = 0
@@ -113,10 +77,10 @@ class ColdTier:
     def _load(
         self, key: str, distributions: Sequence[ScoreDistribution]
     ) -> Optional[TPOTree]:
-        raise NotImplementedError
+        return None
 
     def _store(self, key: str, tree: TPOTree) -> TPOTree:
-        raise NotImplementedError
+        return tree_from_npz_bytes(tree_to_npz_bytes(tree), tree.distributions)
 
     def _discard_damaged(self, key: str) -> None:
         """Drop a payload that failed to decode (best-effort)."""
@@ -176,11 +140,11 @@ class ColdTier:
 
     def entry_count(self) -> int:
         """How many instances the tier currently holds."""
-        raise NotImplementedError
+        return 0
 
     def stored_bytes(self) -> int:
         """Total serialized payload size currently held, in bytes."""
-        raise NotImplementedError
+        return 0
 
     def stats(self) -> Dict[str, Any]:
         """Counters for ``/v1/stats`` and the benchmark artifacts."""
@@ -196,9 +160,6 @@ class ColdTier:
             "hit_rate": self.hits / lookups if lookups else 0.0,
         }
 
-    def close(self) -> None:
-        """Release backend resources (files stay; shm segments unlink)."""
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(entries={self.entry_count()}, "
@@ -209,7 +170,7 @@ class ColdTier:
 class MemoryColdTier(ColdTier):
     """In-process cold tier: a dict of npz byte payloads.
 
-    Goes through the same binary serialization as the shared backends so
+    Goes through the same binary serialization as the disk backend so
     behavior (and round-trip guarantees) are identical — it just cannot
     cross a process boundary.
     """
@@ -240,7 +201,9 @@ class MemoryColdTier(ColdTier):
         return len(self._payloads)
 
     def stored_bytes(self) -> int:
-        return sum(len(payload) for payload in self._payloads.values())
+        # A snapshot: ``/v1/stats`` reads this on the event loop while the
+        # server's executor may be publishing a payload.
+        return sum(len(payload) for payload in list(self._payloads.values()))
 
 
 def _check_key(key: str) -> str:
@@ -375,279 +338,4 @@ class DiskNpzColdTier(ColdTier):
         return total
 
 
-#: Header layout of a shared-memory payload: commit magic + payload size.
-_SHM_MAGIC = b"RTPO\x01\x00\x00\x00"
-_SHM_HEADER = len(_SHM_MAGIC) + 8
-
-
-class SharedMemoryColdTier(ColdTier):
-    """Cold tier over named POSIX shared-memory segments.
-
-    Each instance key maps to one segment (``<prefix>-<key>``) holding
-    the npz payload behind a 16-byte header.  The payload bytes are
-    written first and the commit magic last, so an attaching reader that
-    sees the magic is guaranteed a complete payload — a torn writer
-    leaves a segment without magic, which reads as a miss.
-
-    Segment names are deterministic, so any process that knows the
-    instance key can attach.  Segments created by this process are
-    tracked and unlinked by :meth:`close`; attach-only processes never
-    unlink.  (On Python < 3.13 the stdlib resource tracker may warn
-    about attached segments at interpreter exit; the runtime closes its
-    tiers before that point.)
-    """
-
-    name = "shared-memory"
-
-    def __init__(self, prefix: str = "repro-tpo") -> None:
-        super().__init__()
-        if not prefix or not all(
-            ch.isalnum() or ch in "-_" for ch in prefix
-        ):
-            raise ValueError(f"invalid shared-memory prefix {prefix!r}")
-        self.prefix = prefix
-        self._owned: Dict[str, Any] = {}
-
-    def _segment_name(self, key: str) -> str:
-        return f"{self.prefix}-{_check_key(key)}"
-
-    def _attach(self, key: str) -> Optional[Any]:
-        from multiprocessing import shared_memory
-
-        try:
-            return shared_memory.SharedMemory(name=self._segment_name(key))
-        except FileNotFoundError:
-            return None
-
-    def _load(
-        self, key: str, distributions: Sequence[ScoreDistribution]
-    ) -> Optional[TPOTree]:
-        segment = self._attach(key)
-        if segment is None:
-            return None
-        try:
-            view = segment.buf
-            if bytes(view[: len(_SHM_MAGIC)]) != _SHM_MAGIC:
-                raise TPOSerializationError(
-                    f"shared-memory segment for {key!r} is uncommitted"
-                )
-            size = int.from_bytes(
-                bytes(view[len(_SHM_MAGIC) : _SHM_HEADER]), "little"
-            )
-            if size <= 0 or _SHM_HEADER + size > len(view):
-                raise TPOSerializationError(
-                    f"shared-memory segment for {key!r} has a bad size"
-                )
-            payload = bytes(view[_SHM_HEADER : _SHM_HEADER + size])
-        finally:
-            if key not in self._owned:
-                segment.close()
-        return tree_from_npz_bytes(payload, distributions)
-
-    def _store(self, key: str, tree: TPOTree) -> TPOTree:
-        from multiprocessing import shared_memory
-
-        payload = tree_to_npz_bytes(tree)
-        name = self._segment_name(key)
-        try:
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=_SHM_HEADER + len(payload)
-            )
-        except FileExistsError:
-            # Another worker won the write race; read its copy back so
-            # the round-trip invariant still holds.
-            existing = self._load(key, tree.distributions)
-            if existing is not None:
-                return existing
-            # Uncommitted leftover (writer died mid-put): replace it.
-            leftover = self._attach(key)
-            if leftover is not None:
-                leftover.close()
-                try:
-                    leftover.unlink()
-                except FileNotFoundError:
-                    pass
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=_SHM_HEADER + len(payload)
-            )
-        segment.buf[_SHM_HEADER : _SHM_HEADER + len(payload)] = payload
-        segment.buf[len(_SHM_MAGIC) : _SHM_HEADER] = len(payload).to_bytes(
-            8, "little"
-        )
-        segment.buf[: len(_SHM_MAGIC)] = _SHM_MAGIC
-        self._owned[key] = segment
-        return tree_from_npz_bytes(payload, tree.distributions)
-
-    def _discard_damaged(self, key: str) -> None:
-        segment = self._owned.pop(key, None) or self._attach(key)
-        if segment is None:
-            return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-    def entry_count(self) -> int:
-        return len(self._owned)
-
-    def stored_bytes(self) -> int:
-        return sum(segment.size for segment in self._owned.values())
-
-    def close(self) -> None:
-        """Close and unlink every segment this process created."""
-        while self._owned:
-            _, segment = self._owned.popitem()
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-
-
-# ----------------------------------------------------------------------
-# The two-tier store
-# ----------------------------------------------------------------------
-
-
-class TwoTierStore:
-    """Per-worker hot LRU over a cross-process cold tier.
-
-    Drop-in for :class:`~repro.service.cache.TPOCache` wherever the
-    session manager expects a store (same ``get_space`` / ``stats`` /
-    ``hit_rate`` surface).  Lookup path:
-
-    1. **hot** — deserialized spaces in this process (LRU);
-    2. **cold** — the shared tier, deserializing on hit;
-    3. **build** — construct the TPO, publish it to the cold tier, and
-       serve the round-tripped copy (so what this worker caches is
-       bit-for-bit what every other worker will deserialize).
-
-    Cold misses are single-flighted across processes when the backend
-    supports it: exactly one worker builds, the rest wait for the
-    artifact (up to ``build_wait`` seconds) instead of duplicating the
-    dominant per-session cost.
-    """
-
-    def __init__(
-        self,
-        hot: Optional[TPOCache] = None,
-        cold: Optional[ColdTier] = None,
-        build_wait: float = 30.0,
-    ) -> None:
-        self.hot = hot if hot is not None else TPOCache()
-        self.cold = cold if cold is not None else MemoryColdTier()
-        self.build_wait = float(build_wait)
-        self.builds = 0
-        self.cold_hits = 0
-        self.cold_waited = 0
-
-    # ------------------------------------------------------------------
-
-    def get_space(
-        self,
-        key: str,
-        distributions: Sequence[ScoreDistribution],
-        build: Callable[[], TPOTree],
-    ) -> OrderingSpace:
-        """The initial space for ``key`` (hot → cold → build-and-publish)."""
-        space = self.hot.lookup(key)
-        if space is not None:
-            return space
-        tree = self.cold.get(key, distributions)
-        if tree is not None:
-            self.cold_hits += 1
-        else:
-            tree = self._build_or_wait(key, distributions, build)
-        space = tree.to_space()
-        space.positions()
-        self.hot.insert(key, space)
-        return space
-
-    def _build_or_wait(
-        self,
-        key: str,
-        distributions: Sequence[ScoreDistribution],
-        build: Callable[[], TPOTree],
-    ) -> TPOTree:
-        if not self.cold.begin_build(key):
-            waited = self.cold.wait_for(
-                key, distributions, timeout=self.build_wait
-            )
-            if waited is not None:
-                self.cold_waited += 1
-                return waited
-            # The elected builder died or overran the wait: fall through
-            # and build locally (taking the lock is best-effort now).
-            if not self.cold.begin_build(key):
-                self.builds += 1
-                built = build()
-                return self.cold.put(key, built)
-        try:
-            self.builds += 1
-            built = build()
-            stored = self.cold.put(key, built)
-        finally:
-            self.cold.end_build(key)
-        return stored
-
-    # ------------------------------------------------------------------
-
-    @property
-    def cold_hit_rate(self) -> float:
-        """Fraction of cold-tier consults that avoided a local build."""
-        shared = self.cold_hits + self.cold_waited
-        consults = shared + self.builds
-        return shared / consults if consults else 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without building (either tier)."""
-        lookups = self.hot.hits + self.hot.misses
-        if not lookups:
-            return 0.0
-        served = self.hot.hits + self.cold_hits + self.cold_waited
-        return served / lookups
-
-    def stats(self) -> Dict[str, Any]:
-        """Two-tier counters for ``/v1/stats`` and benchmark artifacts."""
-        return {
-            "tiers": 2,
-            "hot": self.hot.stats(),
-            "cold": self.cold.stats(),
-            "builds": self.builds,
-            "cold_hits": self.cold_hits,
-            "cold_waited": self.cold_waited,
-            "cold_hit_rate": self.cold_hit_rate,
-            "hit_rate": self.hit_rate,
-            # Back-compat aliases: dashboards reading the flat TPOCache
-            # shape keep working against a two-tier store.
-            "hits": self.hot.hits,
-            "misses": self.hot.misses,
-            "entries": len(self.hot),
-            "capacity": self.hot.capacity,
-        }
-
-    def clear(self) -> None:
-        """Drop the hot tier (the cold tier is shared; leave it alone)."""
-        self.hot.clear()
-
-    def close(self) -> None:
-        """Release cold-tier resources owned by this process."""
-        self.cold.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"TwoTierStore(hot={self.hot!r}, cold={self.cold!r}, "
-            f"builds={self.builds})"
-        )
-
-
-__all__ = [
-    "SpaceStore",
-    "ColdTier",
-    "MemoryColdTier",
-    "DiskNpzColdTier",
-    "SharedMemoryColdTier",
-    "TwoTierStore",
-]
+__all__ = ["ColdTier", "MemoryColdTier", "DiskNpzColdTier"]

@@ -15,7 +15,6 @@ from repro.tpo.builders import (
     MonteCarloBuilder,
     TPOBuilder,
     TPOSizeError,
-    make_builder,
 )
 from repro.tpo.analysis import (
     overlap_statistics,
@@ -47,7 +46,6 @@ __all__ = [
     "GridBuilder",
     "ExactBuilder",
     "MonteCarloBuilder",
-    "make_builder",
     "ENGINES",
     "tree_to_dict",
     "tree_from_dict",

@@ -52,11 +52,10 @@ in the test suite (``tests/oracles/pointer_tpo.py``).
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api._deprecation import warn_deprecated
 from repro.api.catalog import ENGINES
 from repro.distributions.base import ScoreDistribution
 from repro.distributions.grid import Grid
@@ -678,20 +677,11 @@ class _MonteCarloCache:
         self.sample_node = remapped
 
 
-# ----------------------------------------------------------------------
-
-def make_builder(engine: str = "grid", **kwargs: Any) -> TPOBuilder:
-    """Deprecated shim: use ``repro.api.ENGINES.create`` instead."""
-    warn_deprecated("repro.tpo.make_builder", "repro.api.ENGINES.create")
-    return ENGINES.create(engine, **kwargs)
-
-
 __all__ = [
     "TPOBuilder",
     "TPOSizeError",
     "GridBuilder",
     "ExactBuilder",
     "MonteCarloBuilder",
-    "make_builder",
     "ENGINES",
 ]

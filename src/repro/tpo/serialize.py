@@ -295,8 +295,8 @@ def tree_to_npz(tree: TPOTree, path: PathLike) -> Path:
 def tree_to_npz_bytes(tree: TPOTree) -> bytes:
     """The binary level-table form of ``tree`` as in-memory bytes.
 
-    Byte-compatible with :func:`tree_to_npz` — the memory and
-    shared-memory cold tiers store exactly what the disk tier would.
+    Byte-compatible with :func:`tree_to_npz` — the memory cold tier
+    stores exactly what the disk tier would.
     """
     buffer = io.BytesIO()
     np.savez(buffer, **_npz_payload(tree))

@@ -7,11 +7,6 @@ from repro.uncertainty.entropy import (
     linear_level_weights,
     shannon_entropy,
 )
-from repro.uncertainty.registry import (
-    available_measures,
-    get_measure,
-    register_measure,
-)
 from repro.uncertainty.representative import MPOUncertainty, ORAUncertainty
 
 __all__ = [
@@ -22,7 +17,4 @@ __all__ = [
     "MPOUncertainty",
     "shannon_entropy",
     "linear_level_weights",
-    "get_measure",
-    "register_measure",
-    "available_measures",
 ]

@@ -45,10 +45,20 @@ def check_probability_vector(
     return np.clip(array, 0.0, None)
 
 
+def check_int(name: str, value: object) -> int:
+    """Require an ``int`` or NumPy integer, never a bool, float or str.
+
+    Returns the plain ``int``; nothing is coerced, so ``10.7``, ``"10"``
+    and ``True`` are rejected rather than read as counts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def check_cap(name: str, value: Optional[int]) -> Optional[int]:
     """Require ``None`` or an ``int`` >= 1 (a bool is not a count)."""
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if value is not None and not (integral and value >= 1):
+    if value is not None and not check_int(name, value) >= 1:
         raise ValueError(f"{name} must be None or an int >= 1, got {value!r}")
     return value
 
@@ -64,6 +74,7 @@ __all__ = [
     "check_positive",
     "check_fraction",
     "check_probability_vector",
+    "check_int",
     "check_cap",
     "check_index",
 ]

@@ -10,7 +10,6 @@ from repro.workloads.synthetic import (
     clustered_intervals,
     gaussian_scores,
     jittered_widths,
-    make_workload,
     mixed_certainty,
     pareto_scores,
     triangular_scores,
@@ -25,7 +24,6 @@ __all__ = [
     "pareto_scores",
     "clustered_intervals",
     "mixed_certainty",
-    "make_workload",
     "GENERATORS",
     "sensor_network",
     "photo_contest",

@@ -12,7 +12,6 @@ from typing import List
 
 import numpy as np
 
-from repro.api._deprecation import warn_deprecated
 from repro.api.catalog import WORKLOADS
 from repro.distributions.base import ScoreDistribution
 from repro.distributions.gaussian import TruncatedGaussian
@@ -165,17 +164,6 @@ def mixed_certainty(
 GENERATORS = WORKLOADS
 
 
-def make_workload(
-    kind: str, n: int, rng: SeedLike = None, **kwargs
-) -> List[ScoreDistribution]:
-    """Deprecated shim: use :meth:`repro.api.InstanceSpec.materialize` or
-    ``repro.api.WORKLOADS.create`` instead."""
-    warn_deprecated(
-        "repro.workloads.make_workload", "repro.api.WORKLOADS.create"
-    )
-    return WORKLOADS.create(kind, n, rng=rng, **kwargs)
-
-
 __all__ = [
     "uniform_intervals",
     "jittered_widths",
@@ -184,6 +172,5 @@ __all__ = [
     "pareto_scores",
     "clustered_intervals",
     "mixed_certainty",
-    "make_workload",
     "GENERATORS",
 ]

@@ -146,12 +146,24 @@ class TestSessionSpecIntegration:
         assert spec.engine_spec == EngineSpec("grid", {"resolution": 256})
         assert isinstance(spec.build_builder(), GridBuilder)
 
-    def test_engine_params_constructor_path_warns(self, ispec):
-        with pytest.warns(DeprecationWarning, match="EngineSpec"):
+    def test_engine_params_constructor_path_folds(self, ispec):
+        # A string engine plus params folds through EngineSpec: silently,
+        # to the same spec, and with the same validation.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
             spec = SessionSpec(
                 instance=ispec, engine_params={"resolution": 256}
             )
         assert spec.engine_params == {"resolution": 256}
+        assert spec == SessionSpec(
+            instance=ispec, engine=EngineSpec("grid", {"resolution": 256})
+        )
+        with pytest.raises(ValueError, match="did you mean"):
+            SessionSpec(
+                instance=ispec, engine="gird", engine_params={"resolution": 8}
+            )
+        with pytest.raises(ValueError, match="dict"):
+            SessionSpec(instance=ispec, engine_params="resolution")
 
     def test_engine_spec_plus_engine_params_rejected(self, ispec):
         with pytest.raises(ValueError, match="engine_params"):

@@ -6,6 +6,10 @@ test pins the exact exported surface so accidental drift fails CI (it
 also runs inside the lint job).
 """
 
+import importlib
+
+import pytest
+
 import repro.api as api
 
 EXPECTED_API_ALL = [
@@ -100,7 +104,7 @@ EXPECTED_BUILTIN_PLUGINS = {
         "uniform",
     ],
     "engines": ["exact", "grid", "mc"],
-    "stores": ["disk-npz", "memory", "shared-memory"],
+    "stores": ["disk-npz", "memory"],
     "evals": ["calibration", "golden", "regret"],
     "lint_rules": [
         "RPL001",
@@ -108,7 +112,6 @@ EXPECTED_BUILTIN_PLUGINS = {
         "RPL003",
         "RPL004",
         "RPL005",
-        "RPL006",
         "RPL007",
         "RPL008",
         "RPL009",
@@ -137,3 +140,27 @@ def test_builtin_plugin_names_are_stable():
         for kind, registry in api.all_registries().items()
     }
     assert observed == EXPECTED_BUILTIN_PLUGINS
+
+
+#: Pre-``repro.api`` factories removed in 3.0.0: importing one must fail
+#: rather than resolve to a stale alias.
+REMOVED_IN_3_0 = [
+    ("repro", "make_policy"),
+    ("repro", "make_builder"),
+    ("repro", "get_measure"),
+    ("repro.core", "make_policy"),
+    ("repro.uncertainty", "get_measure"),
+    ("repro.uncertainty", "register_measure"),
+    ("repro.uncertainty", "available_measures"),
+    ("repro.workloads", "make_workload"),
+    ("repro.tpo", "make_builder"),
+    ("repro.service.manager", "normalize_spec"),
+    ("repro.service.manager", "materialize_instance"),
+]
+
+
+@pytest.mark.parametrize("module, name", REMOVED_IN_3_0)
+def test_removed_entry_points_do_not_import(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+    assert not hasattr(importlib.import_module(module), name)

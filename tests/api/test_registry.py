@@ -109,6 +109,19 @@ class TestMappingProtocol:
         registry.register("aaa", lambda: None)
         assert registry.available() == ["aaa", "alpha", "beta"]
 
+    def test_dict_style_mutation_is_refused(self):
+        # Writes go through register/unregister only: item assignment
+        # would skip collision detection, deletion the unknown-name check.
+        from repro.api.catalog import ENGINES, POLICIES
+
+        policies, engines = POLICIES.available(), ENGINES.available()
+        with pytest.raises(TypeError):
+            POLICIES["x"] = lambda: None
+        with pytest.raises(TypeError):
+            del ENGINES["grid"]
+        assert POLICIES.available() == policies
+        assert ENGINES.available() == engines
+
 
 class TestCatalog:
     def test_every_registry_enumerable(self):

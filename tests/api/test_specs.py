@@ -126,6 +126,13 @@ class TestValidation:
             dict(n=5, k=0),
             dict(n=5, k=2, workload="nope"),
             dict(n=5, k=2, params="width"),
+            # Integer fields are never coerced: floats, strings and bools
+            # are refused rather than truncated.
+            dict(n=10.7, k=3),
+            dict(n=10, k=3.5),
+            dict(n=10, k=3, seed=1.5),
+            dict(n="10", k=3),
+            dict(n=10, k=3, seed=True),
         ],
     )
     def test_bad_instances_rejected(self, bad):
@@ -289,6 +296,9 @@ class TestStoreSpec:
 
         with pytest.raises(ValueError):
             StoreSpec(hot_capacity=-1)
+        for bad in (2.7, True, "12"):
+            with pytest.raises(ValueError, match="hot_capacity"):
+                StoreSpec(hot_capacity=bad)
 
     def test_build_none_is_bare_cache(self):
         from repro.api import StoreSpec
@@ -300,14 +310,15 @@ class TestStoreSpec:
 
     def test_build_backend_is_two_tier(self, tmp_path):
         from repro.api import StoreSpec
-        from repro.service.store import DiskNpzColdTier, TwoTierStore
+        from repro.service.cache import TPOCache
+        from repro.service.store import DiskNpzColdTier
 
         store = StoreSpec(
             backend="disk-npz", hot_capacity=3, path=str(tmp_path)
         ).build()
-        assert isinstance(store, TwoTierStore)
+        assert isinstance(store, TPOCache)
         assert isinstance(store.cold, DiskNpzColdTier)
-        assert store.hot.capacity == 3
+        assert store.capacity == 3
 
 
 class TestServeSpec:
@@ -364,6 +375,10 @@ class TestServeSpec:
             ServeSpec(shard_by="round-robin")
         with pytest.raises(ValueError):
             ServeSpec(resolution=1)
+        for field in ("port", "workers", "resolution"):
+            for bad in (1024.5, True, "1024"):
+                with pytest.raises(ValueError, match=field):
+                    ServeSpec(**{field: bad})
 
     def test_unknown_fields_rejected(self):
         from repro.api import ServeSpec

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import PolicySpec
-from repro.core import POLICIES, make_policy
+from repro.core import POLICIES
 from repro.core.policies import (
     AStarOfflinePolicy,
     AStarOnlinePolicy,
@@ -48,13 +48,6 @@ class TestFactory:
         assert POLICIES.create("incr", round_size=3).round_size == 3
         with pytest.raises(ValueError):
             POLICIES.create("greedy-magic")
-
-    def test_make_policy_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="POLICIES.create"):
-            assert isinstance(make_policy("TB-off"), TopBPolicy)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                make_policy("greedy-magic")
 
 
 class TestBaselines:

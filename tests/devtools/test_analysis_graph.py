@@ -65,14 +65,12 @@ class TestResolution:
         assert "repro.service.manager:SessionManager._create" in targets
 
     def test_annotated_receiver_resolves_across_modules(self, repo_graph):
-        """``ctx.manager.create_session`` resolves through the
+        """``ctx.manager.submit_answer`` resolves through the
         ``manager: SessionManager`` attribute annotation on Context."""
-        info = repo_graph.functions[
-            "repro.service.server:_handle_create_session"
-        ]
+        info = repo_graph.functions["repro.service.server:_handle_answer"]
         targets = {site.target for site in info.calls}
         assert (
-            "repro.service.manager:SessionManager.create_session" in targets
+            "repro.service.manager:SessionManager.submit_answer" in targets
         )
 
     def test_lazy_registry_edge_is_followed(self, repo_graph):
@@ -112,18 +110,22 @@ class TestResolution:
 
 class TestCaughtTracking:
     def test_call_sites_record_enclosing_handlers(self, repo_graph):
-        info = repo_graph.functions[
-            "repro.service.server:_handle_create_session"
-        ]
-        create_sites = [
+        info = repo_graph.functions["repro.service.server:_handle_answer"]
+        submit_sites = [
             site
             for site in info.calls
             if site.target
-            == "repro.service.manager:SessionManager.create_session"
+            == "repro.service.manager:SessionManager.submit_answer"
         ]
-        assert create_sites
-        assert {"TypeError", "ValueError", "TPOSizeError"} <= set(
-            create_sites[0].caught
+        assert submit_sites
+        assert {"TypeError", "ValueError"} <= set(submit_sites[0].caught)
+        # The create handler's executor hop sits under all three handlers.
+        create = repo_graph.functions[
+            "repro.service.server:_handle_create_session"
+        ]
+        assert any(
+            {"TypeError", "ValueError", "TPOSizeError"} <= set(site.caught)
+            for site in create.calls
         )
 
     def test_subclass_aware_is_caught(self, repo_graph):

@@ -25,7 +25,7 @@ def run_on(root: Path, code: str):
 
 
 def test_every_rule_has_both_fixtures():
-    assert ALL_CODES == [f"RPL{i:03d}" for i in range(1, 11)]
+    assert ALL_CODES == [f"RPL{i:03d}" for i in range(1, 11) if i != 6]
     for code in ALL_CODES:
         tree = FIXTURES / code.lower()
         assert (tree / "ok" / "src").is_dir(), f"missing ok fixture for {code}"
@@ -69,7 +69,6 @@ def test_expected_bad_finding_counts():
         "RPL003": 2,  # object.__setattr__ + attribute store on spec
         "RPL004": 4,  # open, time.sleep, subprocess.run, sock.recv
         "RPL005": 4,  # empty/zeros/array/ones without dtype
-        "RPL006": 3,  # shim import + registry setitem + delitem
         "RPL007": 1,  # raw append-mode open
         "RPL008": 3,  # weights=[], cache={}, options=dict()
         "RPL009": 3,  # GridBuilder + MonteCarloBuilder + dotted ExactBuilder

@@ -99,3 +99,26 @@ class TestTPOCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.misses == 1
+
+    def test_default_tier_round_trips_through_npz_bytes(self):
+        # With no cold backend the tree still passes through the npz
+        # bytes a cold tier would store, and comes back unchanged.
+        from repro.tpo.serialize import tree_from_dict, tree_to_dict
+
+        distributions, build = make_instance()
+        cache = TPOCache(capacity=2)
+        space = cache.get_space("k", distributions, build)
+        via_dict = tree_from_dict(
+            tree_to_dict(build()), distributions
+        ).to_space()
+        np.testing.assert_array_equal(space.paths, via_dict.paths)
+        np.testing.assert_array_equal(
+            space.probabilities, via_dict.probabilities
+        )
+        cold = cache.stats()["cold"]
+        assert (cold["backend"], cold["puts"], cold["entries"]) == (
+            "none",
+            1,
+            0,
+        )
+        assert cache.builds == 1

@@ -13,8 +13,6 @@ from repro.service.manager import (
     EventLog,
     SessionManager,
     UnknownSessionError,
-    materialize_instance,
-    normalize_spec,
 )
 from repro.tpo.builders import GridBuilder
 from repro.utils.rng import derive_seed, ensure_rng
@@ -72,6 +70,9 @@ class TestSpecs:
             {"n": 5, "k": 0},
             {"n": 5, "k": 2, "bogus": 1},
             {"n": 5, "k": 2, "params": "width"},
+            {"n": 10.7, "k": 3.5, "seed": 1.5},
+            {"n": "10", "k": 3},
+            {"n": 10, "k": 3, "seed": True},
             "not-a-dict",
         ],
     )
@@ -91,15 +92,6 @@ class TestSpecs:
         assert manager.snapshot(sid)["spec"] == InstanceSpec.from_dict(
             SPEC
         ).to_dict()
-
-    def test_deprecated_shims_warn_but_agree(self):
-        with pytest.warns(DeprecationWarning, match="InstanceSpec"):
-            normalized = normalize_spec(SPEC)
-        assert normalized == InstanceSpec.from_dict(SPEC).to_dict()
-        with pytest.warns(DeprecationWarning, match="materialize"):
-            dists = materialize_instance(SPEC)
-        reference = InstanceSpec.from_dict(SPEC).materialize()
-        assert [d.support for d in dists] == [d.support for d in reference]
 
 
 class TestLifecycle:

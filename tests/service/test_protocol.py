@@ -208,7 +208,8 @@ class TestTopologyModels:
                 "next_batches": 1,
                 "next_requests": 2,
                 "cache": {
-                    "hot": {"hits": hot_hits, "misses": 1},
+                    "hits": hot_hits,
+                    "misses": 1,
                     "cold": {"bytes": 100},
                     "cold_hits": cold_hits,
                     "cold_waited": 0,
@@ -360,6 +361,24 @@ class TestV1ErrorEnvelopes:
             )
             assert status == 400
             assert_envelope(body, "bad_request")
+            # Non-integer counts and seeds are refused, never truncated.
+            for field, bad in (
+                ("n", 10.7),
+                ("k", 3.5),
+                ("seed", 1.5),
+                ("n", "10"),
+                ("seed", True),
+            ):
+                status, _, body = await http(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/sessions",
+                    {"spec": {**SPEC, field: bad}},
+                )
+                assert status == 400, (field, bad)
+                assert field in assert_envelope(body, "bad_request")["message"]
+            assert manager.session_ids() == []
             # Missing answer fields.
             status, _, created = await http(
                 host, port, "POST", "/v1/sessions", {"spec": SPEC}

@@ -230,6 +230,111 @@ class TestRoutes:
 
         with_server(scenario)
 
+    def test_session_creation_runs_off_the_event_loop(self):
+        # A slow cold tier (a read, or a wait on another worker's build)
+        # must not stall the requests of other sessions.
+        import threading
+
+        from repro.service.cache import TPOCache
+        from repro.service.store import ColdTier
+
+        entered, release = threading.Event(), threading.Event()
+        threads = []
+
+        class SlowTier(ColdTier):
+            def _load(self, key, distributions):
+                threads.append(threading.current_thread())
+                entered.set()
+                release.wait(timeout=10)
+                return None
+
+        async def runner():
+            manager = SessionManager(
+                cache=TPOCache(cold=SlowTier()),
+                builder=GridBuilder(resolution=256),
+            )
+            server = await start_server(manager, port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            loop = asyncio.get_running_loop()
+            try:
+                create = asyncio.ensure_future(
+                    http(host, port, "POST", "/v1/sessions", {"spec": SPEC})
+                )
+                assert await loop.run_in_executor(None, entered.wait, 10)
+                assert await http(host, port, "GET", "/v1/healthz") == (
+                    200,
+                    {"ok": True},
+                )
+                release.set()
+                status, created = await create
+                assert status == 200 and "session_id" in created
+            finally:
+                release.set()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(runner())
+        assert threads and threads[0] is not threading.main_thread()
+
+    def test_reads_stay_consistent_while_creations_run_off_loop(self):
+        # Creations insert into the manager's session table on the
+        # executor thread while list/stats iterate it on the loop thread.
+        import sys
+
+        from repro.service.cache import TPOCache
+        from repro.service.store import MemoryColdTier
+
+        count, preloaded = 24, 2000
+
+        async def scenario(host, port, manager):
+            async def create(index):
+                spec = {**SPEC, "n": 6, "k": 2, "seed": index % 4}
+                body = {"spec": spec, "session_id": f"s{index}"}
+                return await http(host, port, "POST", "/v1/sessions", body)
+
+            async def read(index):
+                path = "/v1/sessions" if index % 2 else "/v1/stats"
+                return await http(host, port, "GET", path)
+
+            results = await asyncio.gather(
+                *[create(i) for i in range(count)],
+                *[read(i) for i in range(2 * count)],
+            )
+            assert [status for status, _ in results] == [200] * (3 * count)
+            status, listing = await http(host, port, "GET", "/v1/sessions")
+            assert sorted(listing["sessions"]) == sorted(
+                [f"p{i}" for i in range(preloaded)]
+                + [f"s{i}" for i in range(count)]
+            )
+            status, stats = await http(host, port, "GET", "/v1/stats")
+            assert stats["sessions"] == {"active": preloaded + count}
+            assert stats["cache"]["builds"] == 5
+            assert stats["cache"]["cold"]["entries"] == 5
+
+        async def runner():
+            manager = SessionManager(
+                cache=TPOCache(cold=MemoryColdTier()),
+                builder=GridBuilder(resolution=256),
+            )
+            # A long table makes each loop-side iteration span many
+            # thread switches.
+            for index in range(preloaded):
+                manager.create_session(SPEC, session_id=f"p{index}")
+            server = await start_server(manager, port=0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                await asyncio.wait_for(scenario(host, port, manager), 60)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            asyncio.run(runner())
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_single_process_topology_in_meta_and_stats(self):
         # --workers 1 keeps the classic single-process server; its
         # topology advertises exactly that, with no shard field.

@@ -1,19 +1,14 @@
-"""Tests for the two-tier TPO store and its cold-tier backends."""
+"""Tests for the cold-tier backends and the two-tier (hot over cold)
+configuration of the TPO cache."""
 
 import multiprocessing
-import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.service.cache import TPOCache
-from repro.service.store import (
-    DiskNpzColdTier,
-    MemoryColdTier,
-    SharedMemoryColdTier,
-    TwoTierStore,
-)
+from repro.service.store import DiskNpzColdTier, MemoryColdTier
 from repro.tpo.builders import GridBuilder
 from repro.workloads.synthetic import uniform_intervals
 
@@ -25,11 +20,15 @@ def make_instance(seed=1, n=8, k=3):
 
 
 def cold_tiers(tmp_path):
-    return [
-        MemoryColdTier(),
-        DiskNpzColdTier(tmp_path / "cold"),
-        SharedMemoryColdTier(prefix=f"repro-test-{os.getpid()}"),
-    ]
+    return [MemoryColdTier(), DiskNpzColdTier(tmp_path / "cold")]
+
+
+def sibling(tier):
+    """A second process's view of ``tier``: a fresh handle on the same
+    directory for disk, the same object for the in-process backend."""
+    if isinstance(tier, DiskNpzColdTier):
+        return DiskNpzColdTier(tier.root)
+    return tier
 
 
 class TestColdTiers:
@@ -38,52 +37,46 @@ class TestColdTiers:
         tree = build()
         expected = tree.to_space()
         for tier in cold_tiers(tmp_path):
-            try:
-                assert tier.get("k1", distributions) is None
-                stored = tier.put("k1", tree)
-                space = stored.to_space()
-                np.testing.assert_array_equal(space.paths, expected.paths)
-                np.testing.assert_allclose(
-                    space.probabilities,
-                    expected.probabilities,
-                    atol=1e-12,
-                )
-                again = tier.get("k1", distributions)
-                assert again is not None
-                np.testing.assert_array_equal(
-                    again.to_space().paths, expected.paths
-                )
-                assert tier.entry_count() == 1
-                assert tier.stored_bytes() > 0
-            finally:
-                tier.close()
+            assert tier.get("k1", distributions) is None
+            stored = tier.put("k1", tree)
+            space = stored.to_space()
+            np.testing.assert_array_equal(space.paths, expected.paths)
+            np.testing.assert_allclose(
+                space.probabilities,
+                expected.probabilities,
+                atol=1e-12,
+            )
+            again = tier.get("k1", distributions)
+            assert again is not None
+            np.testing.assert_array_equal(
+                again.to_space().paths, expected.paths
+            )
+            assert tier.entry_count() == 1
+            assert tier.stored_bytes() > 0
 
     def test_counters_and_stats_shape(self, tmp_path):
         distributions, build = make_instance()
         tree = build()
         for tier in cold_tiers(tmp_path):
-            try:
-                tier.get("k1", distributions)
-                tier.put("k1", tree)
-                tier.get("k1", distributions)
-                stats = tier.stats()
-                assert stats["hits"] == 1
-                assert stats["misses"] == 1
-                assert stats["puts"] == 1
-                assert stats["torn"] == 0
-                assert stats["hit_rate"] == 0.5
-                assert set(stats) >= {
-                    "backend",
-                    "entries",
-                    "bytes",
-                    "hits",
-                    "misses",
-                    "torn",
-                    "puts",
-                    "hit_rate",
-                }
-            finally:
-                tier.close()
+            tier.get("k1", distributions)
+            tier.put("k1", tree)
+            tier.get("k1", distributions)
+            stats = tier.stats()
+            assert stats["hits"] == 1
+            assert stats["misses"] == 1
+            assert stats["puts"] == 1
+            assert stats["torn"] == 0
+            assert stats["hit_rate"] == 0.5
+            assert set(stats) >= {
+                "backend",
+                "entries",
+                "bytes",
+                "hits",
+                "misses",
+                "torn",
+                "puts",
+                "hit_rate",
+            }
 
     def test_torn_disk_payload_is_a_miss_and_discarded(self, tmp_path):
         distributions, build = make_instance()
@@ -134,19 +127,6 @@ class TestColdTiers:
         tier = DiskNpzColdTier(tmp_path / "cold", poll_interval=0.01)
         assert tier.wait_for("k1", distributions, timeout=0.05) is None
 
-    def test_shared_memory_close_unlinks_owned_segments(self):
-        distributions, build = make_instance()
-        prefix = f"repro-test-close-{os.getpid()}"
-        tier = SharedMemoryColdTier(prefix=prefix)
-        tier.put("k1", build())
-        assert tier.get("k1", distributions) is not None
-        tier.close()
-        fresh = SharedMemoryColdTier(prefix=prefix)
-        try:
-            assert fresh.get("k1", distributions) is None
-        finally:
-            fresh.close()
-
 
 def _worker_reads_shared_tree(config):
     """Cross-process read of a disk cold tier (module-level for pickling)."""
@@ -174,80 +154,81 @@ class TestCrossProcess:
 
 
 class TestTwoTierStore:
+    """``TPOCache`` over each cold-tier backend."""
+
     def test_build_then_hot_then_cold(self, tmp_path):
         distributions, build = make_instance()
-        store = TwoTierStore(
-            hot=TPOCache(capacity=1), cold=DiskNpzColdTier(tmp_path)
-        )
-        first = store.get_space("k1", distributions, build)
-        assert store.builds == 1
-        # Hot hit: the exact shared object comes back.
-        assert store.get_space("k1", distributions, build) is first
-        assert store.hot.hits == 1
-        # Evict from hot, hit cold.
-        other_dists, other_build = make_instance(seed=2)
-        store.get_space("k2", other_dists, other_build)
-        cold_served = store.get_space("k1", distributions, build)
-        assert store.cold_hits == 1
-        assert store.builds == 2  # only k1 and k2, never a rebuild of k1
-        np.testing.assert_array_equal(cold_served.paths, first.paths)
+        for cold in cold_tiers(tmp_path):
+            store = TPOCache(capacity=1, cold=cold)
+            first = store.get_space("k1", distributions, build)
+            assert store.builds == 1
+            # Hot hit: the exact shared object comes back.
+            assert store.get_space("k1", distributions, build) is first
+            assert store.hits == 1
+            # Evict from hot, hit cold.
+            other_dists, other_build = make_instance(seed=2)
+            store.get_space("k2", other_dists, other_build)
+            cold_served = store.get_space("k1", distributions, build)
+            assert store.cold_hits == 1
+            assert store.builds == 2  # only k1 and k2, never a rebuild of k1
+            np.testing.assert_array_equal(cold_served.paths, first.paths)
 
     def test_space_matches_direct_build(self, tmp_path):
         distributions, build = make_instance()
         direct = build().to_space()
-        store = TwoTierStore(cold=DiskNpzColdTier(tmp_path))
-        space = store.get_space("k1", distributions, build)
-        np.testing.assert_array_equal(space.paths, direct.paths)
-        np.testing.assert_allclose(
-            space.probabilities, direct.probabilities, atol=1e-12
-        )
+        for cold in cold_tiers(tmp_path):
+            store = TPOCache(cold=cold)
+            space = store.get_space("k1", distributions, build)
+            np.testing.assert_array_equal(space.paths, direct.paths)
+            np.testing.assert_allclose(
+                space.probabilities, direct.probabilities, atol=1e-12
+            )
 
     def test_second_store_shares_the_cold_tier(self, tmp_path):
         distributions, build = make_instance()
-        a = TwoTierStore(cold=DiskNpzColdTier(tmp_path))
-        a.get_space("k1", distributions, build)
-        b = TwoTierStore(cold=DiskNpzColdTier(tmp_path))
-        b.get_space("k1", distributions, build)
-        assert a.builds == 1
-        assert b.builds == 0
-        assert b.cold_hits == 1
-        assert b.cold_hit_rate == 1.0
+        for cold in cold_tiers(tmp_path):
+            a = TPOCache(cold=cold)
+            a.get_space("k1", distributions, build)
+            b = TPOCache(cold=sibling(cold))
+            b.get_space("k1", distributions, build)
+            assert a.builds == 1
+            assert b.builds == 0
+            assert b.cold_hits == 1
+            assert b.cold_hit_rate == 1.0
 
-    def test_stats_shape_and_compat_aliases(self, tmp_path):
+    def test_stats_shape(self, tmp_path):
         distributions, build = make_instance()
-        store = TwoTierStore(
-            hot=TPOCache(capacity=4), cold=MemoryColdTier()
-        )
-        store.get_space("k1", distributions, build)
-        store.get_space("k1", distributions, build)
-        stats = store.stats()
-        assert stats["tiers"] == 2
-        assert stats["builds"] == 1
-        assert stats["hot"]["hits"] == 1
-        assert stats["cold"]["backend"] == "memory"
-        # Flat TPOCache-shaped aliases for existing dashboards.
-        for alias in ("hits", "misses", "entries", "capacity"):
-            assert alias in stats
-        assert stats["hits"] == stats["hot"]["hits"]
+        for cold in cold_tiers(tmp_path):
+            store = TPOCache(capacity=4, cold=cold)
+            store.get_space("k1", distributions, build)
+            store.get_space("k1", distributions, build)
+            stats = store.stats()
+            assert stats["builds"] == 1
+            assert stats["hits"] == 1
+            assert stats["misses"] == 1
+            assert stats["cold"]["backend"] == cold.name
+            assert stats["cold"]["puts"] == 1
+            # One shape with or without a cold tier.
+            assert set(stats) == set(TPOCache().stats())
 
     def test_hit_rate_counts_both_tiers(self, tmp_path):
         distributions, build = make_instance()
-        store = TwoTierStore(
-            hot=TPOCache(capacity=1), cold=MemoryColdTier()
-        )
-        store.get_space("k1", distributions, build)  # build
-        store.get_space("k1", distributions, build)  # hot
-        assert store.hit_rate == 0.5
-        assert store.cold_hit_rate == 0.0
+        for cold in cold_tiers(tmp_path):
+            store = TPOCache(capacity=1, cold=cold)
+            store.get_space("k1", distributions, build)  # build
+            store.get_space("k1", distributions, build)  # hot
+            assert store.hit_rate == 0.5
+            assert store.cold_hit_rate == 0.0
 
     def test_clear_drops_hot_but_not_cold(self, tmp_path):
         distributions, build = make_instance()
-        store = TwoTierStore(cold=MemoryColdTier())
-        store.get_space("k1", distributions, build)
-        store.clear()
-        store.get_space("k1", distributions, build)
-        assert store.builds == 1
-        assert store.cold_hits == 1
+        for cold in cold_tiers(tmp_path):
+            store = TPOCache(cold=cold)
+            store.get_space("k1", distributions, build)
+            store.clear()
+            store.get_space("k1", distributions, build)
+            assert store.builds == 1
+            assert store.cold_hits == 1
 
     def test_fallback_build_when_elected_builder_stalls(self, tmp_path):
         distributions, build = make_instance()
@@ -256,7 +237,7 @@ class TestTwoTierStore:
         )
         # Simulate a builder elsewhere that never publishes.
         assert tier.begin_build("k1") is True
-        store = TwoTierStore(cold=tier, build_wait=0.05)
+        store = TPOCache(cold=tier, build_wait=0.05)
         space = store.get_space("k1", distributions, build)
         assert space is not None
         assert store.builds == 1  # fell back to a local build
@@ -265,7 +246,7 @@ class TestTwoTierStore:
     def test_manager_accepts_two_tier_store(self, tmp_path):
         from repro.service.manager import SessionManager
 
-        store = TwoTierStore(cold=DiskNpzColdTier(tmp_path))
+        store = TPOCache(cold=DiskNpzColdTier(tmp_path))
         manager = SessionManager(
             cache=store, builder=GridBuilder(resolution=256)
         )
@@ -279,4 +260,5 @@ class TestTwoTierStore:
             }
         )
         assert manager.next_question(sid) is not None
-        assert manager.stats()["cache"]["tiers"] == 2
+        assert manager.stats()["cache"]["cold"]["backend"] == "disk-npz"
+        assert manager.stats()["cache"]["builds"] == 1

@@ -10,7 +10,6 @@ from repro.tpo import (
     GridBuilder,
     MonteCarloBuilder,
     TPOSizeError,
-    make_builder,
 )
 
 
@@ -152,13 +151,6 @@ class TestGuards:
         assert isinstance(ENGINES.create("mc"), MonteCarloBuilder)
         with pytest.raises(ValueError):
             ENGINES.create("quantum")
-
-    def test_make_builder_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="ENGINES.create"):
-            assert isinstance(make_builder("grid"), GridBuilder)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                make_builder("quantum")
 
 
 class TestMonteCarloDetails:

@@ -10,10 +10,7 @@ from repro.uncertainty import (
     MPOUncertainty,
     ORAUncertainty,
     WeightedEntropyMeasure,
-    available_measures,
-    get_measure,
     linear_level_weights,
-    register_measure,
     shannon_entropy,
 )
 
@@ -169,34 +166,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             MEASURES.create("XYZ")
 
-
-class TestDeprecatedShims:
-    """The historical entry points still work, but warn."""
-
-    def test_get_measure(self):
-        with pytest.warns(DeprecationWarning, match="MEASURES.create"):
-            measure = get_measure("ORA", method="exact")
-        assert measure.method == "exact"
-
-    def test_get_measure_unknown_name(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                get_measure("XYZ")
-
-    def test_available_measures(self):
-        with pytest.warns(DeprecationWarning):
-            names = available_measures()
-        assert names == MEASURES.available()
-
     def test_register_custom(self, toy_space):
         class Flat(EntropyMeasure):
             name = "flat"
 
         try:
-            with pytest.warns(DeprecationWarning):
-                register_measure("flat", Flat)
+            MEASURES.register("flat", Flat)
             assert "flat" in MEASURES.available()
-            with pytest.warns(DeprecationWarning):
-                assert get_measure("flat")(toy_space) >= 0
+            assert MEASURES.create("flat")(toy_space) >= 0
         finally:
             MEASURES.unregister("flat")

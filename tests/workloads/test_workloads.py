@@ -10,7 +10,6 @@ from repro.workloads import (
     clustered_intervals,
     gaussian_scores,
     jittered_widths,
-    make_workload,
     mixed_certainty,
     pareto_scores,
     photo_contest,
@@ -70,16 +69,6 @@ class TestSyntheticGenerators:
 
     def test_legacy_generators_alias_is_the_registry(self):
         assert GENERATORS is WORKLOADS
-
-    def test_make_workload_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="WORKLOADS.create"):
-            dists = make_workload("uniform", 5, rng=0)
-        assert len(dists) == 5
-
-    def test_make_workload_unknown(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                make_workload("weird", 5)
 
     def test_triangular_scores_bounded(self):
         for dist in triangular_scores(6, rng=7):
