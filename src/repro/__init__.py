@@ -86,7 +86,7 @@ from repro.uncertainty import (
     WeightedEntropyMeasure,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

@@ -29,6 +29,7 @@ Quick start::
 
 from repro.api.canonical import canonical_json, content_key
 from repro.api.catalog import (
+    CHECKS,
     CROWD_MODELS,
     DISTRIBUTIONS,
     ENGINES,
@@ -66,18 +67,6 @@ from repro.api.specs import (
     StoreSpec,
     as_instance_spec,
 )
-
-def __getattr__(name: str):
-    # PEP 562: the whole-program check registry is part of the public
-    # surface (``from repro.api import CHECKS``) but lives with the
-    # analyzer — resolve it lazily so importing ``repro.api`` never
-    # pulls in the AST machinery.
-    if name == "CHECKS":
-        from repro.devtools.analysis import CHECKS
-
-        return CHECKS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     # canonical identity

@@ -2,8 +2,8 @@
 
 Every name the system understands — question-selection policies,
 uncertainty measures, workload generators, realistic scenarios, crowd
-worker models, score-distribution families, TPO construction engines — is
-registered here, lazily, as a ``"module:attr"`` dotted path.  Nothing
+worker models, score-distribution families, TPO construction engines,
+``repro check`` analyzer checks — is registered here, lazily, as a ``"module:attr"`` dotted path.  Nothing
 heavy is imported until a plugin is actually constructed, which is what
 lets the module-level aliases (``repro.core.POLICIES``,
 ``repro.workloads.GENERATORS``, …) point at these registries without
@@ -110,20 +110,28 @@ EVALS.register("calibration", "repro.evals.calibration:CalibrationEval")
 EVALS.register("regret", "repro.evals.regret:RegretEval")
 EVALS.register("golden", "repro.evals.golden:GoldenEval")
 
+#: ``repro check``: per-file rules (RPL, :mod:`repro.devtools.rules`) and
+#: whole-program call-graph checks (RPC, :mod:`repro.devtools.checks`).
+CHECKS = Registry("check")
+CHECKS.register("RPL001", "repro.devtools.rules:SeededRngRule")
+CHECKS.register("RPL002", "repro.devtools.rules:ContentKeyRule")
+CHECKS.register("RPL003", "repro.devtools.rules:FrozenSpecRule")
+CHECKS.register("RPL005", "repro.devtools.rules:ExplicitDtypeRule")
+CHECKS.register("RPL007", "repro.devtools.rules:TornTailAppendRule")
+CHECKS.register("RPL008", "repro.devtools.rules:MutableDefaultRule")
+CHECKS.register("RPL009", "repro.devtools.rules:EngineSpecConstructionRule")
+CHECKS.register("RPL010", "repro.devtools.rules:EvalSessionDisciplineRule")
+CHECKS.register("RPC101", "repro.devtools.checks:AsyncBlockingPropagation")
+CHECKS.register("RPC102", "repro.devtools.checks:ContentKeyPurity")
+CHECKS.register("RPC103", "repro.devtools.checks:RegistryClosure")
+CHECKS.register("RPC104", "repro.devtools.checks:ExceptionContract")
+
 
 def all_registries() -> Dict[str, Registry]:
     """Every catalog registry, keyed by its plural enumeration name.
 
     The single source for ``repro list`` and the ``/v1/meta`` endpoint.
-    The lint-rule and whole-program-check registries live with their
-    analyzers (:mod:`repro.devtools.lint`,
-    :mod:`repro.devtools.analysis`) and are pulled in lazily here so
-    plain catalog users never import the AST machinery — but the plugin
-    surface enumerates *every* pluggable axis, dev tooling included.
     """
-    from repro.devtools.analysis import CHECKS
-    from repro.devtools.lint import LINT_RULES
-
     return {
         "policies": POLICIES,
         "measures": MEASURES,
@@ -134,7 +142,6 @@ def all_registries() -> Dict[str, Registry]:
         "engines": ENGINES,
         "stores": STORES,
         "evals": EVALS,
-        "lint_rules": LINT_RULES,
         "checks": CHECKS,
     }
 
@@ -149,5 +156,6 @@ __all__ = [
     "ENGINES",
     "STORES",
     "EVALS",
+    "CHECKS",
     "all_registries",
 ]

@@ -103,7 +103,7 @@ def replay_session(
     and the service event log rely on.  The evaluation harness
     (:mod:`repro.evals`) uses it both to verify golden recordings
     bit-for-bit and to realize exact measure values along a beam
-    session's answer trajectory; lint rule RPL010 holds eval code to
+    session's answer trajectory; check RPL010 holds eval code to
     this entry point instead of hand-rolled session construction.
 
     ``evaluator`` overrides the :class:`ResidualEvaluator` (e.g. to share

@@ -21,12 +21,10 @@ Subcommands cover the common workflows without writing Python:
 * ``eval`` — the fidelity gate: calibration / regret / golden-dataset
   suites scored into a provenance-stamped report
   (``python -m repro eval --suite golden --json EVAL_report.json``);
-* ``lint`` — the domain-aware static analysis suite (rules
-  RPL001–RPL010 with a ratcheting baseline:
-  ``python -m repro lint --format github``);
-* ``check`` — the whole-program call-graph & dataflow analyzer
-  (interprocedural checks RPC101–RPC104, same baseline machinery:
-  ``python -m repro check --format github``).
+* ``check`` — the repo's own static analyzer: one parse of ``src/repro``
+  runs the per-file domain rules (RPL) and the whole-program call-graph
+  checks (RPC) against a ratcheting baseline
+  (``python -m repro check --format github``).
 
 Everything is constructed through the typed :mod:`repro.api` specs — the
 CLI is just an argparse veneer over ``SessionSpec``.
@@ -51,6 +49,7 @@ from repro.api import (
 )
 from repro.api.catalog import POLICIES, STORES, WORKLOADS
 from repro.api.specs import EngineSpec
+from repro.devtools.formats import FORMATS
 from repro.tpo.analysis import (
     overlap_statistics,
     profile_space,
@@ -296,27 +295,63 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help=(
-            "run the domain-aware static analysis suite "
-            "(RPL001-RPL010, ratcheting baseline)"
-        ),
-    )
-    from repro.devtools.lint.cli import add_lint_arguments
-
-    add_lint_arguments(lint)
-
     check = sub.add_parser(
         "check",
         help=(
-            "run the whole-program call-graph & dataflow analyzer "
-            "(RPC101-RPC104, ratcheting baseline)"
+            "run the static analyzer: per-file rules (RPL) and "
+            "whole-program checks (RPC), ratcheting baseline"
         ),
     )
-    from repro.devtools.analysis.cli import add_check_arguments
-
-    add_check_arguments(check)
+    check.add_argument(
+        "--root",
+        default=".",
+        help="repo root holding src/repro (fixture trees are roots too)",
+    )
+    check.add_argument(
+        "--format",
+        dest="fmt",
+        default="text",
+        choices=FORMATS,
+        help="report format (github emits PR annotations)",
+    )
+    check.add_argument(
+        "--baseline",
+        default=None,
+        metavar="PATH",
+        help=(
+            "ratcheting JSONL baseline of deliberate, reason-annotated "
+            "exceptions (default: <root>/check_baseline.jsonl)"
+        ),
+    )
+    check.add_argument(
+        "--update-baseline",
+        action="store_true",
+        help=(
+            "rewrite the baseline to cover the current violations "
+            "(existing reasons are kept; new entries get a TODO reason "
+            "you must edit)"
+        ),
+    )
+    check.add_argument(
+        "--select",
+        default=None,
+        metavar="CODES",
+        help="comma-separated check codes to run (default: all)",
+    )
+    check.add_argument(
+        "--list-checks",
+        action="store_true",
+        help="print the check table and exit",
+    )
+    check.add_argument(
+        "--graph-dump",
+        default=None,
+        metavar="PATH",
+        help=(
+            "also write the resolved call graph (modules, edges, lazy "
+            "refs, external calls) as a JSON artifact"
+        ),
+    )
     return parser
 
 
@@ -644,12 +679,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_serve(args)
     if args.command == "eval":
         return _command_eval(args)
-    if args.command == "lint":
-        from repro.devtools.lint.cli import run_lint
-
-        return run_lint(args)
     if args.command == "check":
-        from repro.devtools.analysis.cli import run_check
+        from repro.devtools.cli import run_check
 
         return run_check(args)
     return 2  # unreachable: argparse enforces the choices

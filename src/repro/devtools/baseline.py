@@ -1,10 +1,8 @@
-"""The ratcheting JSONL baseline for deliberate static-analysis exceptions.
+"""The ratcheting JSONL baseline for deliberate ``repro check`` exceptions.
 
-Shared by every gate that reports :class:`~repro.devtools.findings.Violation`
-objects — ``repro lint`` ratchets ``lint_baseline.jsonl`` and
-``repro check`` ratchets ``check_baseline.jsonl`` through exactly this
-module.  A baseline entry is one strict-JSON line naming a violation
-fingerprint plus a **mandatory human reason**::
+``repro check`` ratchets the committed ``check_baseline.jsonl`` through
+this module.  A baseline entry is one strict-JSON line naming a
+violation fingerprint plus a **mandatory human reason**::
 
     {"rule": "RPL002", "path": "src/repro/x.py",
      "line_text": "digest = hashlib.sha1(raw)", "reason": "interop: …"}
@@ -27,7 +25,7 @@ atomically by ``--update-baseline``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -51,12 +49,7 @@ class BaselineEntry:
         return (self.rule, self.path, self.line_text)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line_text": self.line_text,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass

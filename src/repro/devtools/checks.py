@@ -1,18 +1,22 @@
-"""The interprocedural checks behind ``repro check`` (RPC101–RPC104).
+"""The check framework of ``repro check`` and the whole-program checks.
 
-Where ``repro lint`` (RPL rules) judges one file at a time, these checks
-judge *call paths*: each one runs over the whole-program
-:class:`~repro.devtools.analysis.graph.CallGraph` and one of the
-fixed-point engines in :mod:`repro.devtools.analysis.dataflow`, so a
-violation can involve three functions in three modules none of which is
-individually wrong.
+One run parses every file under ``src/repro`` once, into the
+:class:`~repro.devtools.graph.CallGraph`, and drives two kinds of
+:class:`Check` over that one module index:
 
-Checks are plugins in :data:`CHECKS` — the same
-:class:`repro.api.registry.Registry` mechanism as every other pluggable
-axis — keyed by their RPC code.  Findings are ordinary
-:class:`~repro.devtools.findings.Violation` objects, so the baseline,
-renderers, and exit-code convention are shared with ``repro lint``
-verbatim.
+* **per-file checks** (:class:`FileCheck`, the RPL rules of
+  :mod:`repro.devtools.rules`) judge one module at a time.  A single
+  shared AST walk per module (:class:`_Walker`) feeds every applicable
+  rule, keeping the context rules need (numpy aliases, function-local
+  spec bindings) in a :class:`FileContext`;
+* **whole-program checks** (RPC101–RPC104, below) judge *call paths*:
+  each runs once over the graph and one of the fixed-point engines in
+  :mod:`repro.devtools.dataflow`, so a violation can involve three
+  functions in three modules none of which is individually wrong.
+
+Every check is a plugin in the one ``CHECKS`` registry of
+:mod:`repro.api.catalog`, keyed by its code, and reports ordinary
+:class:`~repro.devtools.findings.Violation` objects.
 """
 
 from __future__ import annotations
@@ -20,28 +24,27 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set
 
-from repro.api.registry import Registry
-from repro.devtools.analysis import dataflow
-from repro.devtools.analysis.graph import CallGraph, FunctionInfo
+from repro.devtools import dataflow
 from repro.devtools.findings import Violation
-
-#: Registered check plugins (name = check code, factory = check class).
-CHECKS = Registry("check")
+from repro.devtools.graph import (
+    CallGraph,
+    FunctionInfo,
+    ModuleInfo,
+    dotted_name,
+)
 
 
 class Check:
     """Base class for whole-program check plugins.
 
-    Mirrors the info surface of :class:`repro.devtools.lint.core.Rule`
-    (``code`` / ``name`` / ``rationale`` / ``severity``) so the shared
-    renderers and ``--list-checks`` work unchanged; the unit of work is
-    :meth:`run`, called once with the resolved graph.
+    Subclasses set :attr:`code` / :attr:`name` / :attr:`rationale` and
+    yield violations from :meth:`run`, called once with the resolved
+    graph.
     """
 
     code: str = ""
     name: str = ""
     rationale: str = ""
-    severity: str = "error"
 
     def run(self, graph: CallGraph) -> Iterator[Violation]:
         return iter(())
@@ -59,8 +62,134 @@ class Check:
             col=function.col + 1,
             message=message,
             line_text=graph.line_text(function.qname),
-            severity=self.severity,
         )
+
+
+class FileContext:
+    """Everything per-file checks may need about the module being walked."""
+
+    def __init__(self, module: ModuleInfo) -> None:
+        self.module = module
+        self.path = module.path
+        #: Local names bound to the numpy module (``import numpy as np``).
+        self.numpy_aliases = {"numpy"} | {
+            alias
+            for alias, target in module.imports.items()
+            if target == "numpy"
+        }
+        #: Per-function sets of names bound to frozen-spec constructor
+        #: calls (maintained by the walker for RPL003).
+        self.spec_bindings: List[set] = [set()]
+
+    def resolve_numpy(self, dotted: Optional[str]) -> Optional[str]:
+        """Normalize ``np.random.seed`` → ``numpy.random.seed``."""
+        if not dotted:
+            return None
+        head, _, rest = dotted.partition(".")
+        if head in self.numpy_aliases:
+            return "numpy." + rest if rest else "numpy"
+        return dotted
+
+    def line_text(self, node: ast.AST) -> str:
+        return self.module.line_text(getattr(node, "lineno", 0))
+
+
+class FileCheck(Check):
+    """Base class for per-file check plugins (the RPL rules).
+
+    Subclasses optionally narrow :meth:`applies_to` and yield violations
+    from :meth:`visit_node` — called once per AST node of every
+    applicable module by the shared walker.
+    """
+
+    def applies_to(self, path: str) -> bool:
+        """Whether this check runs on ``path`` (repo-relative posix)."""
+        return True
+
+    def visit_node(
+        self, node: ast.AST, ctx: FileContext
+    ) -> Iterator[Violation]:
+        return iter(())
+
+    def violation(
+        self, node: ast.AST, ctx: FileContext, message: str
+    ) -> Violation:
+        return Violation(
+            rule=self.code,
+            path=ctx.path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
+            message=message,
+            line_text=ctx.line_text(node),
+        )
+
+
+#: Frozen spec constructors whose instances must never be mutated
+#: (see RPL003 and :mod:`repro.api.specs`).
+SPEC_CONSTRUCTORS = frozenset(
+    {
+        "InstanceSpec",
+        "PolicySpec",
+        "MeasureSpec",
+        "CrowdSpec",
+        "BudgetSpec",
+        "SessionSpec",
+        "as_instance_spec",
+    }
+)
+
+
+class _Walker:
+    """The shared AST walk: one pass, every rule, context maintained."""
+
+    def __init__(self, ctx: FileContext, rules: Sequence[FileCheck]) -> None:
+        self.ctx = ctx
+        self.rules = rules
+        self.violations: List[Violation] = []
+
+    def run(self) -> List[Violation]:
+        self._walk(self.ctx.module.tree)
+        return self.violations
+
+    def _walk(self, node: ast.AST) -> None:
+        for rule in self.rules:
+            self.violations.extend(rule.visit_node(node, self.ctx))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self.ctx.spec_bindings.append(set())
+            for child in ast.iter_child_nodes(node):
+                self._walk(child)
+            self.ctx.spec_bindings.pop()
+            return
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            callee = dotted_name(node.value.func)
+            terminal = callee.rsplit(".", 1)[-1] if callee else ""
+            if terminal in SPEC_CONSTRUCTORS:
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        self.ctx.spec_bindings[-1].add(target.id)
+        for child in ast.iter_child_nodes(node):
+            self._walk(child)
+
+
+def run_checks(
+    graph: CallGraph, checks: Sequence[Check]
+) -> List[Violation]:
+    """Run ``checks`` over ``graph``, sorted by (path, line, col, rule).
+
+    Files that did not parse are always reported (``RPL000``): no check
+    could look at them.
+    """
+    violations: List[Violation] = list(graph.parse_errors)
+    file_checks = [c for c in checks if isinstance(c, FileCheck)]
+    for module in graph.modules.values():
+        applicable = [c for c in file_checks if c.applies_to(module.path)]
+        if applicable:
+            violations.extend(_Walker(FileContext(module), applicable).run())
+    for check in checks:
+        if not isinstance(check, FileCheck):
+            violations.extend(check.run(graph))
+    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return violations
 
 
 def _chain(facts: Dict[str, dataflow.TaintEvidence], start: str) -> str:
@@ -179,22 +308,26 @@ NONDETERMINISM = SeedPredicate(
 )
 
 
-@CHECKS.register("RPC101")
 class AsyncBlockingPropagation(Check):
     """Blocking primitives must not be reachable from service coroutines.
 
-    The per-file rule RPL004 already keeps ``open()``/``time.sleep`` out
-    of ``async def`` *bodies*; this check closes the loophole of hiding
-    the blocking call one or more synchronous helpers down.  Functions
-    handed to ``run_in_executor`` are passed by reference, never called,
-    so the sanctioned executor hop is naturally invisible to the graph.
+    The service is a single asyncio loop: one blocking ``open`` /
+    ``time.sleep`` / ``subprocess`` / socket ``.recv`` /
+    ``Path.write_text`` in a handler — directly, or any number of
+    synchronous helpers down — stalls every concurrent session, not just
+    the caller.
+    (This subsumes the retired per-file rule RPL004, which only saw
+    direct calls.)  Blocking work must hop through
+    ``loop.run_in_executor``: a function handed over by reference is
+    never called, and a coroutine's nested sync ``def`` is a deferred
+    edge, so the sanctioned hop carries no taint.
     """
 
     code = "RPC101"
     name = "async-blocking-propagation"
     rationale = (
-        "a sync helper chain ending in blocking I/O stalls the single "
-        "event loop for every connected session"
+        "blocking I/O in a coroutine, direct or through sync helpers, "
+        "stalls the single event loop for every connected session"
     )
 
     #: Statically blocking functions whose runtime path is sanctioned:
@@ -214,9 +347,7 @@ class AsyncBlockingPropagation(Check):
                 continue
             if not info.path.startswith("src/repro/service/"):
                 continue
-            if qname not in facts or qname in seeds:
-                # Direct calls in async bodies are RPL004's finding;
-                # this check owns the interprocedural case.
+            if qname not in facts:
                 continue
             yield self.violation_at(
                 graph,
@@ -226,7 +357,6 @@ class AsyncBlockingPropagation(Check):
             )
 
 
-@CHECKS.register("RPC102")
 class ContentKeyPurity(Check):
     """Content-key producers must be deterministic.
 
@@ -293,7 +423,6 @@ def _export_resolves(
     return False
 
 
-@CHECKS.register("RPC103")
 class RegistryClosure(Check):
     """Every lazy ``"module:attr"`` reference must statically resolve.
 
@@ -333,21 +462,14 @@ class RegistryClosure(Check):
                 message += (
                     f" (registered as {ref.plugin!r} in {ref.registry})"
                 )
-            line_text = ""
-            for mod in graph.modules.values():
-                if mod.path == ref.path and 1 <= ref.line <= len(
-                    mod.source_lines
-                ):
-                    line_text = mod.source_lines[ref.line - 1].strip()
-                    break
+            owner = graph.modules[ref.function.split(":", 1)[0]]
             yield Violation(
                 rule=self.code,
                 path=ref.path,
                 line=ref.line,
                 col=1,
                 message=message,
-                line_text=line_text,
-                severity=self.severity,
+                line_text=owner.line_text(ref.line),
             )
         yield from self._check_literal_lookups(graph)
 
@@ -377,9 +499,6 @@ class RegistryClosure(Check):
                 plugin = node.args[0].value
                 if plugin in registered[registry]:
                     continue
-                line_text = ""
-                if 1 <= node.lineno <= len(module.source_lines):
-                    line_text = module.source_lines[node.lineno - 1].strip()
                 yield Violation(
                     rule=self.code,
                     path=module.path,
@@ -390,12 +509,10 @@ class RegistryClosure(Check):
                         f"unregistered plugin; registered: "
                         f"{sorted(registered[registry])}"
                     ),
-                    line_text=line_text,
-                    severity=self.severity,
+                    line_text=module.line_text(node.lineno),
                 )
 
 
-@CHECKS.register("RPC104")
 class ExceptionContract(Check):
     """Code reachable from ``/v1`` handlers only raises mapped types.
 
@@ -463,21 +580,11 @@ class ExceptionContract(Check):
                 )
 
 
-def run_checks(
-    graph: CallGraph, checks: Sequence[Check]
-) -> List[Violation]:
-    """Run ``checks`` over ``graph``; violations sorted like the linter."""
-    violations: List[Violation] = []
-    for check in checks:
-        violations.extend(check.run(graph))
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return violations
-
-
 __all__ = [
     "BLOCKING",
-    "CHECKS",
     "Check",
+    "FileCheck",
+    "FileContext",
     "NONDETERMINISM",
     "SeedPredicate",
     "AsyncBlockingPropagation",

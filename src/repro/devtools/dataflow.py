@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
-from repro.devtools.analysis.graph import CallGraph, CallSite
+from repro.devtools.graph import CallGraph, CallSite
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,9 @@ def taint_closure(
 
     ``barriers`` are functions the taint must not propagate *through*:
     they may be tainted themselves but their callers stay clean (used
-    for sanctioned wrappers, e.g. the buffered event-log path).  The
+    for sanctioned wrappers, e.g. the buffered event-log path).
+    Deferred edges (a coroutine's nested sync ``def``, handed off rather
+    than run in the coroutine's frame) carry no taint either.  The
     first evidence to reach a function wins, which keeps witness chains
     minimal-ish and deterministic (worklist is seeded in sorted order).
     """
@@ -64,7 +66,7 @@ def taint_closure(
         if callee in barriers:
             continue
         for caller, site in graph.callers_of(callee):
-            if caller in facts:
+            if caller in facts or site.deferred:
                 continue
             facts[caller] = TaintEvidence(
                 primitive=None, via=callee, line=site.line
@@ -153,33 +155,10 @@ def propagate_exceptions(
     return raises
 
 
-def reachable_from(
-    graph: CallGraph, roots: FrozenSet[str]
-) -> Dict[str, Tuple[str, int]]:
-    """Forward reachability: ``callee -> (caller, line)`` parent links.
-
-    Used to answer "is this function reachable from any /v1 handler"
-    and to reconstruct the path that reaches it.
-    """
-    parents: Dict[str, Tuple[str, int]] = {}
-    worklist = deque(sorted(roots))
-    visited: Set[str] = set(roots)
-    while worklist:
-        caller = worklist.popleft()
-        for site in graph.callees_of(caller):
-            if site.target is None or site.target in visited:
-                continue
-            visited.add(site.target)
-            parents[site.target] = (caller, site.line)
-            worklist.append(site.target)
-    return parents
-
-
 __all__ = [
     "RaiseFact",
     "TaintEvidence",
     "propagate_exceptions",
-    "reachable_from",
     "taint_closure",
     "witness_chain",
 ]

@@ -1,11 +1,9 @@
-"""The shared finding model of the repo's static-analysis gates.
+"""The finding model of ``repro check``.
 
-Both analysis front ends — the per-file lint rules of
-:mod:`repro.devtools.lint` (RPL001–RPL010) and the whole-program
-call-graph checks of :mod:`repro.devtools.analysis` (RPC101–RPC104) —
-report :class:`Violation` objects.  One shape means one baseline format,
-one set of renderers (:mod:`repro.devtools.formats`), and one ratchet
-semantics (:mod:`repro.devtools.baseline`) for every gate.
+Every check — the per-file RPL rules and the whole-program RPC checks
+alike — reports :class:`Violation` objects, so there is one baseline
+format (:mod:`repro.devtools.baseline`) and one set of renderers
+(:mod:`repro.devtools.formats`).
 
 Violations carry a *fingerprint* — ``(rule, path, stripped source
 line)`` — deliberately excluding the line number, so a committed baseline
@@ -15,15 +13,13 @@ file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
-
-SEVERITIES = ("error", "warning")
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One rule/check finding at one source location."""
+    """One check finding at one source location."""
 
     rule: str
     path: str
@@ -31,7 +27,6 @@ class Violation:
     col: int
     message: str
     line_text: str = ""
-    severity: str = "error"
 
     @property
     def fingerprint(self) -> Tuple[str, str, str]:
@@ -39,15 +34,7 @@ class Violation:
         return (self.rule, self.path, self.line_text)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "line_text": self.line_text,
-            "severity": self.severity,
-        }
+        return asdict(self)
 
 
-__all__ = ["SEVERITIES", "Violation"]
+__all__ = ["Violation"]

@@ -1,22 +1,21 @@
-"""Report renderers shared by ``repro lint`` and ``repro check``.
+"""Report renderers of ``repro check``.
 
 * ``text`` — ``path:line:col: CODE message`` per finding, then a summary
   line; the local developer loop.
-* ``json`` — one machine-readable document (schema below, versioned and
-  covered by a schema self-test) for tooling.
-* ``github`` — ``::error``/``::warning`` workflow commands, so the CI
-  lint job annotates the offending lines directly on pull requests.
+* ``json`` — one machine-readable document (schema below, versioned) for
+  tooling.
+* ``github`` — ``::error`` workflow commands, so the CI lint job
+  annotates the offending lines directly on pull requests.
 
-``rules`` may be lint :class:`~repro.devtools.lint.core.Rule` plugins or
-analysis :class:`~repro.devtools.analysis.checks.Check` plugins — anything
-satisfying :class:`RuleInfo` (``code``/``name``/``rationale``/``severity``).
+``rules`` are the selected :class:`~repro.devtools.checks.Check` plugins
+— anything with ``code``/``name``/``rationale`` (:class:`RuleInfo`).
 
-JSON schema (``"format_version": 1``)::
+JSON schema (``"format_version": 2``)::
 
-    {"format_version": 1,
-     "rules": [{"code", "name", "rationale", "severity"}…],
+    {"format_version": 2,
+     "rules": [{"code", "name", "rationale"}…],
      "violations": [{"rule", "path", "line", "col", "message",
-                     "line_text", "severity"}…],
+                     "line_text"}…],
      "suppressed": [same shape…],
      "stale_baseline": [{"rule", "path", "line_text", "reason"}…],
      "counts": {"violations", "suppressed", "stale_baseline"},
@@ -32,16 +31,15 @@ from repro.devtools.baseline import BaselineEntry
 from repro.devtools.findings import Violation
 
 FORMATS = ("text", "json", "github")
-JSON_FORMAT_VERSION = 1
+JSON_FORMAT_VERSION = 2
 
 
 class RuleInfo(Protocol):
-    """What the renderers need to know about a rule/check plugin."""
+    """What the renderers need to know about a check plugin."""
 
     code: str
     name: str
     rationale: str
-    severity: str
 
 
 def render_text(
@@ -83,7 +81,6 @@ def render_json(
                 "code": rule.code,
                 "name": rule.name,
                 "rationale": rule.rationale,
-                "severity": rule.severity,
             }
             for rule in rules
         ],
@@ -122,9 +119,8 @@ def render_github(
 ) -> str:
     lines: List[str] = []
     for violation in new:
-        command = "error" if violation.severity == "error" else "warning"
         lines.append(
-            f"::{command} file={_escape_property(violation.path)}"
+            f"::error file={_escape_property(violation.path)}"
             f",line={violation.line},col={violation.col}"
             f",title={_escape_property(violation.rule)}"
             f"::{_escape_data(violation.message)}"

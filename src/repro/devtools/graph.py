@@ -26,18 +26,27 @@ sites.  Resolution is deliberately static but domain-aware; it follows
 Unresolved calls are kept as *external* dotted names (normalized through
 import aliases, so ``sleep`` imported from ``time`` reports as
 ``time.sleep``) — the raw material for the blocking/nondeterminism seed
-sets of :mod:`repro.devtools.analysis.checks`.
+sets of :mod:`repro.devtools.checks`.
 
 Every call and raise site also records which exception types enclosing
 ``try`` bodies catch, which is what makes the exception-contract check
 (RPC104) usable: a ``ValueError`` raised under
 ``except (TypeError, ValueError)`` does not escape.
 
+The parsed modules double as the index the per-file RPL checks walk:
+each file under the package is read and parsed exactly once per run, and
+a file that does not parse is reported as ``RPL000`` rather than
+skipped.
+
 Known static limitations (documented, deliberate): property accesses are
-not call sites, dispatch is by declared type (subclass overrides are not
-unioned in), and functions passed as values (e.g. into
+not call sites, and functions passed as values (e.g. into
 ``run_in_executor``) create no edge — which is exactly the sanctioned
-way to move blocking work off the event loop.
+way to move blocking work off the event loop.  A nested ``def`` gets an
+assumed-call edge from its parent; when the parent is a coroutine and
+the nested function is synchronous, that edge is *deferred* (the
+function runs wherever it is handed, typically an executor), so it
+carries may-raise facts but no blocking taint.  A direct call of the
+nested function by name is an ordinary edge.
 """
 
 from __future__ import annotations
@@ -45,9 +54,11 @@ from __future__ import annotations
 import ast
 import builtins
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+
+from repro.devtools.findings import Violation
 
 #: Matches the registries' lazy factory strings (``repro.x.y:attr``).
 LAZY_REF_PATTERN = re.compile(r"^(?P<module>[A-Za-z_][\w.]*):(?P<attr>[A-Za-z_]\w*)$")
@@ -69,6 +80,8 @@ class CallSite:
     line: int
     #: Exception type names caught by enclosing ``try`` bodies.
     caught: FrozenSet[str] = frozenset()
+    #: Assumed edge from a coroutine to its nested sync ``def``.
+    deferred: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,6 +145,12 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     top_names: Set[str] = field(default_factory=set)
 
+    def line_text(self, lineno: int) -> str:
+        """Stripped source line ``lineno`` (1-based; ``""`` if absent)."""
+        if 1 <= lineno <= len(self.source_lines):
+            return self.source_lines[lineno - 1].strip()
+        return ""
+
 
 def module_node(name: str) -> str:
     """Qname of the synthetic import-time node of module ``name``."""
@@ -148,14 +167,11 @@ class CallGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.lazy_refs: List[LazyRef] = []
+        #: ``RPL000`` findings for package files that do not parse.
+        self.parse_errors: List[Violation] = []
         self._reverse: Optional[Dict[str, List[Tuple[str, CallSite]]]] = None
 
     # -- topology ------------------------------------------------------
-
-    def callees_of(self, qname: str) -> Iterator[CallSite]:
-        info = self.functions.get(qname)
-        if info is not None:
-            yield from info.calls
 
     def callers_of(self, qname: str) -> List[Tuple[str, CallSite]]:
         """``(caller, site)`` pairs whose resolved target is ``qname``."""
@@ -181,14 +197,8 @@ class CallGraph:
 
     def line_text(self, qname: str) -> str:
         info = self.functions.get(qname)
-        if info is None:
-            return ""
-        module = self.modules.get(info.module)
-        if module is None:
-            return ""
-        if 1 <= info.line <= len(module.source_lines):
-            return module.source_lines[info.line - 1].strip()
-        return ""
+        module = self.modules.get(info.module) if info else None
+        return module.line_text(info.line) if info and module else ""
 
     # -- class/exception hierarchy -------------------------------------
 
@@ -325,8 +335,6 @@ def _collect_imports(
             if node.level:
                 # ``from ..x import y`` — resolve against this module's
                 # package (``__init__`` modules count as their package).
-                base = package_parts[: len(package_parts) - node.level + 1]
-                base = package_parts[: -node.level] if node.level else base
                 prefix = ".".join(
                     package_parts[: len(package_parts) - node.level]
                     if len(package_parts) >= node.level
@@ -359,7 +367,7 @@ def _annotation_dotted(node: Optional[ast.AST]) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
-        return _dotted(node)
+        return dotted_name(node)
     if isinstance(node, ast.Subscript):
         base = _annotation_dotted(node.value)
         if base in {"Optional", "typing.Optional"}:
@@ -376,7 +384,8 @@ def _annotation_dotted(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -414,6 +423,8 @@ class _BodyWalker:
         self.env = env
         self.cls = cls
         self.caught_stack: List[FrozenSet[str]] = []
+        #: Nested ``def`` names bound so far in this body → their qnames.
+        self.nested: Dict[str, str] = {}
 
     @property
     def caught(self) -> FrozenSet[str]:
@@ -434,6 +445,7 @@ class _BodyWalker:
                 cls=None,
                 parent=self.function.qname,
             )
+            self.nested[node.name] = nested.qname
             # Decorators evaluate in the enclosing scope.
             for decorator in node.decorator_list:
                 self._visit(decorator)
@@ -444,6 +456,7 @@ class _BodyWalker:
                     attr=None,
                     line=node.lineno,
                     caught=self.caught,
+                    deferred=self.function.is_async and not nested.is_async,
                 )
             )
             return
@@ -470,12 +483,7 @@ class _BodyWalker:
             self._record_call(node)
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             self.builder.record_lazy_ref(
-                node.value,
-                self.module,
-                self.function.qname,
-                node.lineno,
-                function_info=self.function,
-                caught=self.caught,
+                node.value, self.module, self.function, node.lineno, self.caught
             )
         if isinstance(node, ast.AnnAssign) and isinstance(
             node.target, ast.Name
@@ -504,7 +512,7 @@ class _BodyWalker:
             for element in node.elts:
                 merged |= self._handler_types(element)
             return merged
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return {CATCH_ALL}
         leaf = dotted.rsplit(".", 1)[-1]
@@ -516,7 +524,7 @@ class _BodyWalker:
         """Static type of a call result: constructors and annotated
         returns (``q = self._get(sid)`` types ``q`` via ``_get``'s
         ``-> ManagedSession`` annotation)."""
-        dotted = _dotted(call.func)
+        dotted = dotted_name(call.func)
         if dotted is None:
             return None
         internal, _ = self.builder.resolve_dotted(
@@ -540,7 +548,7 @@ class _BodyWalker:
             return  # bare re-raise: the original site already recorded it
         if isinstance(exc, ast.Call):
             exc = exc.func
-        dotted = _dotted(exc)
+        dotted = dotted_name(exc)
         if dotted is None:
             return
         internal, _ = self.builder.resolve_dotted(dotted, self.module)
@@ -559,11 +567,13 @@ class _BodyWalker:
         )
 
     def _record_call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         target: Optional[str] = None
         external: Optional[str] = None
         attr: Optional[str] = None
-        if dotted is not None:
+        if dotted is not None and dotted in self.nested:
+            target = self.nested[dotted]
+        elif dotted is not None:
             target, external = self.builder.resolve_dotted(
                 dotted, self.module, env=self.env, cls=self.cls
             )
@@ -573,9 +583,7 @@ class _BodyWalker:
                 init = self.builder.graph.lookup_method(target, "__init__")
                 target = init if init is not None else None
                 external = None
-        if target is None and external is None and isinstance(
-            node.func, ast.Attribute
-        ):
+        if target is None and isinstance(node.func, ast.Attribute):
             attr = node.func.attr
         self.function.calls.append(
             CallSite(
@@ -607,15 +615,21 @@ class GraphBuilder:
         for file_path in sorted(self.package_dir.rglob("*.py")):
             rel_to_src = file_path.relative_to(src_root)
             name = _module_name(rel_to_src)
-            try:
-                rel = file_path.relative_to(self.root).as_posix()
-            except ValueError:
-                rel = file_path.as_posix()
+            rel = file_path.relative_to(self.root).as_posix()
             source = file_path.read_text(encoding="utf-8")
             try:
                 tree = ast.parse(source)
-            except SyntaxError:
-                continue  # RPL000 (repro lint) owns unparsable files
+            except SyntaxError as exc:
+                self.graph.parse_errors.append(
+                    Violation(
+                        rule="RPL000",
+                        path=rel,
+                        line=exc.lineno or 1,
+                        col=(exc.offset or 0) + 1,
+                        message=f"file does not parse: {exc.msg}",
+                    )
+                )
+                continue
             module = ModuleInfo(
                 name=name,
                 path=rel,
@@ -667,7 +681,7 @@ class GraphBuilder:
         qname = f"{module.name}:{node.name}"
         info = ClassInfo(qname=qname, module=module.name, name=node.name)
         for base in node.bases:
-            dotted = _dotted(base)
+            dotted = dotted_name(base)
             if dotted is None:
                 continue
             internal, external = self.resolve_dotted(dotted, module)
@@ -888,13 +902,11 @@ class GraphBuilder:
         self,
         text: str,
         module: ModuleInfo,
-        function: str,
+        function: FunctionInfo,
         line: int,
-        function_info: Optional[FunctionInfo] = None,
-        caught: FrozenSet[str] = frozenset(),
-        registry: Optional[str] = None,
-        plugin: Optional[str] = None,
+        caught: FrozenSet[str],
     ) -> None:
+        """Record a ``"repro.…:attr"`` literal plus its call edge."""
         match = LAZY_REF_PATTERN.match(text)
         if match is None:
             return
@@ -908,27 +920,24 @@ class GraphBuilder:
                 attr=match.group("attr"),
                 path=module.path,
                 line=line,
-                function=function,
-                registry=registry,
-                plugin=plugin,
+                function=function.qname,
             )
         )
-        if function_info is not None:
-            internal, _ = self._resolve_in_module(
-                target_module, [match.group("attr")]
-            )
-            if internal is not None and internal in self.graph.classes:
-                internal = self.graph.lookup_method(internal, "__init__")
-            if internal is not None:
-                function_info.calls.append(
-                    CallSite(
-                        target=internal,
-                        external=None,
-                        attr=None,
-                        line=line,
-                        caught=caught,
-                    )
+        internal, _ = self._resolve_in_module(
+            target_module, [match.group("attr")]
+        )
+        if internal is not None and internal in self.graph.classes:
+            internal = self.graph.lookup_method(internal, "__init__")
+        if internal is not None:
+            function.calls.append(
+                CallSite(
+                    target=internal,
+                    external=None,
+                    attr=None,
+                    line=line,
+                    caught=caught,
                 )
+            )
 
     def _annotate_registrations(self) -> None:
         """Attach registry/plugin names to ``.register(name, "m:attr")``."""
@@ -965,14 +974,8 @@ class GraphBuilder:
                 key = (module.path, factory.lineno, factory.value)
                 index = by_site.get(key)
                 if index is not None:
-                    ref = self.graph.lazy_refs[index]
-                    self.graph.lazy_refs[index] = LazyRef(
-                        text=ref.text,
-                        module=ref.module,
-                        attr=ref.attr,
-                        path=ref.path,
-                        line=ref.line,
-                        function=ref.function,
+                    self.graph.lazy_refs[index] = replace(
+                        self.graph.lazy_refs[index],
                         registry=registry,
                         plugin=plugin,
                     )
@@ -1069,12 +1072,10 @@ class GraphBuilder:
         return self.graph
 
 
-def build_graph(root: Path, package_dir: Optional[Path] = None) -> CallGraph:
-    """Build the whole-program graph for ``<root>/src/repro`` (default)."""
+def build_graph(root: Path) -> CallGraph:
+    """Build the whole-program graph of ``<root>/src/repro``."""
     root = Path(root).resolve()
-    if package_dir is None:
-        package_dir = root / "src" / "repro"
-    return GraphBuilder(root, Path(package_dir)).build()
+    return GraphBuilder(root, root / "src" / "repro").build()
 
 
 __all__ = [
@@ -1089,5 +1090,6 @@ __all__ = [
     "ModuleInfo",
     "RaiseSite",
     "build_graph",
+    "dotted_name",
     "module_node",
 ]

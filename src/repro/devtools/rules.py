@@ -1,16 +1,18 @@
-"""The built-in domain rules, RPL001–RPL010.
+"""The per-file domain rules of ``repro check``: RPL001–RPL010.
 
 Each rule encodes one correctness *convention* the code base relies on —
 things a generic linter cannot know, and that used to live only in review
 comments and docstrings.  The docstring of every rule class states the
-invariant and why breaking it is a real bug here, not a style nit; the
-README's "Static analysis" table is generated from these.
+invariant and why breaking it is a real bug here, not a style nit.
+(RPL004, blocking calls in service coroutines, retired into RPC101;
+RPL006 retired with the shims it policed.)
 
-Rules are path-aware: ``applies_to`` receives the repo-relative posix
-path, so e.g. the async-blocking rule only runs on ``src/repro/service/``
-and the dtype rule only on the flat-table hot paths.  Fixture self-tests
-exercise this by laying files out under a fake root with the mirrored
-layout (see ``tests/devtools/``).
+Rules are :class:`~repro.devtools.checks.FileCheck` plugins walking the
+modules the call graph already parsed, and path-aware: ``applies_to``
+receives the repo-relative posix path, so e.g. the dtype rule only runs
+on the flat-table hot paths.  Fixture self-tests exercise this by laying
+files out under a fake root with the mirrored layout (see
+``tests/devtools/``).
 """
 
 from __future__ import annotations
@@ -18,14 +20,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.lint.core import (
-    LINT_RULES,
-    FileContext,
-    Rule,
-    Violation,
-    dotted_name,
-    is_first_party,
-)
+from repro.devtools.checks import FileCheck, FileContext
+from repro.devtools.findings import Violation
+from repro.devtools.graph import dotted_name
 
 #: numpy.random attributes that are fine anywhere: types, and the
 #: explicitly-seeded constructor path.
@@ -34,8 +31,7 @@ _NUMPY_RANDOM_OK = frozenset(
 )
 
 
-@LINT_RULES.register("RPL001")
-class SeededRngRule(Rule):
+class SeededRngRule(FileCheck):
     """RNG must be an explicitly passed, derived ``np.random.Generator``.
 
     Process-stable reproducibility (parallel == serial, resume ==
@@ -102,8 +98,7 @@ class SeededRngRule(Rule):
                 )
 
 
-@LINT_RULES.register("RPL002")
-class ContentKeyRule(Rule):
+class ContentKeyRule(FileCheck):
     """All digests flow through ``repro.api.canonical.content_key``.
 
     Cache keys, grid-cell ids, and TPO instance keys must be identical
@@ -161,8 +156,7 @@ class ContentKeyRule(Rule):
                 )
 
 
-@LINT_RULES.register("RPL003")
-class FrozenSpecRule(Rule):
+class FrozenSpecRule(FileCheck):
     """Frozen spec instances are immutable outside their own module.
 
     ``repro.api`` specs hash to content keys at construction; mutating an
@@ -225,67 +219,6 @@ class FrozenSpecRule(Rule):
                     )
 
 
-#: Call targets that block the event loop (RPL004).
-_BLOCKING_CALLS = {
-    "open": "open() blocks the event loop; hop through run_in_executor",
-    "time.sleep": "time.sleep blocks the event loop; use asyncio.sleep",
-    "os.system": "os.system blocks the event loop",
-}
-_BLOCKING_PREFIXES = ("subprocess.",)
-_BLOCKING_METHODS = frozenset({"recv", "recv_into", "accept", "sendall"})
-
-
-@LINT_RULES.register("RPL004")
-class AsyncBlockingRule(Rule):
-    """No blocking calls directly inside ``async def`` bodies in service/.
-
-    The service is a single asyncio loop; one blocking ``open`` /
-    ``time.sleep`` / ``subprocess`` / socket ``recv`` in a handler stalls
-    *every* concurrent session, not just the caller.  Blocking work must
-    hop through ``loop.run_in_executor`` (the event-log flush path) or an
-    async primitive.  Nested synchronous ``def``s are exempt — executors
-    call those.
-    """
-
-    code = "RPL004"
-    name = "non-blocking-async-service"
-    rationale = (
-        "one blocking call in a handler stalls every concurrent session "
-        "on the single event loop"
-    )
-
-    def applies_to(self, path: str) -> bool:
-        return is_first_party(path) and path.startswith("src/repro/service/")
-
-    def visit_node(
-        self, node: ast.AST, ctx: FileContext
-    ) -> Iterator[Violation]:
-        if not isinstance(node, ast.Call) or not ctx.in_async_body:
-            return
-        callee = dotted_name(node.func)
-        if callee in _BLOCKING_CALLS:
-            yield self.violation(
-                node, ctx, f"blocking call in async body: {_BLOCKING_CALLS[callee]}"
-            )
-        elif callee and callee.startswith(_BLOCKING_PREFIXES):
-            yield self.violation(
-                node,
-                ctx,
-                f"blocking call in async body: {callee} blocks the event "
-                "loop; hop through run_in_executor",
-            )
-        elif (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _BLOCKING_METHODS
-        ):
-            yield self.violation(
-                node,
-                ctx,
-                f"blocking socket-style .{node.func.attr}() in async body; "
-                "use the asyncio stream APIs",
-            )
-
-
 #: Allocation constructors whose dtype must be spelled out (RPL005).
 _DTYPE_REQUIRED = frozenset(
     {"numpy.array", "numpy.zeros", "numpy.empty", "numpy.ones", "numpy.full"}
@@ -301,8 +234,7 @@ _DTYPE_FILES = frozenset(
 )
 
 
-@LINT_RULES.register("RPL005")
-class ExplicitDtypeRule(Rule):
+class ExplicitDtypeRule(FileCheck):
     """Array allocations in the flat-table hot paths pass an explicit dtype.
 
     The PR-5 level tables contract dtypes precisely (tuple_ids int32,
@@ -346,8 +278,7 @@ class ExplicitDtypeRule(Rule):
         )
 
 
-@LINT_RULES.register("RPL007")
-class TornTailAppendRule(Rule):
+class TornTailAppendRule(FileCheck):
     """Append-mode JSONL writes go through the torn-tail-safe helpers.
 
     ``ResultStore`` / ``EventLog`` call ``ensure_trailing_newline`` before
@@ -398,8 +329,7 @@ class TornTailAppendRule(Rule):
             )
 
 
-@LINT_RULES.register("RPL008")
-class MutableDefaultRule(Rule):
+class MutableDefaultRule(FileCheck):
     """No mutable default arguments on public ``src/repro`` functions.
 
     A shared ``[]`` / ``{}`` default on an API entry point leaks state
@@ -454,8 +384,7 @@ _ENGINE_CLASSES = frozenset(
 )
 
 
-@LINT_RULES.register("RPL009")
-class EngineSpecConstructionRule(Rule):
+class EngineSpecConstructionRule(FileCheck):
     """TPO engines are constructed through ``EngineSpec`` / ``ENGINES``.
 
     Cache keys, event-log replay, and the sharded runtime all fingerprint
@@ -507,8 +436,7 @@ _SESSION_CLASSES = frozenset(
 )
 
 
-@LINT_RULES.register("RPL010")
-class EvalSessionDisciplineRule(Rule):
+class EvalSessionDisciplineRule(FileCheck):
     """Eval code runs sessions through ``repro.api.run`` and derives RNG
     via ``derive_seed``.
 
@@ -535,7 +463,7 @@ class EvalSessionDisciplineRule(Rule):
     ALLOWED = frozenset({"src/repro/evals/service_replay.py"})
 
     def applies_to(self, path: str) -> bool:
-        return is_first_party(path) and path.startswith("src/repro/evals/")
+        return path.startswith("src/repro/evals/")
 
     def visit_node(
         self, node: ast.AST, ctx: FileContext
@@ -587,7 +515,6 @@ __all__ = [
     "SeededRngRule",
     "ContentKeyRule",
     "FrozenSpecRule",
-    "AsyncBlockingRule",
     "ExplicitDtypeRule",
     "TornTailAppendRule",
     "MutableDefaultRule",

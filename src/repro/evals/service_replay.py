@@ -10,7 +10,7 @@ must equal the recorded question before every submitted answer (the
 interactive min-residual rule *is* T1-on), and the resumed manager must
 agree with the uninterrupted one.
 
-This module is the sanctioned exception to lint rule RPL010: evaluation
+This module is the sanctioned exception to check RPL010: evaluation
 code constructs sessions through :mod:`repro.api.run` — except here,
 where exercising the service path **is** the point.
 """

@@ -128,7 +128,7 @@ class BufferedEventLog(EventLog):
     """:class:`EventLog` whose appends buffer in memory until :meth:`flush`.
 
     The asyncio server mutates sessions on the event-loop thread but must
-    never block it on disk I/O (lint rule RPL004).  With this variant,
+    never block it on disk I/O (check RPC101).  With this variant,
     :meth:`append` is a pure in-memory list append, and the handler awaits
     one :meth:`flush` hop through the server's log executor *before*
     responding — so the client-visible durability contract is unchanged
@@ -233,6 +233,11 @@ class SessionManager:
         self.evaluator = ResidualEvaluator(self.measure)
         self.ranking_memo_size = int(ranking_memo_size)
         self._sessions: Dict[str, ManagedSession] = {}
+        #: Guards insertion into ``_sessions`` and every snapshot of it:
+        #: the server creates sessions on its executor thread while the
+        #: loop thread lists them, and a copy of a dict is not atomic (a
+        #: GC pass inside it can hand the GIL to the inserting thread).
+        self._sessions_lock = threading.Lock()
         #: (tpo_key, answers_key) → (candidates, residuals).
         self._rankings: OrderedDict = OrderedDict()
         self._log: Optional[EventLog] = (
@@ -260,10 +265,11 @@ class SessionManager:
     def session_ids(self, status: Optional[str] = "active") -> List[str]:
         """Ids of sessions with the given status (None = all), in creation
         order."""
-        # Iterate a snapshot: the server creates sessions on its executor.
+        with self._sessions_lock:
+            snapshot = list(self._sessions.items())
         return [
             sid
-            for sid, managed in list(self._sessions.items())
+            for sid, managed in snapshot
             if status is None or managed.status == status
         ]
 
@@ -308,7 +314,9 @@ class SessionManager:
         session = InteractiveSession(
             distributions, spec["k"], space, evaluator=self.evaluator
         )
-        self._sessions[sid] = ManagedSession(sid, spec, tpo_key, session)
+        managed = ManagedSession(sid, spec, tpo_key, session)
+        with self._sessions_lock:
+            self._sessions[sid] = managed
         return sid
 
     def close_session(self, session_id: str) -> None:
@@ -493,7 +501,8 @@ class SessionManager:
 
     def stats(self) -> Dict[str, Any]:
         """Service counters for the ``/stats`` endpoint and benchmarks."""
-        sessions = list(self._sessions.values())  # see session_ids
+        with self._sessions_lock:
+            sessions = list(self._sessions.values())
         by_status: Dict[str, int] = {}
         for managed in sessions:
             by_status[managed.status] = by_status.get(managed.status, 0) + 1

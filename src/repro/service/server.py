@@ -44,7 +44,7 @@ two deliberate exceptions that run on one single-thread executor:
 * **The durable event log.**  :func:`start_server` swaps the manager's
   eager :class:`~repro.service.manager.EventLog` for a
   :class:`~repro.service.manager.BufferedEventLog`, so mutating handlers
-  append in memory (no disk I/O on the loop thread — lint rule RPL004)
+  append in memory (no disk I/O on the loop thread — check RPC101)
   and then await one flush hop through the executor *before* responding.
   A 200 still means the event is on disk; the buffered log's own lock
   covers the loop-thread/executor-thread handoff.

@@ -34,6 +34,7 @@ through the npz bytes a real tier would store.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
@@ -180,6 +181,9 @@ class MemoryColdTier(ColdTier):
     def __init__(self) -> None:
         super().__init__()
         self._payloads: Dict[str, bytes] = {}
+        #: ``/v1/stats`` snapshots the payloads on the event loop while
+        #: the server's executor may be publishing one.
+        self._payloads_lock = threading.Lock()
 
     def _load(
         self, key: str, distributions: Sequence[ScoreDistribution]
@@ -191,19 +195,21 @@ class MemoryColdTier(ColdTier):
 
     def _store(self, key: str, tree: TPOTree) -> TPOTree:
         payload = tree_to_npz_bytes(tree)
-        self._payloads[key] = payload
+        with self._payloads_lock:
+            self._payloads[key] = payload
         return tree_from_npz_bytes(payload, tree.distributions)
 
     def _discard_damaged(self, key: str) -> None:
-        self._payloads.pop(key, None)
+        with self._payloads_lock:
+            self._payloads.pop(key, None)
 
     def entry_count(self) -> int:
         return len(self._payloads)
 
     def stored_bytes(self) -> int:
-        # A snapshot: ``/v1/stats`` reads this on the event loop while the
-        # server's executor may be publishing a payload.
-        return sum(len(payload) for payload in list(self._payloads.values()))
+        with self._payloads_lock:
+            payloads = list(self._payloads.values())
+        return sum(len(payload) for payload in payloads)
 
 
 def _check_key(key: str) -> str:

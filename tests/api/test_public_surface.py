@@ -61,7 +61,6 @@ EXPECTED_REGISTRY_KINDS = [
     "distributions",
     "engines",
     "evals",
-    "lint_rules",
     "measures",
     "policies",
     "scenarios",
@@ -106,18 +105,20 @@ EXPECTED_BUILTIN_PLUGINS = {
     "engines": ["exact", "grid", "mc"],
     "stores": ["disk-npz", "memory"],
     "evals": ["calibration", "golden", "regret"],
-    "lint_rules": [
+    "checks": [
+        "RPC101",
+        "RPC102",
+        "RPC103",
+        "RPC104",
         "RPL001",
         "RPL002",
         "RPL003",
-        "RPL004",
         "RPL005",
         "RPL007",
         "RPL008",
         "RPL009",
         "RPL010",
     ],
-    "checks": ["RPC101", "RPC102", "RPC103", "RPC104"],
 }
 
 
@@ -142,9 +143,10 @@ def test_builtin_plugin_names_are_stable():
     assert observed == EXPECTED_BUILTIN_PLUGINS
 
 
-#: Pre-``repro.api`` factories removed in 3.0.0: importing one must fail
-#: rather than resolve to a stale alias.
-REMOVED_IN_3_0 = [
+#: Removed entry points: importing one must fail rather than resolve to
+#: a stale alias.  3.0.0 removed the pre-``repro.api`` factories; 4.0.0
+#: removed the second analyzer front end (``repro check`` is the one).
+REMOVED = [
     ("repro", "make_policy"),
     ("repro", "make_builder"),
     ("repro", "get_measure"),
@@ -156,11 +158,15 @@ REMOVED_IN_3_0 = [
     ("repro.tpo", "make_builder"),
     ("repro.service.manager", "normalize_spec"),
     ("repro.service.manager", "materialize_instance"),
+    ("repro.devtools", "lint"),
+    ("repro.devtools", "analysis"),
+    ("repro.devtools", "gate"),
 ]
 
 
-@pytest.mark.parametrize("module, name", REMOVED_IN_3_0)
+@pytest.mark.parametrize("module, name", REMOVED)
 def test_removed_entry_points_do_not_import(module, name):
     with pytest.raises(ImportError):
         exec(f"from {module} import {name}", {})
     assert not hasattr(importlib.import_module(module), name)
+

@@ -136,7 +136,6 @@ class TestCatalog:
             "engines",
             "stores",
             "evals",
-            "lint_rules",
             "checks",
         }
         for registry in registries.values():

@@ -2,7 +2,7 @@
 registry edges, caught-exception tracking, and the graph dump shape.
 
 The heavyweight assertions run against the *real* repo graph (built once
-per module) so the resolver is tested against the idioms it exists for —
+per session, ``conftest.repo_graph``) so the resolver is tested against the idioms it exists for —
 the catalog's lazy ``"module:attr"`` registrations and the service's
 async→sync→blocking call chains — not against toy inputs only.
 """
@@ -13,17 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.analysis import dataflow
-from repro.devtools.analysis.checks import BLOCKING, _seed_taints
-from repro.devtools.analysis.graph import build_graph, module_node
+from repro.devtools import dataflow
+from repro.devtools.checks import BLOCKING, _seed_taints
+from repro.devtools.graph import build_graph, module_node
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-@pytest.fixture(scope="module")
-def repo_graph():
-    return build_graph(REPO_ROOT)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +144,36 @@ class TestDataflow:
             "repro.service.handlers:_handle_export",
             "repro.service.handlers:persist_rows",
             "repro.service.handlers:_write_row",
+            "open(...)",
+        ]
+
+    def test_nested_sync_def_of_a_coroutine_is_a_deferred_edge(self):
+        """A coroutine's nested sync ``def`` handed to ``run_in_executor``
+        keeps its edge (may-raise facts still flow) but carries no
+        blocking taint; calling the nested function by name does."""
+        graph = build_graph(FIXTURES / "rpl004" / "ok")
+        handler = "repro.service.handlers:handle_dump"
+        nested = f"{handler}.<locals>._read"
+        (site,) = [s for s in graph.functions[handler].calls if s.target == nested]
+        assert site.deferred
+        facts = dataflow.taint_closure(graph, _seed_taints(graph, BLOCKING))
+        assert nested in facts and handler not in facts
+
+    def test_direct_call_of_a_nested_def_is_an_ordinary_edge(self, tmp_path):
+        service = tmp_path / "src" / "repro" / "service"
+        service.mkdir(parents=True)
+        (service / "handlers.py").write_text(
+            "async def handle(path):\n"
+            "    def _read():\n"
+            "        return open(path).read()\n"
+            "\n"
+            "    return _read()\n"
+        )
+        graph = build_graph(tmp_path)
+        facts = dataflow.taint_closure(graph, _seed_taints(graph, BLOCKING))
+        assert dataflow.witness_chain(facts, "repro.service.handlers:handle") == [
+            "repro.service.handlers:handle",
+            "repro.service.handlers:handle.<locals>._read",
             "open(...)",
         ]
 

@@ -1,24 +1,29 @@
-"""CLI contract of ``repro check`` / ``python -m repro.devtools.analysis``:
-exit codes, formats, the graph dump artifact, and the baseline ratchet.
-
-Mirrors ``test_lint_cli.py`` — the two gates share one exit-code
-convention (0 clean / 1 findings or stale baseline / 2 usage error) and
-one baseline/render implementation (:mod:`repro.devtools.gate`)."""
+"""CLI contract of ``repro check`` on whole-program findings: exit codes,
+formats, the graph dump artifact, and the baseline ratchet, driven by
+the RPC fixtures (``test_lint_cli.py`` drives the RPL fixtures)."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cli import _build_parser
 from repro.cli import main as repro_main
-from repro.devtools.analysis.cli import main as check_main
 from repro.devtools.formats import JSON_FORMAT_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = FIXTURES / "rpc103" / "bad"
 OK = FIXTURES / "rpc103" / "ok"
+
+
+def check_main(argv):
+    return repro_main(["check", *argv])
 
 
 def test_exit_zero_on_clean_tree(capsys):
@@ -56,9 +61,8 @@ def test_json_format_schema(capsys):
     assert document["counts"]["violations"] == len(document["violations"])
     for violation in document["violations"]:
         assert violation["rule"] == "RPC103"
-        assert violation["severity"] in ("error", "warning")
     rule_rows = {rule["code"] for rule in document["rules"]}
-    assert rule_rows == {"RPC101", "RPC102", "RPC103", "RPC104"}
+    assert {"RPC101", "RPC102", "RPC103", "RPC104"} <= rule_rows
 
 
 def test_github_format_annotations(capsys):
@@ -139,38 +143,59 @@ def test_update_baseline_then_pass_then_stale(tmp_path, capsys):
         check_main(["--root", str(OK), "--baseline", str(baseline)]) == 1
     )
     assert "stale" in capsys.readouterr().out
-    # 5. ... unless stale checking is explicitly waived.
-    assert (
-        check_main(
-            [
-                "--root",
-                str(OK),
-                "--baseline",
-                str(baseline),
-                "--no-stale-check",
-            ]
-        )
-        == 0
-    )
 
 
 class TestSharedExitCodeConvention:
-    """Satellite: ``repro lint`` and ``repro check`` pin the same codes
-    (2 = usage, 1 = findings/gate failure, 0 = clean) as ``repro eval``."""
+    """Per-file (RPL) and whole-program (RPC) findings share one exit-code
+    convention (2 = usage, 1 = findings/gate failure, 0 = clean), the
+    same as ``repro eval``."""
 
     def test_usage_error_is_2_for_both(self, capsys):
-        assert repro_main(["lint", "--select", "NOPE", "src"]) == 2
-        assert repro_main(["check", "--select", "NOPE"]) == 2
+        assert check_main(["--select", "NOPE"]) == 2
+        assert check_main(["--select", "RPL001,RPC999"]) == 2
         capsys.readouterr()
 
     def test_findings_are_1_for_both(self, capsys):
-        lint_bad = FIXTURES / "rpl008" / "bad"
-        assert repro_main(["lint", "--root", str(lint_bad), "src"]) == 1
-        assert repro_main(["check", "--root", str(BAD)]) == 1
+        assert check_main(["--root", str(FIXTURES / "rpl008" / "bad")]) == 1
+        assert check_main(["--root", str(BAD)]) == 1
         capsys.readouterr()
 
     def test_clean_is_0_for_both(self, capsys):
-        lint_ok = FIXTURES / "rpl008" / "ok"
-        assert repro_main(["lint", "--root", str(lint_ok), "src"]) == 0
-        assert repro_main(["check", "--root", str(OK)]) == 0
+        assert check_main(["--root", str(FIXTURES / "rpl008" / "ok")]) == 0
+        assert check_main(["--root", str(OK)]) == 0
         capsys.readouterr()
+
+
+def test_check_has_exactly_the_seven_options():
+    args = vars(_build_parser().parse_args(["check"]))
+    assert sorted(args) == [
+        "baseline",
+        "command",
+        "fmt",
+        "graph_dump",
+        "list_checks",
+        "root",
+        "select",
+        "update_baseline",
+    ]
+
+
+def test_building_the_parser_leaves_the_analyzer_unloaded():
+    """Only the ``check`` verb loads the analyzer; every other command
+    (``repro serve`` included) starts without it."""
+    analyzer = [
+        f"repro.devtools.{name}"
+        for name in ("cli", "graph", "dataflow", "checks", "rules")
+    ]
+    code = (
+        "import sys; from repro.cli import _build_parser; _build_parser(); "
+        f"print(sorted(set({analyzer!r}) & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,28 +1,39 @@
-"""Fixture-based self-tests: every RPC check has a passing and a failing
-example tree.
+"""Fixture-based self-tests: every whole-program RPC check has a passing
+and a failing example tree, and the real tree passes every check.
 
 Each ``tests/devtools/fixtures/rpc10x/{ok,bad}`` directory is a mini
 repo root mirroring the real ``src/repro`` layout; the bad tree violates
-exactly its check's invariant *interprocedurally* (no single file would
-trip a per-file RPL rule), the ok tree shows the sanctioned way to do
-the same work.
+exactly its check's invariant *interprocedurally* (no single file trips
+a per-file RPL rule), the ok tree shows the sanctioned way to do the
+same work.
 """
 
 from __future__ import annotations
 
+import ast
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.analysis import CHECKS, build_graph, run_checks
+from repro.api.catalog import CHECKS
+from repro.cli import main as repro_main
+from repro.devtools.checks import FileCheck, run_checks
+from repro.devtools.graph import build_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
-ALL_CODES = sorted(CHECKS.available())
+REPO_ROOT = Path(__file__).resolve().parents[2]
+EVERY_CODE = CHECKS.available()
+ALL_CODES = [
+    code
+    for code in EVERY_CODE
+    if not isinstance(CHECKS.create(code), FileCheck)
+]
 
 #: Pinned finding counts per bad fixture — a check that silently loses
 #: (or gains) coverage shows up as a count flip, not just "non-empty".
 EXPECTED_BAD_COUNTS = {
-    "RPC101": 1,  # the 3-frame async → sync → sync → open() chain
+    "RPC101": 2,  # async → sync → sync → open(); async → sync → .write_text
     "RPC102": 2,  # canonical_json and content_key both reach time.time
     "RPC103": 3,  # missing attr, missing module, unregistered literal
     "RPC104": 2,  # KeyError two frames down; RuntimeError past a filter
@@ -72,10 +83,11 @@ def test_expected_bad_finding_counts(code):
 
 @pytest.mark.parametrize("code", ALL_CODES)
 def test_disabling_the_check_hides_its_findings(code):
-    """Each bad tree is clean under every *other* check — the findings
-    exist if and only if the owning check runs, so disabling a check
-    demonstrably flips its fixture from failing to passing."""
-    others = [c for c in ALL_CODES if c != code]
+    """Each bad tree is clean under every *other* check, per-file rules
+    included — the findings exist if and only if the owning check runs,
+    so disabling a check demonstrably flips its fixture from failing to
+    passing."""
+    others = [c for c in EVERY_CODE if c != code]
     graph = build_graph(FIXTURES / code.lower() / "bad")
     violations = run_checks(
         graph, [CHECKS.create(other) for other in others]
@@ -92,17 +104,23 @@ def test_checks_are_documented(code):
     assert check.code == code
     assert check.name
     assert check.rationale
-    assert check.severity in ("error", "warning")
+    assert (check.__doc__ or "").strip(), f"{code} has no docstring"
 
 
 def test_witness_chains_are_readable():
-    """RPC101's message prints the full call chain down to the primitive."""
-    (violation,) = run_on(FIXTURES / "rpc101" / "bad", "RPC101")
+    """RPC101's message prints the full call chain down to the primitive
+    — a method call on a plain local (``path.write_text``) included."""
+    export, manifest = run_on(FIXTURES / "rpc101" / "bad", "RPC101")
     assert (
         "repro.service.handlers:_handle_export"
         " -> repro.service.handlers:persist_rows"
         " -> repro.service.handlers:_write_row"
-        " -> open(...)" in violation.message
+        " -> open(...)" in export.message
+    )
+    assert manifest.message.endswith(
+        "repro.service.handlers:_handle_manifest"
+        " -> repro.service.handlers:_write_manifest"
+        " -> .write_text(...)"
     )
 
 
@@ -113,14 +131,42 @@ def test_rpc104_names_the_origin_frame():
     assert "raised in repro.service.handlers:_reset_engine" in by_message
 
 
-def test_real_repo_is_clean():
-    """The committed tree satisfies all four interprocedural invariants
-    (the one real finding — TPOSizeError escaping the create handler as
-    an opaque 500 — was fixed, not baselined)."""
-    repo_root = Path(__file__).resolve().parents[2]
-    graph = build_graph(repo_root)
-    checks = [CHECKS.create(code) for code in ALL_CODES]
-    violations = run_checks(graph, checks)
+def test_real_repo_is_clean(repo_graph):
+    """The committed tree satisfies every check (the one real RPC finding
+    — TPOSizeError escaping the create handler as an opaque 500 — was
+    fixed, not baselined)."""
+    checks = [CHECKS.create(code) for code in EVERY_CODE]
+    violations = run_checks(repo_graph, checks)
     assert violations == [], "\n".join(
         f"{v.rule} {v.path}:{v.line} {v.message}" for v in violations
     )
+
+
+def test_one_run_parses_each_file_once(monkeypatch, capsys):
+    """One ``repro check`` run over the real tree parses every package
+    file exactly once; quoted annotations (``eval``-mode parses of a
+    string constant) are not file parses."""
+    real_parse = ast.parse
+    file_parses = []
+
+    def counting_parse(source, *args, **kwargs):
+        mode = kwargs.get("mode", args[1] if len(args) > 1 else "exec")
+        if mode == "exec":
+            file_parses.append(source)
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    assert repro_main(["check", "--root", str(REPO_ROOT)]) == 0
+    assert "0 violation(s)" in capsys.readouterr().out
+    package_files = list((REPO_ROOT / "src" / "repro").rglob("*.py"))
+    assert len(file_parses) == len(package_files)
+
+
+def test_readme_table_lists_every_check_by_its_registered_name():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Static analysis\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (RP[LC]\d{3}) \| ([\w-]+) \|", section, re.M)
+    assert len(rows) == len(dict(rows))
+    assert dict(rows) == {
+        code: CHECKS.create(code).name for code in EVERY_CODE
+    }

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from repro.devtools.lint.baseline import (
+from repro.devtools.baseline import (
     PLACEHOLDER_REASON,
     BaselineEntry,
     apply_baseline,
@@ -13,7 +12,7 @@ from repro.devtools.lint.baseline import (
     load_baseline,
     save_baseline,
 )
-from repro.devtools.lint.core import Violation
+from repro.devtools.findings import Violation
 
 
 def make_violation(rule="RPL008", path="src/repro/x.py", line=3,

@@ -1,11 +1,10 @@
 """Renderer unit tests for :mod:`repro.devtools.formats` — the one
-text/json/github implementation behind both ``repro lint`` and
-``repro check``.
+text/json/github implementation behind ``repro check``.
 
 The CLI tests exercise the renderers end-to-end on well-behaved
 fixtures; these tests pin the hostile-input corners: GitHub
 workflow-command escaping (``%``, newlines, ``::`` in messages and
-paths) and the JSON round-trip of severity and fingerprint fields.
+paths) and the JSON round-trip of the fingerprint fields.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import json
 
 from repro.devtools.baseline import BaselineEntry
-from repro.devtools.findings import SEVERITIES, Violation
+from repro.devtools.findings import Violation
 from repro.devtools.formats import (
     render,
     render_github,
@@ -30,7 +29,6 @@ def make_violation(**overrides):
         col=5,
         message="unseeded RNG",
         line_text="rng = np.random.default_rng()",
-        severity="error",
     )
     base.update(overrides)
     return Violation(**base)
@@ -88,12 +86,6 @@ class TestGithubEscaping:
         assert "file=src/re%2Cpo%3Afile.py" in line
         assert ",line=12" in line
 
-    def test_warning_severity_selects_warning_command(self):
-        out = render_github(
-            [make_violation(severity="warning")], [], []
-        )
-        assert out.splitlines()[0].startswith("::warning ")
-
     def test_stale_entries_render_as_errors(self):
         entry = BaselineEntry(
             rule="RPL002",
@@ -109,15 +101,13 @@ class TestGithubEscaping:
 
 
 class TestJsonRoundTrip:
-    def test_severity_and_fingerprint_fields_round_trip(self):
+    def test_fingerprint_fields_round_trip(self):
         violations = [
-            make_violation(severity=severity, rule=f"RPL00{index + 1}")
-            for index, severity in enumerate(SEVERITIES)
+            make_violation(rule="RPL001"),
+            make_violation(rule="RPC101", line=40, line_text="async def f():"),
         ]
         document = json.loads(render_json(violations, [], [], []))
-        assert [v["severity"] for v in document["violations"]] == list(
-            SEVERITIES
-        )
+        assert document["format_version"] == 2
         for raw, violation in zip(document["violations"], violations):
             rebuilt = Violation(**raw)
             assert rebuilt == violation
@@ -132,7 +122,7 @@ class TestJsonRoundTrip:
         suppressed = [make_violation(rule="RPL003")]
         stale = [
             BaselineEntry(
-                rule="RPL004",
+                rule="RPC101",
                 path="src/repro/service/server.py",
                 line_text="time.sleep(0.1)",
                 reason="startup backoff, executor-hopped",

@@ -1,10 +1,14 @@
-"""Fixture-based self-tests: every RPL rule has a passing and a failing
-example tree.
+"""Fixture-based self-tests of the per-file RPL checks: every rule has a
+passing and a failing example tree.
 
 Each ``tests/devtools/fixtures/<rule>/{ok,bad}`` directory is a mini repo
 root mirroring the real ``src/repro`` layout, so the path scoping of
-path-sensitive rules (RPL004 service-only, RPL005 hot-path files,
-allowlisted digest/append sites) is exercised for real, not mocked.
+path-sensitive rules (RPL005 hot-path files, allowlisted digest/append
+sites) is exercised for real, not mocked.
+
+A retired rule keeps its fixtures: they must still fail and pass under
+the check that subsumes it (RPL004's direct blocking calls in service
+coroutines are RPC101 findings, one per offending coroutine).
 """
 
 from __future__ import annotations
@@ -13,19 +17,32 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import LINT_RULES, Checker
+from repro.api.catalog import CHECKS
+from repro.devtools.baseline import load_baseline
+from repro.devtools.checks import FileCheck, run_checks
+from repro.devtools.graph import build_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
-ALL_CODES = sorted(LINT_RULES.available())
+REPO_ROOT = Path(__file__).resolve().parents[2]
+#: Retired rule → the stricter check whose fixtures-run proves subsumption.
+RETIRED = {"RPL004": "RPC101"}
+RULE_CODES = [
+    code
+    for code in CHECKS.available()
+    if isinstance(CHECKS.create(code), FileCheck)
+]
+ALL_CODES = sorted([*RULE_CODES, *RETIRED])
 
 
 def run_on(root: Path, code: str):
-    checker = Checker([LINT_RULES.create(code)])
-    return checker.check_paths(root, [Path("src")])
+    check = CHECKS.create(RETIRED.get(code, code))
+    return run_checks(build_graph(root), [check])
 
 
 def test_every_rule_has_both_fixtures():
-    assert ALL_CODES == [f"RPL{i:03d}" for i in range(1, 11) if i != 6]
+    assert RULE_CODES == [
+        f"RPL{i:03d}" for i in range(1, 11) if i not in (4, 6)
+    ]
     for code in ALL_CODES:
         tree = FIXTURES / code.lower()
         assert (tree / "ok" / "src").is_dir(), f"missing ok fixture for {code}"
@@ -36,7 +53,7 @@ def test_every_rule_has_both_fixtures():
 def test_bad_fixture_fails(code):
     violations = run_on(FIXTURES / code.lower() / "bad", code)
     assert violations, f"{code} found nothing in its violation fixture"
-    assert {v.rule for v in violations} == {code}
+    assert {v.rule for v in violations} == {RETIRED.get(code, code)}
     for violation in violations:
         assert violation.line > 0
         assert violation.message
@@ -54,7 +71,12 @@ def test_ok_fixture_passes(code):
 
 @pytest.mark.parametrize("code", ALL_CODES)
 def test_rules_are_documented(code):
-    rule = LINT_RULES.create(code)
+    if code in RETIRED:
+        # The subsuming check names the rule it retired.
+        assert code not in CHECKS
+        assert code in (CHECKS.get(RETIRED[code]).__doc__ or "")
+        return
+    rule = CHECKS.create(code)
     assert rule.code == code
     assert rule.name
     assert rule.rationale
@@ -67,7 +89,8 @@ def test_expected_bad_finding_counts():
         "RPL001": 4,  # import random, default_rng(), seed(), legacy rand()
         "RPL002": 2,  # hash() + hashlib import
         "RPL003": 2,  # object.__setattr__ + attribute store on spec
-        "RPL004": 4,  # open, time.sleep, subprocess.run, sock.recv
+        "RPL004": 2,  # under RPC101: handle_dump (open, sleep, subprocess)
+        #               and handle_socket (sock.recv)
         "RPL005": 4,  # empty/zeros/array/ones without dtype
         "RPL007": 1,  # raw append-mode open
         "RPL008": 3,  # weights=[], cache={}, options=dict()
@@ -81,12 +104,27 @@ def test_expected_bad_finding_counts():
     assert actual == expected
 
 
+def test_retired_rpl004_findings_name_each_coroutine():
+    violations = run_on(FIXTURES / "rpl004" / "bad", "RPL004")
+    assert [v.message.split(":")[0] for v in violations] == [
+        "async def handle_dump may block the event loop",
+        "async def handle_socket may block the event loop",
+    ]
+    assert violations[1].message.endswith("-> .recv(...)")
+
+
 def test_syntax_error_is_reported(tmp_path):
+    """A file that does not parse fails the run as RPL000; it is never
+    silently skipped, whatever checks are selected."""
     target = tmp_path / "src" / "repro" / "broken.py"
     target.parent.mkdir(parents=True)
     target.write_text("def broken(:\n")
-    violations = Checker().check_paths(tmp_path, [Path("src")])
+    (tmp_path / "src" / "repro" / "fine.py").write_text("X = 1\n")
+    graph = build_graph(tmp_path)
+    assert set(graph.modules) == {"repro.fine"}
+    violations = run_checks(graph, [CHECKS.create("RPC103")])
     assert [v.rule for v in violations] == ["RPL000"]
+    assert violations[0].path == "src/repro/broken.py"
     assert "does not parse" in violations[0].message
 
 
@@ -94,7 +132,9 @@ def test_non_first_party_paths_are_ignored(tmp_path):
     target = tmp_path / "scripts" / "tool.py"
     target.parent.mkdir(parents=True)
     target.write_text("import random\n\n\ndef f(x=[]):\n    return x\n")
-    assert Checker().check_paths(tmp_path, [Path("scripts")]) == []
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    checks = [CHECKS.create(code) for code in RULE_CODES]
+    assert run_checks(build_graph(tmp_path), checks) == []
 
 
 def test_numpy_alias_resolution(tmp_path):
@@ -104,30 +144,17 @@ def test_numpy_alias_resolution(tmp_path):
     target.write_text(
         "import numpy as nump\n\n\ndef f(n):\n    return nump.zeros(n)\n"
     )
-    violations = Checker().check_paths(tmp_path, [Path("src")])
+    checks = [CHECKS.create(code) for code in RULE_CODES]
+    violations = run_checks(build_graph(tmp_path), checks)
     assert [v.rule for v in violations] == ["RPL005"]
 
 
-def test_repo_src_is_lint_clean_modulo_baseline():
-    """The ratchet itself: the real src/ tree stays clean forever.
-
-    Uses the committed baseline, so a deliberate, reason-annotated
-    exception does not fail the suite — but any new violation does.
-    """
-    from repro.devtools.lint import apply_baseline, load_baseline
-
-    root = Path(__file__).resolve().parents[2]
-    violations = Checker().check_paths(root, [Path("src")])
-    entries = load_baseline(root / "lint_baseline.jsonl")
-    result = apply_baseline(violations, entries)
-    assert result.new == [], "; ".join(
-        f"{v.path}:{v.line} {v.rule} {v.message}" for v in result.new
+def test_repo_src_is_lint_clean_modulo_baseline(repo_graph):
+    """The ratchet itself: the committed baseline is empty, and the real
+    tree passes every per-file rule without it."""
+    assert load_baseline(REPO_ROOT / "check_baseline.jsonl") == []
+    checks = [CHECKS.create(code) for code in RULE_CODES]
+    violations = run_checks(repo_graph, checks)
+    assert violations == [], "; ".join(
+        f"{v.path}:{v.line} {v.rule} {v.message}" for v in violations
     )
-    assert result.stale == [], (
-        "stale baseline entries: "
-        + "; ".join(e.line_text for e in result.stale)
-    )
-    for entry in entries:
-        assert entry.reason and "TODO" not in entry.reason, (
-            f"baseline entry for {entry.path} needs a real reason"
-        )

@@ -1,4 +1,4 @@
-"""Regression tests for the non-blocking event-log path (lint rule RPL004).
+"""Regression tests for the non-blocking event-log path (check RPC101).
 
 The asyncio server must never ``open()`` the event log on the loop thread:
 mutating handlers append to a :class:`BufferedEventLog` (pure in-memory)

@@ -299,6 +299,31 @@ class TestDurability:
 
 
 class TestStats:
+    def test_listing_and_stats_survive_an_insert_mid_snapshot(
+        self, interleaver
+    ):
+        """Regression: the server inserts sessions on its executor thread
+        while ``GET /v1/sessions`` and ``/v1/stats`` copy the table on the
+        loop thread; an insert landing inside the copy failed the request
+        with "dictionary changed size during iteration"."""
+        manager = make_manager()
+        manager.create_session(SPEC, session_id="first")
+        interleaver.install(
+            manager,
+            "_sessions",
+            lambda: manager.create_session(SPEC, session_id="listed"),
+        )
+        assert manager.session_ids() == ["first"]
+        interleaver.join()
+        interleaver.install(
+            manager,
+            "_sessions",
+            lambda: manager.create_session(SPEC, session_id="counted"),
+        )
+        assert manager.stats()["sessions"] == {"active": 2}
+        interleaver.join()
+        assert manager.session_ids() == ["first", "listed", "counted"]
+
     def test_stats_shape(self):
         manager = make_manager()
         sid = manager.create_session(SPEC)

@@ -252,7 +252,7 @@ class TestV1Endpoints:
             assert body["plugins"]["evals"] == [
                 "calibration", "golden", "regret",
             ]
-            assert "RPL010" in body["plugins"]["lint_rules"]
+            assert "RPL010" in body["plugins"]["checks"]
             assert "memory" in body["plugins"]["stores"]
             listed = {(e["method"], e["path"]) for e in body["endpoints"]}
             assert ("GET", "/v1/meta") in listed

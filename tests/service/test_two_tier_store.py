@@ -54,6 +54,20 @@ class TestColdTiers:
             assert tier.entry_count() == 1
             assert tier.stored_bytes() > 0
 
+    def test_stored_bytes_survives_a_put_mid_snapshot(self, interleaver):
+        """``/v1/stats`` sums payload sizes on the loop thread while the
+        executor publishes a payload; the snapshot must not break."""
+        _, build = make_instance()
+        tree = build()
+        tier = MemoryColdTier()
+        tier.put("k1", tree)
+        size = tier.stored_bytes()
+        interleaver.install(tier, "_payloads", lambda: tier.put("k2", tree))
+        assert tier.stored_bytes() == size
+        interleaver.join()
+        assert tier.entry_count() == 2
+        assert tier.stored_bytes() == 2 * size
+
     def test_counters_and_stats_shape(self, tmp_path):
         distributions, build = make_instance()
         tree = build()

@@ -1,4 +1,4 @@
-"""Regression tests for explicit hot-path dtypes (lint rule RPL005).
+"""Regression tests for explicit hot-path dtypes (check RPL005).
 
 Every array the tpo/residual hot paths allocate now names its dtype
 instead of riding NumPy defaults.  These tests pin the resulting dtypes
