@@ -21,8 +21,9 @@ Plugins are built by name through :mod:`repro.api` alone: its registries
 (``POLICIES.create``, ``MEASURES.create``, …) and specs are the only
 factories.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced figure and table.
+The reproduced figures are the drivers in
+:data:`repro.experiments.EXPERIMENTS` (README, "Running experiment
+grids"); ``repro eval --suite paper`` gates the paper's claims on them.
 """
 
 from repro import api
@@ -86,7 +87,7 @@ from repro.uncertainty import (
     WeightedEntropyMeasure,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",

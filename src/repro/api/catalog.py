@@ -104,11 +104,13 @@ STORES = Registry("store backend")
 STORES.register("memory", "repro.service.store:MemoryColdTier")
 STORES.register("disk-npz", "repro.service.store:DiskNpzColdTier")
 
-#: Evaluation suites (fidelity gates: calibration / regret / golden).
+#: Evaluation suites (fidelity gates: calibration / regret / golden /
+#: the paper's claims).
 EVALS = Registry("eval suite")
 EVALS.register("calibration", "repro.evals.calibration:CalibrationEval")
 EVALS.register("regret", "repro.evals.regret:RegretEval")
 EVALS.register("golden", "repro.evals.golden:GoldenEval")
+EVALS.register("paper", "repro.evals.paper:PaperEval")
 
 #: ``repro check``: per-file rules (RPL, :mod:`repro.devtools.rules`) and
 #: whole-program call-graph checks (RPC, :mod:`repro.devtools.checks`).

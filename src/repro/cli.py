@@ -2,10 +2,9 @@
 
 Subcommands cover the common workflows without writing Python:
 
-* ``experiment`` — run any reproduction experiment and print its report
-  (``python -m repro experiment FIG1A --full``);
-* ``run-grid`` — the same experiments through the parallel, resumable grid
-  runner (``python -m repro run-grid FIG1A --workers 4 --store out.jsonl
+* ``experiment`` — run reproduction experiment grids through the
+  parallel, resumable grid runner and print their reports
+  (``python -m repro experiment FIG1A --workers 4 --store out.jsonl
   --resume``);
 * ``demo`` — one crowd-powered top-K session on a synthetic workload with
   a chosen policy, printing the question/answer trace;
@@ -18,8 +17,8 @@ Subcommands cover the common workflows without writing Python:
   versioned ``/v1`` wire protocol (shared TPO cache, durable event log,
   resumable: ``python -m repro serve --port 8080 --log events.jsonl
   --resume``);
-* ``eval`` — the fidelity gate: calibration / regret / golden-dataset
-  suites scored into a provenance-stamped report
+* ``eval`` — the fidelity gate: calibration / regret / golden-dataset /
+  paper-claim suites scored into a provenance-stamped report
   (``python -m repro eval --suite golden --json EVAL_report.json``);
 * ``check`` — the repo's own static analyzer: one parse of ``src/repro``
   runs the per-file domain rules (RPL) and the whole-program call-graph
@@ -72,17 +71,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    from repro.experiments import EXPERIMENTS
+
     experiment = sub.add_parser(
-        "experiment", help="run a reproduction experiment"
+        "experiment",
+        help="run reproduction experiment grids (parallel, resumable)",
     )
     experiment.add_argument(
-        "id",
-        help="experiment id from DESIGN.md §5 (e.g. FIG1A) or 'all'",
+        "ids",
+        nargs="+",
+        metavar="ID",
+        help=(
+            "experiment ids, case-insensitive, or 'all': "
+            + ", ".join(sorted(EXPERIMENTS))
+        ),
     )
     experiment.add_argument(
         "--full",
         action="store_true",
         help="paper-sized grid instead of the fast profile",
+    )
+    experiment.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="pool workers; 0 or 1 runs serially in-process",
+    )
+    experiment.add_argument(
+        "--store",
+        default=None,
+        help="JSON-lines result store (appended to as cells finish)",
+    )
+    experiment.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip cells already present in --store",
+    )
+    experiment.add_argument(
+        "--policies",
+        default=None,
+        help="comma-separated policy filter (e.g. T1-on,naive)",
+    )
+    experiment.add_argument(
+        "--budgets",
+        default=None,
+        help="comma-separated budget filter (e.g. 0,5)",
+    )
+    experiment.add_argument(
+        "--list",
+        action="store_true",
+        dest="list_cells",
+        help="print the cell ids and parameters without running anything",
     )
     experiment.add_argument(
         "--output",
@@ -93,53 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--csv-dir",
         default=None,
         help="dump raw per-experiment CSV records into this directory",
-    )
-
-    run_grid = sub.add_parser(
-        "run-grid",
-        help="run experiment grids in parallel with a resumable store",
-    )
-    run_grid.add_argument(
-        "ids",
-        nargs="+",
-        help="experiment ids from DESIGN.md §5 (e.g. FIG1A) or 'all'",
-    )
-    run_grid.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="pool workers; 0 or 1 runs serially in-process",
-    )
-    run_grid.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized grid instead of the fast profile",
-    )
-    run_grid.add_argument(
-        "--store",
-        default=None,
-        help="JSON-lines result store (appended to as cells finish)",
-    )
-    run_grid.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells already present in --store",
-    )
-    run_grid.add_argument(
-        "--policies",
-        default=None,
-        help="comma-separated policy filter (e.g. T1-on,naive)",
-    )
-    run_grid.add_argument(
-        "--budgets",
-        default=None,
-        help="comma-separated budget filter (e.g. 0,5)",
-    )
-    run_grid.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_cells",
-        help="print the cell ids and parameters without running anything",
     )
 
     demo = sub.add_parser("demo", help="run one crowd-powered session")
@@ -243,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser(
         "eval",
         help=(
-            "run the evaluation suites (calibration, regret, golden) "
-            "and score the report"
+            "run the evaluation suites (calibration, regret, golden, "
+            "paper) and score the report"
         ),
     )
     evaluate.add_argument(
@@ -355,43 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_progress(done: int, total: int, cell: Any) -> None:
+    print(f"  [{done}/{total}] {cell.experiment} {cell.cell_id}")
+
+
 def _command_experiment(args) -> int:
-    from repro.experiments import EXPERIMENTS
-
-    wanted = args.id.upper()
-    if wanted != "ALL" and wanted not in EXPERIMENTS:
-        print(
-            f"unknown experiment {args.id!r}; "
-            f"available: {', '.join(sorted(EXPERIMENTS))} or all",
-            file=sys.stderr,
-        )
-        return 2
-    names = sorted(EXPERIMENTS) if wanted == "ALL" else [wanted]
-    if args.output is not None or args.csv_dir is not None:
-        from repro.experiments.report import run_report
-
-        document = run_report(
-            names,
-            fast=not args.full,
-            output=args.output,
-            csv_dir=args.csv_dir,
-        )
-        if args.output is not None:
-            print(f"report written to {args.output}")
-        else:
-            print(document)
-        return 0
-    for name in names:
-        module = EXPERIMENTS[name]
-        table = module.run(fast=not args.full)
-        print(module.report(table))
-        print()
-    return 0
-
-
-def _command_run_grid(args) -> int:
     from repro.api.canonical import canonical_json
     from repro.experiments import EXPERIMENTS
+    from repro.experiments.report import run_report
     from repro.experiments.runner import run_grid
     from repro.experiments.store import ResultStore
 
@@ -428,6 +391,8 @@ def _command_run_grid(args) -> int:
             file=sys.stderr,
         )
         return 2
+
+    reports = {}
     for name in wanted:
         module = EXPERIMENTS[name]
         grid = module.grid(fast=not args.full).filter(
@@ -444,20 +409,26 @@ def _command_run_grid(args) -> int:
             for cell in grid:
                 print(f"  {cell.cell_id}  {canonical_json(cell.params)}")
             continue
-
-        def progress(done, total, cell):
-            print(f"  [{done}/{total}] {cell.experiment} {cell.cell_id}")
-
         report = run_grid(
             grid,
             workers=args.workers,
             store=store,
             resume=args.resume,
-            progress=progress,
+            progress=_print_progress,
         )
+        reports[name] = report
         print(report.summary())
         print(module.report(report.table))
         print()
+    if reports and (args.output is not None or args.csv_dir is not None):
+        run_report(
+            reports,
+            fast=not args.full,
+            output=args.output,
+            csv_dir=args.csv_dir,
+        )
+        if args.output is not None:
+            print(f"report written to {args.output}")
     return 0
 
 
@@ -623,16 +594,13 @@ def _command_eval(args) -> int:
         print("--resume requires --store-dir", file=sys.stderr)
         return 2
 
-    def progress(done, total, cell):
-        print(f"  [{done}/{total}] {cell.experiment} {cell.cell_id}")
-
     report = run_eval(
         suites=args.suites,
         fast=not args.full,
         workers=args.workers,
         store_dir=Path(args.store_dir) if args.store_dir else None,
         resume=args.resume,
-        progress=progress,
+        progress=_print_progress,
     )
     print(summarize(report))
     if args.json is not None:
@@ -667,8 +635,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "experiment":
         return _command_experiment(args)
-    if args.command == "run-grid":
-        return _command_run_grid(args)
     if args.command == "demo":
         return _command_demo(args)
     if args.command == "list":

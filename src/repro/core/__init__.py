@@ -1,4 +1,4 @@
-"""The paper's primary contribution (S6 in DESIGN.md).
+"""The paper's primary contribution.
 
 Question-selection policies for crowd-powered uncertainty reduction over
 top-K query results, plus the session engine that runs them against a

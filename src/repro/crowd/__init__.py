@@ -1,4 +1,4 @@
-"""Simulated crowdsourcing substrate (S7 in DESIGN.md)."""
+"""Simulated crowdsourcing substrate."""
 
 from repro.crowd.aggregation import (
     majority_accuracy,

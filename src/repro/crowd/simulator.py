@@ -1,7 +1,7 @@
 """Simulated crowdsourcing marketplace.
 
-:class:`SimulatedCrowd` is the substitution for the paper's human crowd
-(DESIGN.md §4): the uncertainty-reduction algorithms consume only
+:class:`SimulatedCrowd` is the substitution for the paper's human crowd:
+the uncertainty-reduction algorithms consume only
 (question → answer-with-reliability) pairs, and this class reproduces that
 interface over a sampled ground truth with configurable worker accuracy,
 task replication, vote aggregation, and per-task cost accounting.

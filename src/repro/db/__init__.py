@@ -1,4 +1,4 @@
-"""Uncertain-relational layer (substrate S8 in DESIGN.md)."""
+"""Uncertain-relational layer."""
 
 from repro.db.csvio import read_table, write_table
 from repro.db.query import TopKResult, crowdsourced_topk, topk

@@ -437,33 +437,35 @@ _SESSION_CLASSES = frozenset(
 
 
 class EvalSessionDisciplineRule(FileCheck):
-    """Eval code runs sessions through ``repro.api.run`` and derives RNG
-    via ``derive_seed``.
+    """Eval and experiment code runs sessions through ``repro.api.run``
+    and derives RNG via ``derive_seed``.
 
-    The evaluation harness *is* the fidelity gate: golden replays are
-    only bit-identical, and calibration numbers only comparable across
-    machines, if every eval session flows through the one sanctioned
-    seed-derivation and construction path
-    (``prepare_session``/``run_session``/``replay_session``).  A
+    The evaluation harness *is* the fidelity gate, and the figure
+    drivers feed it (``repro eval --suite paper`` scores their grids):
+    golden replays are only bit-identical, and calibration numbers and
+    paper gates only comparable across machines, if every session
+    flows through the one sanctioned seed-derivation and construction
+    path (``prepare_session``/``run_session``/``replay_session``).  A
     hand-rolled ``UncertaintyReductionSession(...)`` or ad-hoc
-    ``default_rng(42)`` inside a suite silently forks the determinism
-    contract the suite exists to certify.  ``evals/service_replay.py``
-    is the one sanctioned exception — exercising the
-    ``SessionManager`` event-log path is its entire purpose.
+    ``default_rng(42)`` inside a suite or a driver silently forks the
+    determinism contract the suites exist to certify.
+    ``evals/service_replay.py`` is the one sanctioned exception —
+    exercising the ``SessionManager`` event-log path is its entire
+    purpose.
     """
 
     code = "RPL010"
     name = "evals-through-api-run"
     rationale = (
-        "eval sessions built outside repro.api.run (or RNG not derived "
-        "via derive_seed) fork the determinism contract the suites "
-        "certify"
+        "eval or experiment sessions built outside repro.api.run (or "
+        "RNG not derived via derive_seed) fork the determinism contract "
+        "the suites certify"
     )
 
     ALLOWED = frozenset({"src/repro/evals/service_replay.py"})
 
     def applies_to(self, path: str) -> bool:
-        return path.startswith("src/repro/evals/")
+        return path.startswith(("src/repro/evals/", "src/repro/experiments/"))
 
     def visit_node(
         self, node: ast.AST, ctx: FileContext
@@ -476,8 +478,8 @@ class EvalSessionDisciplineRule(FileCheck):
                     yield self.violation(
                         node,
                         ctx,
-                        f"eval code imports {alias.name!r}; construct "
-                        "sessions through repro.api.run "
+                        f"eval/experiment code imports {alias.name!r}; "
+                        "construct sessions through repro.api.run "
                         "(prepare_session / run_session / replay_session)",
                     )
         elif isinstance(node, ast.Call):
@@ -490,8 +492,8 @@ class EvalSessionDisciplineRule(FileCheck):
                 yield self.violation(
                     node,
                     ctx,
-                    f"direct {sorted(direct)[0]} use in eval code; go "
-                    "through repro.api.run instead",
+                    f"direct {sorted(direct)[0]} use in eval/experiment "
+                    "code; go through repro.api.run instead",
                 )
                 return
             resolved = ctx.resolve_numpy(callee)
@@ -506,7 +508,7 @@ class EvalSessionDisciplineRule(FileCheck):
                     yield self.violation(
                         node,
                         ctx,
-                        "eval RNG must be seeded through "
+                        "eval/experiment RNG must be seeded through "
                         "utils.rng.derive_seed(seed, *labels)",
                     )
 

@@ -1,4 +1,4 @@
-"""Uncertain score models (substrate S1 in DESIGN.md).
+"""Uncertain score models.
 
 Exports the :class:`ScoreDistribution` interface, the concrete distribution
 family, the exact piecewise-polynomial algebra backing the exact TPO engine,

@@ -2,7 +2,8 @@
 
 Heavy-tailed scores are the stress case for ordering uncertainty: a few
 tuples dominate while the bulk is nearly tied.  Used by the non-uniform
-score-distribution experiment (DIST in DESIGN.md §5).
+score-distribution experiment (``DIST`` in
+``repro.experiments.EXPERIMENTS``).
 """
 
 from __future__ import annotations

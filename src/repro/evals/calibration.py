@@ -24,20 +24,13 @@ resolution, beam pruning stripped) via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.run import prepare_session, replay_session
-from repro.api.specs import (
-    BudgetSpec,
-    CrowdSpec,
-    EngineSpec,
-    InstanceSpec,
-    MeasureSpec,
-    PolicySpec,
-    SessionSpec,
-)
 from repro.evals.suite import EvalSuite, check, section
 from repro.experiments.grid import ExperimentGrid, GridCell
+from repro.experiments.harness import session_spec
 
 #: Paper measures exercised by the calibration sweep.
 MEASURE_NAMES = ("H", "Hw", "ORA", "MPO")
@@ -190,29 +183,6 @@ def interval_coverage(
     return covered / len(intervals)
 
 
-def _session_spec(
-    *,
-    measure: str,
-    crowd_model: str,
-    accuracy: float,
-    n: int,
-    k: int,
-    workload: str,
-    seed: int,
-    budget: int,
-    policy: str,
-    engine_params: Dict[str, Any],
-) -> SessionSpec:
-    return SessionSpec(
-        instance=InstanceSpec(n=n, k=k, workload=workload, seed=seed),
-        policy=PolicySpec(policy),
-        measure=MeasureSpec(measure),
-        crowd=CrowdSpec(accuracy=accuracy, model=crowd_model),
-        budget=BudgetSpec(questions=budget),
-        engine=EngineSpec("grid", engine_params),
-    )
-
-
 def run_calibration_cell(
     *,
     measure: str,
@@ -236,19 +206,19 @@ def run_calibration_cell(
     """
     engine_params = dict(engine_params or {})
     beamed = any(engine_params.get(key) for key in _BEAM_KEYS)
-    spec = _session_spec(
-        measure=measure,
-        crowd_model=crowd_model,
-        accuracy=accuracy,
+    spec_with = partial(
+        session_spec,
         n=n,
         k=k,
         workload=workload,
         seed=seed,
-        budget=budget,
         policy=policy,
-        engine_params=engine_params,
+        budget=budget,
+        measure=measure,
+        accuracy=accuracy,
+        crowd_model=crowd_model,
     )
-    prepared = prepare_session(spec)
+    prepared = prepare_session(spec_with(engine_params=engine_params))
     evaluator = prepared.session.evaluator
     observer = CalibrationObserver(evaluator)
     evaluator.attach_observer(observer)
@@ -275,18 +245,7 @@ def run_calibration_cell(
             for key, value in engine_params.items()
             if key not in _BEAM_KEYS
         }
-        exact_spec = _session_spec(
-            measure=measure,
-            crowd_model=crowd_model,
-            accuracy=accuracy,
-            n=n,
-            k=k,
-            workload=workload,
-            seed=seed,
-            budget=budget,
-            policy=policy,
-            engine_params=exact_params,
-        )
+        exact_spec = spec_with(engine_params=exact_params)
         answer_tuples = [
             (a.question.i, a.question.j, a.holds, a.accuracy)
             for a in result.answers

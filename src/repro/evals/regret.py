@@ -19,20 +19,13 @@ stay within tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, List
 
 from repro.api.run import run_session
-from repro.api.specs import (
-    BudgetSpec,
-    CrowdSpec,
-    EngineSpec,
-    InstanceSpec,
-    MeasureSpec,
-    PolicySpec,
-    SessionSpec,
-)
 from repro.evals.suite import EvalSuite, check, section
 from repro.experiments.grid import ExperimentGrid, GridCell
+from repro.experiments.harness import session_spec
 
 #: Policies gated on cumulative regret (the informed ones).
 INFORMED_POLICIES = ("T1-on", "TB-off", "C-off")
@@ -69,29 +62,6 @@ def cumulative_regret(
     )
 
 
-def _session_spec(
-    *,
-    policy: str,
-    measure: str,
-    accuracy: float,
-    n: int,
-    k: int,
-    workload: str,
-    seed: int,
-    budget: int,
-    engine_params: Optional[Dict[str, Any]] = None,
-) -> SessionSpec:
-    crowd_model = "perfect" if accuracy >= 1.0 else "noisy"
-    return SessionSpec(
-        instance=InstanceSpec(n=n, k=k, workload=workload, seed=seed),
-        policy=PolicySpec(policy),
-        measure=MeasureSpec(measure),
-        crowd=CrowdSpec(accuracy=accuracy, model=crowd_model),
-        budget=BudgetSpec(questions=budget),
-        engine=EngineSpec("grid", dict(engine_params or {})),
-    )
-
-
 def run_regret_cell(
     *,
     policy: str,
@@ -111,8 +81,8 @@ def run_regret_cell(
     cells self-contained and content-addressable at the price of a few
     redundant oracle runs on deliberately tiny instances.
     """
-    engine_params = {"resolution": resolution}
-    common = dict(
+    spec_with = partial(
+        session_spec,
         measure=measure,
         accuracy=accuracy,
         n=n,
@@ -120,13 +90,11 @@ def run_regret_cell(
         workload=workload,
         seed=seed,
         budget=budget,
-        engine_params=engine_params,
+        engine_params={"resolution": resolution},
     )
-    result = run_session(
-        _session_spec(policy=policy, **common), track_trajectory=True
-    )
+    result = run_session(spec_with(policy=policy), track_trajectory=True)
     oracle = run_session(
-        _session_spec(policy="exhaustive", **common), track_trajectory=True
+        spec_with(policy="exhaustive"), track_trajectory=True
     )
     regret = cumulative_regret(result.trajectory, oracle.trajectory)
     # Row kinds discriminate oracle-regret rows from beam-delta rows at
@@ -162,7 +130,8 @@ def run_beam_delta_cell(
     resolution: int = 512,
 ) -> Dict[str, Any]:
     """Beam-vs-exact policy-quality delta for one seeded session."""
-    common = dict(
+    spec_with = partial(
+        session_spec,
         policy=policy,
         measure=measure,
         accuracy=accuracy,
@@ -172,16 +141,13 @@ def run_beam_delta_cell(
         seed=seed,
         budget=budget,
     )
-    exact = run_session(
-        _session_spec(engine_params={"resolution": resolution}, **common)
-    )
+    exact = run_session(spec_with(engine_params={"resolution": resolution}))
     beam = run_session(
-        _session_spec(
+        spec_with(
             engine_params={
                 "resolution": resolution,
                 "beam_epsilon": beam_epsilon,
-            },
-            **common,
+            }
         )
     )
     return {

@@ -9,7 +9,8 @@ fields (git SHA and UTC date), so a directory of downloaded
 
 ``compare_to_baseline`` is deliberately coarse: a regression is a
 pass→fail flip at the suite or individual-check level against the
-committed baseline report.  Threshold tuning changes values, not flips,
+committed baseline report, or a suite or check that passed there and
+did not run now.  Threshold tuning changes values, not flips,
 so nightly CI only pages when a gate actually breaks.
 """
 
@@ -25,7 +26,7 @@ from repro.experiments.store import ResultStore
 from repro.utils.provenance import artifact_stamp
 
 #: Suite execution order for a full run.
-DEFAULT_SUITES = ("calibration", "regret", "golden")
+DEFAULT_SUITES = ("calibration", "regret", "golden", "paper")
 
 
 def run_eval(
@@ -101,7 +102,12 @@ def compare_to_baseline(
             if not base_check.get("passed"):
                 continue
             now = current_checks.get(base_check["name"])
-            if now is not None and not now.get("passed"):
+            if now is None:
+                regressions.append(
+                    f"check {name}.{base_check['name']}: "
+                    "present in baseline, not run"
+                )
+            elif not now.get("passed"):
                 regressions.append(
                     f"check {name}.{base_check['name']}: "
                     f"value {now['value']:.6g} violates threshold "

@@ -1,11 +1,14 @@
-"""Experiment harness and per-figure reproduction modules (S10).
+"""Per-figure reproduction drivers and the grid machinery that runs them.
 
-Each module maps to one experiment id of DESIGN.md §5 / EXPERIMENTS.md and
-exposes ``grid(fast) -> ExperimentGrid`` (the declared cell grid),
-``run(fast=True, workers=0, store=None, resume=False) -> ResultTable``,
-``report(table) -> str`` and a printing ``main``.  Execution — serial or
-process-pool fan-out with a durable, resumable JSON-lines store — lives in
-:mod:`repro.experiments.runner` / :mod:`repro.experiments.store`.
+:data:`EXPERIMENTS` maps each experiment id to its driver module.  A
+driver exposes ``grid(fast) -> ExperimentGrid`` (its cells, each one
+:class:`~repro.api.specs.SessionSpec` run by
+:func:`~repro.experiments.harness.run_spec_cell`) and ``report(table) ->
+str`` (the figure as text).  Execution — serial or process-pool fan-out
+with a durable, resumable JSON-lines store — lives in
+:mod:`repro.experiments.runner` / :mod:`repro.experiments.store`; the
+``repro experiment`` verb runs grids, and ``repro eval --suite paper``
+gates the paper's claims on them.
 """
 
 from repro.experiments import (
@@ -21,15 +24,15 @@ from repro.experiments import (
 )
 from repro.experiments.grid import ExperimentGrid, GridCell
 from repro.experiments.harness import (
-    ExperimentConfig,
     ResultTable,
     format_series,
-    run_cell,
+    run_spec_cell,
+    session_spec,
 )
 from repro.experiments.runner import GridRunReport, run_grid
 from repro.experiments.store import ResultStore
 
-#: Experiment id → module, mirroring DESIGN.md §5.
+#: Experiment id → driver module.
 EXPERIMENTS = {
     "FIG1A": fig1a,
     "FIG1B": fig1b,
@@ -43,15 +46,15 @@ EXPERIMENTS = {
 }
 
 __all__ = [
-    "ExperimentConfig",
     "ExperimentGrid",
     "GridCell",
     "GridRunReport",
     "ResultStore",
     "ResultTable",
     "format_series",
-    "run_cell",
     "run_grid",
+    "run_spec_cell",
+    "session_spec",
     "EXPERIMENTS",
     "fig1a",
     "fig1b",

@@ -3,21 +3,16 @@
 The paper: ``T1-on`` and ``C-off`` are "nearly as good as with the A*-based
 algorithms, but at a fraction of the cost".  This experiment runs all five
 proposed algorithms on deliberately small instances (A* is exponential) and
-reports quality and CPU side by side.
+reports quality and cost side by side.
 
-Expected shape: distances within a few percent of each other; A* CPU one or
-more orders of magnitude above ``T1-on``/``TB-off``.
+Expected shape: distances within a few percent of each other; A* cost one
+or more orders of magnitude above ``T1-on``/``TB-off``.
 """
 
 from __future__ import annotations
 
 from repro.experiments.grid import ExperimentGrid
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ResultTable,
-    config_cells,
-)
-from repro.experiments.runner import make_run
+from repro.experiments.harness import ResultTable, spec_cells
 
 POLICIES = {
     "A*-off": {"max_expansions": 3000},
@@ -27,49 +22,35 @@ POLICIES = {
     "T1-on": {},
 }
 
-FAST_CONFIG = ExperimentConfig(
-    n=9, k=4, workload_params={"width": 0.25}, repetitions=2
-)
-FAST_BUDGETS = [3]
-
-FULL_CONFIG = ExperimentConfig(
-    n=10, k=5, workload_params={"width": 0.25}, repetitions=3
-)
-FULL_BUDGETS = [2, 4, 6]
+#: Per profile: instance fields, repetitions, budgets.
+FAST = ({"n": 9, "k": 4, "params": {"width": 0.25}}, 2, [3])
+FULL = ({"n": 10, "k": 5, "params": {"width": 0.25}}, 3, [2, 4, 6])
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the ASTAR grid: five policies × budgets × repetitions."""
-    config = FAST_CONFIG if fast else FULL_CONFIG
-    budgets = FAST_BUDGETS if fast else FULL_BUDGETS
+    instance, reps, budgets = FAST if fast else FULL
     return ExperimentGrid(
-        "ASTAR", config_cells("ASTAR", config, POLICIES, budgets)
+        "ASTAR", spec_cells("ASTAR", POLICIES, budgets, reps, **instance)
     )
 
 
-#: Module entry point — `Run the five proposed algorithms on small instances.`
-run = make_run(grid)
-
-
 def report(table: ResultTable) -> str:
-    """Quality + CPU per algorithm and budget."""
+    """Quality + cost per algorithm and budget."""
     aggregated = table.aggregate(
-        ["policy", "budget"], ["distance", "uncertainty", "cpu"]
+        ["policy", "budget"], ["distance", "uncertainty", "evaluations", "cpu"]
     )
     aggregated.rows.sort(key=lambda r: (r["budget"], r["distance"]))
     return "ASTAR  quality vs cost of the A*-based algorithms\n" + (
         aggregated.format(
-            ["policy", "budget", "distance", "uncertainty", "cpu", "reps"]
+            [
+                "policy",
+                "budget",
+                "distance",
+                "uncertainty",
+                "evaluations",
+                "cpu",
+                "reps",
+            ]
         )
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

@@ -15,13 +15,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments.grid import ExperimentGrid
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ResultTable,
-    config_cells,
-    format_series,
-)
-from repro.experiments.runner import make_run
+from repro.experiments.harness import ResultTable, format_series, spec_cells
 
 #: Workload families and their generator parameters.
 WORKLOADS: Dict[str, Dict] = {
@@ -33,44 +27,41 @@ WORKLOADS: Dict[str, Dict] = {
 
 POLICIES = {"T1-on": {}, "naive": {}}
 
-FAST_N, FAST_K, FAST_REPS = 10, 5, 2
-FAST_BUDGETS = [0, 5, 10]
-
-FULL_N, FULL_K, FULL_REPS = 15, 8, 3
-FULL_BUDGETS = [0, 5, 10, 20]
+#: Per profile: instance size and engine, repetitions, budgets.  At the
+#: full size every Pareto tree overflows the exact grid's ordering cap
+#: (level 5 of K=8 already holds > 200,000 orderings, and a 1e-3
+#: per-level ``beam_epsilon`` does not bring it under), so the full
+#: profile builds every family with a width-capped anytime beam.
+FAST = ({"n": 10, "k": 5}, 2, [0, 5, 10])
+FULL = (
+    {"n": 15, "k": 8, "engine_params": {"resolution": 800, "beam_width": 20000}},
+    3,
+    [0, 5, 10, 20],
+)
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the DIST grid: policies × budgets per workload family."""
-    n, k, reps = (FAST_N, FAST_K, FAST_REPS) if fast else (FULL_N, FULL_K, FULL_REPS)
-    budgets = FAST_BUDGETS if fast else FULL_BUDGETS
+    size, reps, budgets = FAST if fast else FULL
     cells = []
     for workload, params in WORKLOADS.items():
-        config = ExperimentConfig(
-            n=n,
-            k=k,
-            workload=workload,
-            workload_params=params,
-            repetitions=reps,
-        )
         for policy_name, policy_params in POLICIES.items():
             cells.extend(
-                config_cells(
+                spec_cells(
                     "DIST",
-                    config,
                     {policy_name: policy_params},
                     budgets,
+                    reps,
                     tags={
                         "workload": workload,
                         "arm": f"{workload}/{policy_name}",
                     },
+                    workload=workload,
+                    params=params,
+                    **size,
                 )
             )
     return ExperimentGrid("DIST", cells)
-
-
-#: Module entry point — `Run both policies over all four score-distribution families.`
-run = make_run(grid)
 
 
 def report(table: ResultTable) -> str:
@@ -81,14 +72,3 @@ def report(table: ResultTable) -> str:
         "DIST  D(omega_r, T_K) vs budget across score distributions\n"
         + format_series(series)
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

@@ -14,13 +14,7 @@ barely moves.
 from __future__ import annotations
 
 from repro.experiments.grid import ExperimentGrid
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ResultTable,
-    config_cells,
-    format_series,
-)
-from repro.experiments.runner import make_run
+from repro.experiments.harness import ResultTable, format_series, spec_cells
 
 #: Algorithms of Figure 1(a), with per-policy constructor arguments.
 POLICIES = {
@@ -32,28 +26,21 @@ POLICIES = {
     "random": {},
 }
 
-FAST_CONFIG = ExperimentConfig(
-    n=12, k=6, workload_params={"width": 0.26}, repetitions=2
+#: Per profile: instance fields, repetitions, budgets.
+FAST = ({"n": 12, "k": 6, "params": {"width": 0.26}}, 2, [0, 5, 10, 20])
+FULL = (
+    {"n": 20, "k": 10, "params": {"width": 0.15}},
+    5,
+    [0, 5, 10, 20, 30, 40, 50],
 )
-FAST_BUDGETS = [0, 5, 10, 20]
-
-FULL_CONFIG = ExperimentConfig(
-    n=20, k=10, workload_params={"width": 0.15}, repetitions=5
-)
-FULL_BUDGETS = [0, 5, 10, 20, 30, 40, 50]
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the FIG1A grid: policies × budgets × repetitions."""
-    config = FAST_CONFIG if fast else FULL_CONFIG
-    budgets = FAST_BUDGETS if fast else FULL_BUDGETS
+    instance, reps, budgets = FAST if fast else FULL
     return ExperimentGrid(
-        "FIG1A", config_cells("FIG1A", config, POLICIES, budgets)
+        "FIG1A", spec_cells("FIG1A", POLICIES, budgets, reps, **instance)
     )
-
-
-#: Module entry point — `Run the whole grid; returns raw per-repetition records.`
-run = make_run(grid)
 
 
 def report(table: ResultTable) -> str:
@@ -64,14 +51,3 @@ def report(table: ResultTable) -> str:
         "FIG1A  D(omega_r, T_K) vs budget B (mean over repetitions)\n"
         + format_series(series)
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print (entry point used by the benchmark harness)."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

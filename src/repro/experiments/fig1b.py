@@ -1,9 +1,10 @@
-"""FIG1B — Figure 1(b): CPU time vs. budget.
+"""FIG1B — Figure 1(b): cost vs. budget.
 
 Reproduces the paper's cost plot for the same algorithms as Figure 1(a)
-minus the baselines (whose selection cost is trivially near zero): CPU
-seconds of TPO construction + question selection + pruning, as the budget
-grows.
+minus the baselines (whose selection cost is trivially near zero), as the
+budget grows.  Cost is reported two ways: residual evaluations (the
+deterministic count the paper's ordering claims are gated on) and CPU
+seconds of TPO construction + question selection + pruning.
 
 Expected shape (paper): ``C-off`` is the most expensive and grows steeply
 with B (its joint-residual evaluations deepen); ``TB-off`` and ``T1-on``
@@ -15,13 +16,7 @@ testbed; the ordering and growth trends are the reproduction target.
 from __future__ import annotations
 
 from repro.experiments.grid import ExperimentGrid
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ResultTable,
-    config_cells,
-    format_series,
-)
-from repro.experiments.runner import make_run
+from repro.experiments.harness import ResultTable, format_series, spec_cells
 
 POLICIES = {
     "T1-on": {},
@@ -30,45 +25,38 @@ POLICIES = {
     "incr": {"round_size": 5},
 }
 
-FAST_CONFIG = ExperimentConfig(
-    n=12, k=6, workload_params={"width": 0.26}, repetitions=2
+#: Per profile: instance fields, repetitions, budgets.
+FAST = ({"n": 12, "k": 6, "params": {"width": 0.26}}, 2, [5, 10, 20])
+FULL = (
+    {"n": 20, "k": 10, "params": {"width": 0.15}},
+    3,
+    [5, 10, 20, 30, 40, 50],
 )
-FAST_BUDGETS = [5, 10, 20]
-
-FULL_CONFIG = ExperimentConfig(
-    n=20, k=10, workload_params={"width": 0.15}, repetitions=3
-)
-FULL_BUDGETS = [5, 10, 20, 30, 40, 50]
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the FIG1B grid: policies × budgets × repetitions."""
-    config = FAST_CONFIG if fast else FULL_CONFIG
-    budgets = FAST_BUDGETS if fast else FULL_BUDGETS
+    instance, reps, budgets = FAST if fast else FULL
     return ExperimentGrid(
-        "FIG1B", config_cells("FIG1B", config, POLICIES, budgets)
+        "FIG1B", spec_cells("FIG1B", POLICIES, budgets, reps, **instance)
     )
-
-
-#: Module entry point — `Run the grid, recording CPU seconds per cell.`
-run = make_run(grid)
 
 
 def report(table: ResultTable) -> str:
-    """The figure as text: mean CPU seconds per (policy, budget)."""
-    aggregated = table.aggregate(["policy", "budget"], ["cpu"])
-    series = aggregated.pivot("policy", "budget", "cpu")
-    return "FIG1B  CPU seconds vs budget B (mean over repetitions)\n" + (
-        format_series(series, value_format="{:.3g}")
+    """The figure as text: mean evaluations and CPU per (policy, budget)."""
+    aggregated = table.aggregate(["policy", "budget"], ["evaluations", "cpu"])
+    return "\n".join(
+        [
+            "FIG1B  residual evaluations vs budget B (mean over repetitions)",
+            format_series(
+                aggregated.pivot("policy", "budget", "evaluations"),
+                value_format="{:.0f}",
+            ),
+            "",
+            "CPU seconds vs budget B:",
+            format_series(
+                aggregated.pivot("policy", "budget", "cpu"),
+                value_format="{:.3g}",
+            ),
+        ]
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

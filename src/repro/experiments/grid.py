@@ -20,10 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-# Cell identity uses the repo-wide canonical-JSON/BLAKE2b scheme; re-export
-# so existing ``from repro.experiments.grid import canonical_json`` callers
-# keep working.
-from repro.api.canonical import canonical_json, content_key
+from repro.api.canonical import content_key
 
 
 @dataclass
@@ -109,25 +106,22 @@ class ExperimentGrid:
         policies: Optional[Sequence[str]] = None,
         budgets: Optional[Sequence[int]] = None,
     ) -> "ExperimentGrid":
-        """Sub-grid keeping cells matching the given policy/budget values.
+        """Sub-grid keeping cells whose session spec matches the given
+        policy/budget values.
 
-        Cells whose params lack the filtered key are kept (the filter is
-        inapplicable to them): a ``policies`` filter passes scalability
-        cells through untouched, since they carry no ``policy`` param.
-        A filter that matches nothing yields an empty grid — callers
-        (the CLI) should surface that rather than print empty reports.
+        Cells without a ``spec`` param are kept (the filter is
+        inapplicable to them).  A filter that matches nothing yields an
+        empty grid — callers (the CLI) should surface that rather than
+        print empty reports.
         """
 
         def keep(cell: GridCell) -> bool:
-            if policies is not None:
-                policy = cell.params.get("policy")
-                if policy is not None and policy not in policies:
-                    return False
-            if budgets is not None:
-                budget = cell.params.get("budget")
-                if budget is not None and budget not in budgets:
-                    return False
-            return True
+            spec = cell.params.get("spec")
+            if spec is None:
+                return True
+            if policies is not None and spec["policy"]["name"] not in policies:
+                return False
+            return budgets is None or spec["budget"]["questions"] in budgets
 
         return ExperimentGrid(self.name, [c for c in self.cells if keep(c)])
 
@@ -135,7 +129,6 @@ class ExperimentGrid:
 __all__ = [
     "GridCell",
     "ExperimentGrid",
-    "canonical_json",
     "resolve_runner",
     "execute_cell",
 ]

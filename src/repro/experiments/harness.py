@@ -1,171 +1,159 @@
-"""Experiment harness: configs, multi-seed runners, result tables.
+"""Experiment harness: session-spec cells, result tables, figure text.
 
-Every experiment in EXPERIMENTS.md is a grid of cells
-``(policy, budget, repetition)`` over one workload family.  The harness
-guarantees *paired* comparisons: all policies inside a repetition face the
-same score distributions and the same ground-truth realization, while
-worker noise and policy randomness get per-cell independent streams.
+Every experiment is a grid of cells, and every cell is one
+:class:`~repro.api.specs.SessionSpec` (in its dict form, so the cell
+stays JSON-addressable) run by :func:`run_spec_cell` through
+:func:`repro.api.run.prepare_session` — the same construction and seed
+derivation the service and the eval suites use.  A repetition is an
+instance seed, and every stream (scores, truth, crowd, policy) derives
+from it, so within a repetition all policies and budgets face the same
+instance with the same crowd and policy streams (common random numbers).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.catalog import ENGINES, WORKLOADS
-from repro.api.specs import MeasureSpec, PolicySpec
-from repro.core.session import SessionResult, UncertaintyReductionSession
-from repro.crowd.oracle import GroundTruth
-from repro.crowd.simulator import SimulatedCrowd
+from repro.api.run import prepare_session
+from repro.api.specs import (
+    BudgetSpec,
+    CrowdSpec,
+    EngineSpec,
+    InstanceSpec,
+    MeasureSpec,
+    PolicySpec,
+    SessionSpec,
+)
 from repro.experiments.grid import GridCell
-from repro.utils.rng import derive_seed
+
+#: Instance seed of repetition 0; repetition ``r`` uses ``BASE_SEED + r``.
+BASE_SEED = 2016
+
+#: Grid engine the figure drivers build with unless a cell says otherwise.
+DEFAULT_ENGINE_PARAMS = {"resolution": 800}
 
 
-@dataclass
-class ExperimentConfig:
-    """One workload family plus global run options."""
-
-    n: int = 20
-    k: int = 10
-    workload: str = "uniform"
-    workload_params: Dict = field(default_factory=lambda: {"width": 0.15})
-    worker_accuracy: float = 1.0
-    replication: int = 1
-    assumed_accuracy: Optional[float] = None
-    measure: str = "H"
-    measure_params: Dict = field(default_factory=dict)
-    engine: str = "grid"
-    engine_params: Dict = field(default_factory=lambda: {"resolution": 800})
-    repetitions: int = 3
-    base_seed: int = 2016
-    track_trajectory: bool = False
-
-    def to_params(self) -> Dict[str, Any]:
-        """JSON-serializable dict form, used as grid-cell identity."""
-        return asdict(self)
-
-    def workload_for(self, rep: int):
-        """Score distributions of repetition ``rep`` (policy-independent)."""
-        seed = derive_seed(self.base_seed, "workload", rep)
-        return WORKLOADS.create(
-            self.workload, self.n, rng=seed, **self.workload_params
-        )
-
-    def truth_for(self, rep: int, distributions) -> GroundTruth:
-        """Ground-truth realization of repetition ``rep``."""
-        seed = derive_seed(self.base_seed, "truth", rep)
-        return GroundTruth.sample(distributions, rng=seed)
-
-
-def run_cell(
-    config: ExperimentConfig,
-    policy_name: str,
+def session_spec(
+    *,
+    n: int,
+    k: int,
+    seed: int,
     budget: int,
-    rep: int,
-    policy_params: Optional[Dict] = None,
-) -> SessionResult:
-    """Run one (policy, budget, repetition) cell and return its books."""
-    distributions = config.workload_for(rep)
-    truth = config.truth_for(rep, distributions)
-    crowd = SimulatedCrowd(
-        truth,
-        worker_accuracy=config.worker_accuracy,
-        replication=config.replication,
-        assumed_accuracy=config.assumed_accuracy,
-        rng=derive_seed(config.base_seed, "crowd", rep, policy_name, budget),
-    )
-    session = UncertaintyReductionSession(
-        distributions,
-        config.k,
-        crowd,
-        builder=ENGINES.create(config.engine, **config.engine_params),
-        measure=MeasureSpec(config.measure, config.measure_params).build(),
-        rng=derive_seed(config.base_seed, "policy", rep, policy_name, budget),
-        track_trajectory=config.track_trajectory,
-    )
-    policy = PolicySpec(policy_name, policy_params or {}).build()
-    return session.run(policy, budget)
+    policy: str = "T1-on",
+    workload: str = "uniform",
+    params: Optional[Dict[str, Any]] = None,
+    policy_params: Optional[Dict[str, Any]] = None,
+    measure: str = "H",
+    accuracy: float = 1.0,
+    replication: int = 1,
+    crowd_model: Optional[str] = None,
+    engine: str = "grid",
+    engine_params: Optional[Dict[str, Any]] = None,
+) -> SessionSpec:
+    """The one spec helper of the figure drivers and the eval suites.
 
-
-def standard_row(result: SessionResult, **extra) -> Dict[str, Any]:
-    """The standard flat projection of a :class:`SessionResult`.
-
-    This is the row shape shared by every figure driver's result table and
-    by the grid store — plain JSON-serializable scalars only.
+    Unless ``crowd_model`` names one, the crowd model follows the
+    accuracy: ``perfect`` at 1.0, ``noisy`` below it.
     """
-    row: Dict[str, Any] = dict(
-        policy=result.policy,
-        budget=result.budget,
-        asked=result.questions_asked,
-        distance=result.distance_to_truth,
-        initial_distance=result.initial_distance,
-        uncertainty=result.final_uncertainty,
-        cpu=result.cpu_seconds,
-        orderings=result.orderings_final,
+    if crowd_model is None:
+        crowd_model = "perfect" if accuracy >= 1.0 else "noisy"
+    return SessionSpec(
+        instance=InstanceSpec(
+            n=n, k=k, workload=workload, seed=seed, params=params or {}
+        ),
+        policy=PolicySpec(policy, policy_params or {}),
+        measure=MeasureSpec(measure),
+        crowd=CrowdSpec(
+            accuracy=accuracy,
+            replication=replication,
+            model=crowd_model,
+        ),
+        budget=BudgetSpec(questions=budget),
+        engine=EngineSpec(engine, dict(engine_params or {})),
     )
-    row.update(extra)
-    return row
 
 
-def run_cell_record(
-    config: Union[ExperimentConfig, Dict[str, Any]],
-    policy: str,
-    budget: int,
-    rep: int,
-    policy_params: Optional[Dict] = None,
+def run_spec_cell(
+    spec: Dict[str, Any], inference: bool = False
 ) -> Dict[str, Any]:
-    """Picklable grid-cell runner: run one cell, return its standard row.
+    """Picklable grid-cell runner: run one spec, return its flat row.
 
-    ``config`` may arrive as the :meth:`ExperimentConfig.to_params` dict —
-    the form grid cells carry so they stay JSON-addressable.
+    ``inference`` turns on transitive answer inference for the session
+    (the TRANS ablation).  ``evaluations`` is the session's residual
+    evaluation count: the deterministic cost counter the paper's cost
+    claims are gated on (``cpu`` is reported, never gated).
     """
-    if isinstance(config, dict):
-        config = ExperimentConfig(**config)
-    result = run_cell(config, policy, budget, rep, policy_params)
-    return standard_row(result, rep=rep)
+    prepared = prepare_session(SessionSpec.from_dict(spec))
+    prepared.session.use_transitive_inference = inference
+    result = prepared.run()
+    return {
+        "policy": result.policy,
+        "budget": result.budget,
+        "seed": prepared.spec.instance.seed,
+        "asked": result.questions_asked,
+        "distance": result.distance_to_truth,
+        "initial_distance": result.initial_distance,
+        "uncertainty": result.final_uncertainty,
+        "cpu": result.cpu_seconds,
+        "build_cpu": result.timings.get("build", 0.0),
+        "orderings": result.orderings_final,
+        "orderings_initial": result.orderings_initial,
+        "inferred": result.inferred_answers,
+        "evaluations": prepared.session.evaluator.evaluations,
+    }
 
 
-#: Default grid-cell runner: the dotted path of :func:`run_cell_record`.
-CELL_RUNNER = "repro.experiments.harness:run_cell_record"
-
-
-def config_cells(
+def spec_cell(
     experiment: str,
-    config: ExperimentConfig,
-    policies: Dict[str, Optional[Dict]],
-    budgets: Sequence[int],
+    spec: SessionSpec,
     tags: Optional[Dict[str, Any]] = None,
+    **runner_params: Any,
+) -> GridCell:
+    """One :func:`run_spec_cell` cell; rows are tagged with ``experiment``."""
+    return GridCell(
+        experiment=experiment,
+        runner="repro.experiments.harness:run_spec_cell",
+        params={"spec": spec.to_dict(), **runner_params},
+        tags={"experiment": experiment, **(tags or {})},
+    )
+
+
+def spec_cells(
+    experiment: str,
+    policies: Mapping[str, Optional[Dict[str, Any]]],
+    budgets: Sequence[int],
+    reps: int,
+    tags: Optional[Dict[str, Any]] = None,
+    **instance: Any,
 ) -> List[GridCell]:
     """Declare the common ``policy × budget × repetition`` cell block.
 
-    Every figure driver whose cells are plain :func:`run_cell` invocations
-    builds its grid from one or more of these blocks; ``tags`` label all
-    cells of the block (e.g. an arm name) without entering cell identity.
+    ``instance`` holds the remaining :func:`session_spec` fields;
+    ``tags`` label every cell of the block (an arm name, say) without
+    entering cell identity.
     """
-    cells: List[GridCell] = []
-    for policy_name, policy_params in policies.items():
-        for budget in budgets:
-            for rep in range(config.repetitions):
-                cells.append(
-                    GridCell(
-                        experiment=experiment,
-                        runner=CELL_RUNNER,
-                        params={
-                            "config": config.to_params(),
-                            "policy": policy_name,
-                            "budget": budget,
-                            "rep": rep,
-                            "policy_params": policy_params,
-                        },
-                        tags=dict(tags or {}),
-                    )
-                )
-    return cells
+    instance.setdefault("engine_params", DEFAULT_ENGINE_PARAMS)
+    return [
+        spec_cell(
+            experiment,
+            session_spec(
+                policy=name,
+                policy_params=policy_params,
+                budget=budget,
+                seed=BASE_SEED + rep,
+                **instance,
+            ),
+            tags,
+        )
+        for name, policy_params in policies.items()
+        for budget in budgets
+        for rep in range(reps)
+    ]
 
 
 class ResultTable:
@@ -177,10 +165,6 @@ class ResultTable:
     def add(self, **record) -> None:
         """Append one record."""
         self.rows.append(record)
-
-    def add_result(self, result: SessionResult, **extra) -> None:
-        """Append the standard projection of a :class:`SessionResult`."""
-        self.add(**standard_row(result, **extra))
 
     # ------------------------------------------------------------------
 
@@ -246,7 +230,7 @@ class ResultTable:
                 writer.writerow(row)
 
     def format(self, columns: Optional[Sequence[str]] = None) -> str:
-        """Aligned plain-text table (what the benches print)."""
+        """Aligned plain-text table (what the figure reports print)."""
         columns = list(columns) if columns else self.columns()
 
         def fmt(value) -> str:
@@ -303,12 +287,11 @@ def format_series(
 
 
 __all__ = [
-    "ExperimentConfig",
-    "run_cell",
-    "run_cell_record",
-    "standard_row",
-    "config_cells",
-    "CELL_RUNNER",
+    "BASE_SEED",
     "ResultTable",
     "format_series",
+    "run_spec_cell",
+    "session_spec",
+    "spec_cell",
+    "spec_cells",
 ]

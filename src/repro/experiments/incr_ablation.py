@@ -4,9 +4,9 @@
 ``n = 1`` approaches fully online behaviour (best information per
 question, most interaction rounds), ``n = B`` a single offline batch.
 This experiment sweeps ``n`` at a fixed budget and reports quality and
-CPU, plus the full-construction ``T1-on`` for reference.
+cost, plus the full-construction ``T1-on`` for reference.
 
-Expected shape: quality degrades mildly as ``n`` grows; CPU stays far
+Expected shape: quality degrades mildly as ``n`` grows; cost stays far
 below the full-tree algorithms for all ``n`` (the paper's "much lower CPU
 times … with slightly lower quality").
 """
@@ -14,73 +14,52 @@ times … with slightly lower quality").
 from __future__ import annotations
 
 from repro.experiments.grid import ExperimentGrid
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ResultTable,
-    config_cells,
-)
-from repro.experiments.runner import make_run
+from repro.experiments.harness import ResultTable, spec_cells
 
-FAST_CONFIG = ExperimentConfig(
-    n=14, k=7, workload_params={"width": 0.2}, repetitions=2
+#: Per profile: instance fields, repetitions, budget, incr round sizes.
+FAST = ({"n": 14, "k": 7, "params": {"width": 0.2}}, 2, 12, [1, 4, 12])
+FULL = (
+    {"n": 20, "k": 10, "params": {"width": 0.15}},
+    4,
+    30,
+    [1, 2, 5, 10, 30],
 )
-FAST_BUDGET = 12
-FAST_ROUND_SIZES = [1, 4, 12]
-
-FULL_CONFIG = ExperimentConfig(
-    n=20, k=10, workload_params={"width": 0.15}, repetitions=4
-)
-FULL_BUDGET = 30
-FULL_ROUND_SIZES = [1, 2, 5, 10, 30]
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the INCR grid: the round-size sweep plus the T1-on ceiling."""
-    config = FAST_CONFIG if fast else FULL_CONFIG
-    budget = FAST_BUDGET if fast else FULL_BUDGET
-    round_sizes = FAST_ROUND_SIZES if fast else FULL_ROUND_SIZES
+    instance, reps, budget, round_sizes = FAST if fast else FULL
     cells = []
     for n in round_sizes:
         cells.extend(
-            config_cells(
+            spec_cells(
                 "INCR",
-                config,
                 {"incr": {"round_size": n}},
                 [budget],
+                reps,
                 tags={"arm": f"incr n={n}"},
+                **instance,
             )
         )
     cells.extend(
-        config_cells(
+        spec_cells(
             "INCR",
-            config,
             {"T1-on": None},
             [budget],
+            reps,
             tags={"arm": "T1-on (full tree)"},
+            **instance,
         )
     )
     return ExperimentGrid("INCR", cells)
 
 
-#: Module entry point — `Sweep the incr round size; include T1-on as the quality ceiling.`
-run = make_run(grid)
-
-
 def report(table: ResultTable) -> str:
-    """Distance and CPU per arm at the fixed budget."""
-    aggregated = table.aggregate(["arm"], ["distance", "cpu", "asked"])
-    aggregated.rows.sort(key=lambda r: r["cpu"])
-    return "INCR  round-size ablation at fixed budget\n" + aggregated.format(
-        ["arm", "distance", "cpu", "asked", "reps"]
+    """Distance and cost per arm at the fixed budget."""
+    aggregated = table.aggregate(
+        ["arm"], ["distance", "evaluations", "cpu", "asked"]
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)
+    aggregated.rows.sort(key=lambda r: r["evaluations"])
+    return "INCR  round-size ablation at fixed budget\n" + aggregated.format(
+        ["arm", "distance", "evaluations", "cpu", "asked", "reps"]
+    )

@@ -12,69 +12,40 @@ for small-to-medium budgets (they spend questions on the ranks that matter).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments.grid import ExperimentGrid
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ResultTable,
-    config_cells,
-    format_series,
-)
-from repro.experiments.runner import make_run
+from repro.experiments.harness import ResultTable, format_series, spec_cells
 
 MEASURES = ["H", "Hw", "ORA", "MPO"]
 
-FAST_CONFIG = ExperimentConfig(
-    n=12, k=6, workload_params={"width": 0.26}, repetitions=3
-)
-FAST_BUDGETS = [4, 8, 12]
-
-FULL_CONFIG = ExperimentConfig(
-    n=16, k=8, workload_params={"width": 0.18}, repetitions=4
-)
-FULL_BUDGETS = [5, 10, 15, 20]
+#: Per profile: instance fields, repetitions, budgets.
+FAST = ({"n": 12, "k": 6, "params": {"width": 0.26}}, 3, [4, 8, 12])
+FULL = ({"n": 16, "k": 8, "params": {"width": 0.18}}, 4, [5, 10, 15, 20])
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the MEAS grid: one T1-on block per driving measure."""
-    base = FAST_CONFIG if fast else FULL_CONFIG
-    budgets = FAST_BUDGETS if fast else FULL_BUDGETS
+    instance, reps, budgets = FAST if fast else FULL
     cells = []
     for measure in MEASURES:
-        config = replace(base, measure=measure, measure_params={})
         cells.extend(
-            config_cells(
+            spec_cells(
                 "MEAS",
-                config,
                 {"T1-on": None},
                 budgets,
+                reps,
                 tags={"measure": measure},
+                measure=measure,
+                **instance,
             )
         )
     return ExperimentGrid("MEAS", cells)
 
 
-#: Module entry point — `Drive T1-on with each uncertainty measure.`
-run = make_run(grid)
-
-
 def report(table: ResultTable) -> str:
     """Mean final distance per (measure, budget)."""
-    aggregated = table.aggregate(["measure", "budget"], ["distance", "cpu"])
+    aggregated = table.aggregate(["measure", "budget"], ["distance"])
     series = aggregated.pivot("measure", "budget", "distance")
     return (
         "MEAS  final D(omega_r, T_K) by driving measure (T1-on)\n"
         + format_series(series)
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

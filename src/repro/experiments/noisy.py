@@ -13,28 +13,14 @@ per question.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments.grid import ExperimentGrid
-from repro.experiments.harness import (
-    ExperimentConfig,
-    ResultTable,
-    config_cells,
-    format_series,
-)
-from repro.experiments.runner import make_run
+from repro.experiments.harness import ResultTable, format_series, spec_cells
 
 ACCURACIES = [1.0, 0.9, 0.8, 0.7]
 
-FAST_CONFIG = ExperimentConfig(
-    n=10, k=5, workload_params={"width": 0.3}, repetitions=2
-)
-FAST_BUDGETS = [0, 5, 10]
-
-FULL_CONFIG = ExperimentConfig(
-    n=15, k=8, workload_params={"width": 0.18}, repetitions=4
-)
-FULL_BUDGETS = [0, 5, 10, 20, 30]
+#: Per profile: instance fields, repetitions, budgets.
+FAST = ({"n": 10, "k": 5, "params": {"width": 0.3}}, 2, [0, 5, 10])
+FULL = ({"n": 15, "k": 8, "params": {"width": 0.18}}, 4, [0, 5, 10, 20, 30])
 
 #: Replication used in the majority-voting arm (worker accuracy 0.8).
 VOTING_REPLICATION = 3
@@ -42,37 +28,24 @@ VOTING_REPLICATION = 3
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the NOISE grid: one T1-on block per accuracy arm."""
-    base = FAST_CONFIG if fast else FULL_CONFIG
-    budgets = FAST_BUDGETS if fast else FULL_BUDGETS
+    instance, reps, budgets = FAST if fast else FULL
+    arms = [(f"p={accuracy:g}", accuracy, 1) for accuracy in ACCURACIES]
+    arms.append(("p=0.8 x3 vote", 0.8, VOTING_REPLICATION))
     cells = []
-    for accuracy in ACCURACIES:
-        config = replace(base, worker_accuracy=accuracy)
+    for arm, accuracy, replication in arms:
         cells.extend(
-            config_cells(
+            spec_cells(
                 "NOISE",
-                config,
                 {"T1-on": None},
                 budgets,
-                tags={"arm": f"p={accuracy:g}"},
+                reps,
+                tags={"arm": arm},
+                accuracy=accuracy,
+                replication=replication,
+                **instance,
             )
         )
-    voting = replace(
-        base, worker_accuracy=0.8, replication=VOTING_REPLICATION
-    )
-    cells.extend(
-        config_cells(
-            "NOISE",
-            voting,
-            {"T1-on": None},
-            budgets,
-            tags={"arm": "p=0.8 x3 vote"},
-        )
-    )
     return ExperimentGrid("NOISE", cells)
-
-
-#: Module entry point — `T1-on under each accuracy, plus one replicated-voting arm.`
-run = make_run(grid)
 
 
 def report(table: ResultTable) -> str:
@@ -83,14 +56,3 @@ def report(table: ResultTable) -> str:
         "NOISE  D(omega_r, T_K) vs budget under noisy workers (T1-on)\n"
         + format_series(series)
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

@@ -1,34 +1,34 @@
 """Consolidated experiment reporting.
 
-Runs any subset of the reproduction experiments and renders one Markdown
-document with every series/table — the machine-generated companion to the
-hand-annotated EXPERIMENTS.md.  Used by ``python -m repro experiment all
---output report.md`` and by release checklists.
+Renders the tables :func:`~repro.experiments.runner.run_grid` produced
+into one Markdown document, one section per experiment, and optionally
+dumps each table's raw rows as CSV.  Used by ``python -m repro
+experiment all --output report.md``.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Mapping, Optional
 
-from repro.experiments.harness import ResultTable
+from repro.experiments.runner import GridRunReport
 
 
 def run_report(
-    experiment_ids: Optional[Iterable[str]] = None,
+    reports: Mapping[str, GridRunReport],
     fast: bool = True,
     output: Optional[str] = None,
     csv_dir: Optional[str] = None,
 ) -> str:
-    """Run experiments and return (optionally write) a Markdown report.
+    """Render grid-run reports as Markdown; optionally write it out.
 
     Parameters
     ----------
-    experiment_ids:
-        Ids from DESIGN.md §5 (default: all, sorted).
+    reports:
+        Experiment id (a key of ``repro.experiments.EXPERIMENTS``) →
+        the :class:`GridRunReport` of its grid.
     fast:
-        Fast profiles (minutes) vs paper-sized grids (hours for C-off).
+        Which profile the grids ran, for the document header.
     output:
         Path to write the Markdown document to.
     csv_dir:
@@ -36,39 +36,27 @@ def run_report(
     """
     from repro.experiments import EXPERIMENTS
 
-    names = sorted(EXPERIMENTS) if experiment_ids is None else [
-        name.upper() for name in experiment_ids
-    ]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        raise ValueError(
-            f"unknown experiment ids {unknown}; available: "
-            f"{sorted(EXPERIMENTS)}"
-        )
-    profile = "fast" if fast else "full"
     lines = [
         "# Reproduction report",
         "",
-        f"Profile: **{profile}**. Generated by `repro.experiments.report`.",
-        "See EXPERIMENTS.md for the paper-vs-measured interpretation of "
-        "each artifact.",
+        f"Profile: **{'fast' if fast else 'full'}**. "
+        "Generated by `repro.experiments.report`.",
         "",
     ]
-    for name in names:
-        module = EXPERIMENTS[name]
-        start = time.time()
-        table: ResultTable = module.run(fast=fast)
-        elapsed = time.time() - start
+    for name, grid_report in reports.items():
+        table = grid_report.table
         if csv_dir is not None:
             table.to_csv(Path(csv_dir) / f"{name.lower()}.csv")
-        lines.append(f"## {name}")
-        lines.append("")
-        lines.append(f"_{len(table)} records, {elapsed:.1f}s wall._")
-        lines.append("")
-        lines.append("```")
-        lines.append(module.report(table))
-        lines.append("```")
-        lines.append("")
+        lines += [
+            f"## {name}",
+            "",
+            f"_{len(table)} records, {grid_report.wall_seconds:.1f}s wall._",
+            "",
+            "```",
+            EXPERIMENTS[name].report(table),
+            "```",
+            "",
+        ]
     document = "\n".join(lines)
     if output is not None:
         Path(output).write_text(document)

@@ -183,29 +183,4 @@ def run_grid(
     )
 
 
-def make_run(
-    grid_fn: Callable[[bool], ExperimentGrid],
-) -> Callable[..., ResultTable]:
-    """Build a figure driver's ``run`` from its ``grid`` declaration.
-
-    Every driver exposes the same entry point; this keeps the signature in
-    one place instead of nine::
-
-        run = make_run(grid)   # at module level, after def grid(fast)
-    """
-
-    def run(
-        fast: bool = True,
-        workers: int = 0,
-        store: Optional[ResultStore] = None,
-        resume: bool = False,
-    ) -> ResultTable:
-        """Run the declared grid; returns raw per-cell records."""
-        return run_grid(
-            grid_fn(fast), workers=workers, store=store, resume=resume
-        ).table
-
-    return run
-
-
-__all__ = ["GridRunReport", "run_grid", "make_run"]
+__all__ = ["GridRunReport", "run_grid"]

@@ -1,7 +1,7 @@
 """SCALE — engine and algorithm scalability in N and K.
 
-Complements Figure 1(b): how TPO construction and one ``T1-on`` selection
-step scale as the table grows (N) and the query deepens (K), per engine.
+Complements Figure 1(b): how TPO construction and one ``T1-on`` session
+scale as the table grows (N) and the query deepens (K), per engine.
 
 Expected shape: grid-engine build time grows with the number of orderings
 (roughly exponential in K for fixed overlap, polynomial in N for fixed
@@ -12,18 +12,13 @@ budget.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict
-
-from repro.api.catalog import ENGINES, POLICIES
-from repro.core.session import UncertaintyReductionSession
-from repro.crowd.oracle import GroundTruth
-from repro.crowd.simulator import SimulatedCrowd
-from repro.experiments.grid import ExperimentGrid, GridCell
-from repro.experiments.harness import ResultTable
-from repro.experiments.runner import make_run
-from repro.utils.rng import derive_seed
-from repro.workloads.synthetic import uniform_intervals
+from repro.experiments.grid import ExperimentGrid
+from repro.experiments.harness import (
+    BASE_SEED,
+    ResultTable,
+    session_spec,
+    spec_cell,
+)
 
 FAST_GRID = {
     "n_sweep": [8, 12],
@@ -40,42 +35,13 @@ FULL_GRID = {
     "reps": 3,
 }
 
-#: Width shrinks with N to keep tree sizes comparable across the sweep.
-def _width(n: int) -> float:
-    return min(0.25, 3.0 / n)
 
-
-def run_scale_record(
-    n: int, k: int, engine: str, budget: int, rep: int
-) -> Dict[str, Any]:
-    """Picklable cell runner: one (N, K, engine) measurement row."""
-    dists = uniform_intervals(n, width=_width(n), rng=derive_seed(7, "w", n, k, rep))
-    truth = GroundTruth.sample(dists, rng=derive_seed(7, "t", n, k, rep))
-    engine_params = {"resolution": 600} if engine == "grid" else {}
+def _engine_params(engine: str, seed: int) -> dict:
+    if engine == "grid":
+        return {"resolution": 600}
     if engine == "mc":
-        engine_params = {"samples": 20000, "seed": derive_seed(7, "mc", rep)}
-    builder = ENGINES.create(engine, **engine_params)
-    start = time.process_time()
-    tree = builder.build(dists, k)
-    build_seconds = time.process_time() - start
-    crowd = SimulatedCrowd(truth, rng=derive_seed(7, "c", n, k, rep))
-    session = UncertaintyReductionSession(
-        dists, k, crowd, builder=builder, rng=derive_seed(7, "p", n, k, rep)
-    )
-    result = session.run(POLICIES.create("T1-on"), budget)
-    return {
-        "n": n,
-        "k": k,
-        "engine": engine,
-        "build_cpu": build_seconds,
-        "session_cpu": result.cpu_seconds,
-        "orderings": tree.ordering_count(),
-        "distance": result.distance_to_truth,
-        "rep": rep,
-    }
-
-
-GRID_RUNNER = "repro.experiments.scalability:run_scale_record"
+        return {"samples": 20000, "seed": seed}
+    return {}
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
@@ -83,61 +49,46 @@ def grid(fast: bool = True) -> ExperimentGrid:
 
     The sweep label is a presentation tag, not part of cell identity, so
     the (mid N, mid K) point shared by both sweeps is computed once and
-    reported under both labels.
+    reported under both labels.  Width shrinks with N to keep tree sizes
+    comparable across the sweep.
     """
     spec = FAST_GRID if fast else FULL_GRID
     mid_k = spec["k_sweep"][len(spec["k_sweep"]) // 2]
     mid_n = spec["n_sweep"][len(spec["n_sweep"]) // 2]
-    cells = []
-
-    def point(sweep: str, engine: str, n: int, k: int, rep: int) -> GridCell:
-        return GridCell(
-            experiment="SCALE",
-            runner=GRID_RUNNER,
-            params={
-                "n": n,
-                "k": k,
-                "engine": engine,
-                "budget": spec["budget"],
-                "rep": rep,
-            },
-            tags={"sweep": sweep},
-        )
-
-    for engine in spec["engines"]:
-        for n in spec["n_sweep"]:
-            for rep in range(spec["reps"]):
-                cells.append(point("N", engine, n, mid_k, rep))
-        for k in spec["k_sweep"]:
-            for rep in range(spec["reps"]):
-                cells.append(point("K", engine, mid_n, k, rep))
-    return ExperimentGrid("SCALE", cells)
-
-
-#: Module entry point — `Sweep N (at mid K) and K (at mid N) for every engine.`
-run = make_run(grid)
+    points = [("N", n, mid_k) for n in spec["n_sweep"]]
+    points += [("K", mid_n, k) for k in spec["k_sweep"]]
+    return ExperimentGrid(
+        "SCALE",
+        [
+            spec_cell(
+                "SCALE",
+                session_spec(
+                    n=n,
+                    k=k,
+                    seed=BASE_SEED + rep,
+                    budget=spec["budget"],
+                    params={"width": min(0.25, 3.0 / n)},
+                    engine=engine,
+                    engine_params=_engine_params(engine, BASE_SEED + rep),
+                ),
+                {"sweep": sweep, "engine": engine, "n": n, "k": k},
+            )
+            for engine in spec["engines"]
+            for sweep, n, k in points
+            for rep in range(spec["reps"])
+        ],
+    )
 
 
 def report(table: ResultTable) -> str:
-    """Build/session CPU per sweep point and engine."""
+    """Build/session CPU and tree size per sweep point and engine."""
     aggregated = table.aggregate(
         ["sweep", "engine", "n", "k"],
-        ["build_cpu", "session_cpu", "orderings"],
+        ["build_cpu", "cpu", "orderings_initial"],
     )
     aggregated.rows.sort(
         key=lambda r: (r["sweep"], r["engine"], r["n"], r["k"])
     )
     return "SCALE  engine scalability in N and K\n" + aggregated.format(
-        ["sweep", "engine", "n", "k", "build_cpu", "session_cpu", "orderings"]
+        ["sweep", "engine", "n", "k", "build_cpu", "cpu", "orderings_initial"]
     )
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

@@ -14,108 +14,47 @@ naturally ask transitively-related questions (Naive/Random) save the most.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Union
-
-from repro.api.catalog import ENGINES, MEASURES, POLICIES as POLICY_REGISTRY
-from repro.core.session import UncertaintyReductionSession
-from repro.crowd.simulator import SimulatedCrowd
-from repro.experiments.grid import ExperimentGrid, GridCell
+from repro.experiments.grid import ExperimentGrid
 from repro.experiments.harness import (
-    ExperimentConfig,
+    DEFAULT_ENGINE_PARAMS,
+    BASE_SEED,
     ResultTable,
     format_series,
-    standard_row,
+    session_spec,
+    spec_cell,
 )
-from repro.experiments.runner import make_run
-from repro.utils.rng import derive_seed
 
 POLICIES = ["T1-on", "naive"]
 
-FAST_CONFIG = ExperimentConfig(
-    n=12, k=6, workload_params={"width": 0.26}, repetitions=2
-)
-FAST_BUDGETS = [5, 10, 15]
-
-FULL_CONFIG = ExperimentConfig(
-    n=16, k=8, workload_params={"width": 0.2}, repetitions=4
-)
-FULL_BUDGETS = [5, 10, 20, 30]
-
-
-def _run(config, policy_name, budget, rep, inference):
-    distributions = config.workload_for(rep)
-    truth = config.truth_for(rep, distributions)
-    crowd = SimulatedCrowd(
-        truth,
-        rng=derive_seed(config.base_seed, "crowd", rep, policy_name, budget),
-    )
-    session = UncertaintyReductionSession(
-        distributions,
-        config.k,
-        crowd,
-        builder=ENGINES.create(config.engine, **config.engine_params),
-        measure=MEASURES.create(config.measure),
-        rng=derive_seed(config.base_seed, "p", rep, policy_name, budget),
-        use_transitive_inference=inference,
-    )
-    return session.run(POLICY_REGISTRY.create(policy_name), budget)
-
-
-def run_trans_record(
-    config: Union[ExperimentConfig, Dict[str, Any]],
-    policy: str,
-    budget: int,
-    rep: int,
-    inference: bool,
-) -> Dict[str, Any]:
-    """Picklable grid-cell runner for one (policy, budget, rep, closure) arm.
-
-    Unlike the generic harness runner this one must see the session result
-    itself: the ``inferred`` column (free answers gained) is not part of the
-    standard row projection.
-    """
-    if isinstance(config, dict):
-        config = ExperimentConfig(**config)
-    result = _run(config, policy, budget, rep, inference)
-    suffix = "+closure" if inference else ""
-    return standard_row(
-        result,
-        rep=rep,
-        arm=f"{policy}{suffix}",
-        inferred=result.inferred_answers,
-    )
-
-
-GRID_RUNNER = "repro.experiments.transitive_ablation:run_trans_record"
+#: Per profile: instance fields, repetitions, budgets.
+FAST = ({"n": 12, "k": 6, "params": {"width": 0.26}}, 2, [5, 10, 15])
+FULL = ({"n": 16, "k": 8, "params": {"width": 0.2}}, 4, [5, 10, 20, 30])
 
 
 def grid(fast: bool = True) -> ExperimentGrid:
     """Declare the TRANS grid: paired closure-on/off cells per policy."""
-    config = FAST_CONFIG if fast else FULL_CONFIG
-    budgets = FAST_BUDGETS if fast else FULL_BUDGETS
-    cells = []
-    for policy_name in POLICIES:
-        for budget in budgets:
-            for rep in range(config.repetitions):
-                for inference in (False, True):
-                    cells.append(
-                        GridCell(
-                            experiment="TRANS",
-                            runner=GRID_RUNNER,
-                            params={
-                                "config": config.to_params(),
-                                "policy": policy_name,
-                                "budget": budget,
-                                "rep": rep,
-                                "inference": inference,
-                            },
-                        )
-                    )
-    return ExperimentGrid("TRANS", cells)
-
-
-#: Module entry point — `Paired runs with the closure on and off.`
-run = make_run(grid)
+    instance, reps, budgets = FAST if fast else FULL
+    return ExperimentGrid(
+        "TRANS",
+        [
+            spec_cell(
+                "TRANS",
+                session_spec(
+                    policy=policy,
+                    budget=budget,
+                    seed=BASE_SEED + rep,
+                    engine_params=DEFAULT_ENGINE_PARAMS,
+                    **instance,
+                ),
+                {"arm": policy + ("+closure" if inference else "")},
+                inference=inference,
+            )
+            for policy in POLICIES
+            for budget in budgets
+            for rep in range(reps)
+            for inference in (False, True)
+        ],
+    )
 
 
 def report(table: ResultTable) -> str:
@@ -133,14 +72,3 @@ def report(table: ResultTable) -> str:
         ),
     ]
     return "\n".join(lines)
-
-
-def main(fast: bool = True) -> ResultTable:
-    """Run and print."""
-    table = run(fast)
-    print(report(table))
-    return table
-
-
-if __name__ == "__main__":
-    main(fast=False)

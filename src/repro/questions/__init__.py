@@ -1,4 +1,4 @@
-"""Crowd-question machinery (substrate S5 in DESIGN.md)."""
+"""Crowd-question machinery."""
 
 from repro.questions.candidates import (
     all_pair_questions,

@@ -10,8 +10,7 @@ Single questions are a two-outcome expectation.  For sets we avoid the
 distinct answer combinations actually have support.  ``R_Q`` is the
 pattern-mass-weighted expectation of the measure over the compatible
 sub-spaces (exact whenever all orderings are decisive on all questions,
-e.g. when ``K = N``; the canonical tractable reading otherwise — see
-DESIGN.md §3.3).
+e.g. when ``K = N``; the canonical tractable reading otherwise).
 
 Batched evaluation
 ------------------

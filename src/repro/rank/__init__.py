@@ -1,4 +1,4 @@
-"""Ranking distances and rank aggregation (substrate S4 in DESIGN.md)."""
+"""Ranking distances and rank aggregation."""
 
 from repro.rank.aggregation import (
     AggregationCosts,

@@ -1,4 +1,4 @@
-"""Tree-of-possible-orderings substrate (S2 in DESIGN.md).
+"""Tree-of-possible-orderings substrate.
 
 Builds, extends, prunes, and flattens the TPO ``T_K`` of Soliman & Ilyas
 that the paper's uncertainty-reduction algorithms operate on.  The tree

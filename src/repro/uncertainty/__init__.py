@@ -1,4 +1,4 @@
-"""TPO uncertainty measures (substrate S3 in DESIGN.md)."""
+"""TPO uncertainty measures."""
 
 from repro.uncertainty.base import UncertaintyMeasure
 from repro.uncertainty.entropy import (

@@ -1,4 +1,4 @@
-"""Workload generators (substrate S9 in DESIGN.md)."""
+"""Workload generators."""
 
 from repro.workloads.scenarios import (
     photo_contest,

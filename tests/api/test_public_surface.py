@@ -104,7 +104,7 @@ EXPECTED_BUILTIN_PLUGINS = {
     ],
     "engines": ["exact", "grid", "mc"],
     "stores": ["disk-npz", "memory"],
-    "evals": ["calibration", "golden", "regret"],
+    "evals": ["calibration", "golden", "paper", "regret"],
     "checks": [
         "RPC101",
         "RPC102",
@@ -145,7 +145,9 @@ def test_builtin_plugin_names_are_stable():
 
 #: Removed entry points: importing one must fail rather than resolve to
 #: a stale alias.  3.0.0 removed the pre-``repro.api`` factories; 4.0.0
-#: removed the second analyzer front end (``repro check`` is the one).
+#: removed the second analyzer front end (``repro check`` is the one);
+#: 5.0.0 removed the second session path of the figure drivers (their
+#: cells are ``SessionSpec`` dicts run through ``repro.api.run``).
 REMOVED = [
     ("repro", "make_policy"),
     ("repro", "make_builder"),
@@ -161,6 +163,18 @@ REMOVED = [
     ("repro.devtools", "lint"),
     ("repro.devtools", "analysis"),
     ("repro.devtools", "gate"),
+    ("repro.experiments", "ExperimentConfig"),
+    ("repro.experiments", "run_cell"),
+    ("repro.experiments.harness", "ExperimentConfig"),
+    ("repro.experiments.harness", "run_cell"),
+    ("repro.experiments.harness", "run_cell_record"),
+    ("repro.experiments.harness", "standard_row"),
+    ("repro.experiments.harness", "config_cells"),
+    ("repro.experiments.harness", "CELL_RUNNER"),
+    ("repro.experiments.grid", "canonical_json"),
+    ("repro.experiments.runner", "make_run"),
+    ("repro.experiments.fig1a", "run"),
+    ("repro.experiments.fig1a", "main"),
 ]
 
 
@@ -170,3 +184,8 @@ def test_removed_entry_points_do_not_import(module, name):
         exec(f"from {module} import {name}", {})
     assert not hasattr(importlib.import_module(module), name)
 
+
+def test_result_table_has_no_session_projection():
+    from repro.experiments.harness import ResultTable
+
+    assert not hasattr(ResultTable, "add_result")

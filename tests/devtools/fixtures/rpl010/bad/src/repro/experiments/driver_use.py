@@ -1,4 +1,4 @@
-"""Fixture: outside src/repro/evals/ the rule does not apply."""
+"""Fixture: a figure driver hand-building its session."""
 
 from repro.core.session import UncertaintyReductionSession
 

@@ -86,7 +86,7 @@ def test_round_trip_and_reason_preservation(tmp_path):
             rule=e.rule,
             path=e.path,
             line_text=e.line_text,
-            reason="deliberate: see DESIGN.md",
+            reason="deliberate: see README",
         )
         for e in first
     ]
@@ -97,7 +97,7 @@ def test_round_trip_and_reason_preservation(tmp_path):
     )
     # Re-generating from the same violations keeps the human reason.
     regenerated = entries_from_violations([make_violation()], loaded)
-    assert regenerated[0].reason == "deliberate: see DESIGN.md"
+    assert regenerated[0].reason == "deliberate: see README"
 
 
 def test_load_tolerates_comments_and_torn_tail(tmp_path):

@@ -95,7 +95,8 @@ def test_expected_bad_finding_counts():
         "RPL007": 1,  # raw append-mode open
         "RPL008": 3,  # weights=[], cache={}, options=dict()
         "RPL009": 3,  # GridBuilder + MonteCarloBuilder + dotted ExactBuilder
-        "RPL010": 4,  # session import + default_rng + 2 direct constructions
+        "RPL010": 6,  # eval: session import + default_rng + 2 direct
+        #               constructions; driver: session import + construction
     }
     actual = {
         code: len(run_on(FIXTURES / code.lower() / "bad", code))

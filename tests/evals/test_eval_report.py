@@ -20,7 +20,7 @@ def golden_report():
 
 
 def test_default_suites_cover_the_harness():
-    assert DEFAULT_SUITES == ("calibration", "regret", "golden")
+    assert DEFAULT_SUITES == ("calibration", "regret", "golden", "paper")
 
 
 def test_run_eval_golden_suite_passes(golden_report):
@@ -68,6 +68,17 @@ def test_missing_suite_counts_as_regression(golden_report):
     del current["suites"]["golden"]
     regressions = compare_to_baseline(current, baseline)
     assert any("not run" in line for line in regressions)
+
+
+def test_missing_check_counts_as_regression(golden_report):
+    """A gate that passed in the baseline and vanished (renamed or
+    dropped) is reported, not silently skipped."""
+    baseline = copy.deepcopy(golden_report)
+    baseline["suites"]["golden"]["checks"].append(
+        dict(baseline["suites"]["golden"]["checks"][0], name="gone")
+    )
+    regressions = compare_to_baseline(golden_report, baseline)
+    assert regressions == ["check golden.gone: present in baseline, not run"]
 
 
 def test_already_failing_baseline_is_not_a_regression(golden_report):

@@ -5,32 +5,33 @@ import math
 
 import pytest
 
+from repro.api.canonical import canonical_json
 from repro.experiments import fig1a, scalability
 from repro.experiments.grid import (
     ExperimentGrid,
     GridCell,
-    canonical_json,
     execute_cell,
     resolve_runner,
 )
-from repro.experiments.harness import ExperimentConfig, config_cells
+from repro.experiments.harness import spec_cells
 from repro.experiments.runner import run_grid
 from repro.experiments.store import ResultStore
 
-TINY_CONFIG = ExperimentConfig(
-    n=6, k=3, workload_params={"width": 0.3}, repetitions=1
-)
 TINY_POLICIES = {"T1-on": None, "naive": None}
 TINY_BUDGETS = [0, 2]
 
 
 def tiny_grid() -> ExperimentGrid:
     return ExperimentGrid(
-        "TINY", config_cells("TINY", TINY_CONFIG, TINY_POLICIES, TINY_BUDGETS)
+        "TINY",
+        spec_cells(
+            "TINY", TINY_POLICIES, TINY_BUDGETS, reps=1, n=6, k=3,
+            params={"width": 0.3},
+        ),
     )
 
 
-def rows_match(a, b, ignore=("cpu",)) -> bool:
+def rows_match(a, b, ignore=("cpu", "build_cpu")) -> bool:
     """Cell-for-cell equality, NaN-aware, modulo measured timings."""
     if set(a) != set(b):
         return False
@@ -85,14 +86,18 @@ class TestGridFilter:
     def test_filter_by_policy_and_budget(self):
         grid = tiny_grid().filter(policies=["T1-on"], budgets=[2])
         assert len(grid) == 1
-        assert grid.cells[0].params["policy"] == "T1-on"
-        assert grid.cells[0].params["budget"] == 2
+        spec = grid.cells[0].params["spec"]
+        assert spec["policy"]["name"] == "T1-on"
+        assert spec["budget"]["questions"] == 2
 
     def test_filter_keeps_cells_without_the_key(self):
-        # Scalability cells have no "policy"/"budget=?" semantics to filter
-        # on (they are keyed by n/k/engine); the filter must not drop them.
-        grid = scalability.grid(fast=True)
-        assert len(grid.filter(policies=["T1-on"])) == len(grid)
+        # A cell with no session spec has nothing to filter on; the
+        # filter must not drop it.
+        plain = GridCell("X", "m:f", {"alpha": 1})
+        grid = ExperimentGrid("X", [plain, *tiny_grid().cells])
+        kept = grid.filter(policies=["naive"], budgets=[0])
+        assert kept.cells[0] is plain
+        assert len(kept) == 2
 
 
 class TestRunGrid:
@@ -102,6 +107,7 @@ class TestRunGrid:
         assert report.skipped == []
         assert len(report.executed) == 4
         assert {r["policy"] for r in report.table.rows} == {"T1-on", "naive"}
+        assert {r["experiment"] for r in report.table.rows} == {"TINY"}
 
     def test_parallel_equals_serial_cell_for_cell(self):
         serial = run_grid(tiny_grid(), workers=0)
@@ -191,12 +197,3 @@ class TestDriverGrids:
                 assert cell.experiment == name
                 # Cell params must be JSON-round-trippable (store format).
                 assert json.loads(canonical_json(cell.params)) == cell.params
-
-    def test_driver_run_matches_direct_grid_execution(self):
-        from repro.experiments import incr_ablation
-
-        table = incr_ablation.run(fast=True)
-        report = run_grid(incr_ablation.grid(fast=True))
-        assert len(table) == len(report.table)
-        for a, b in zip(table.rows, report.table.rows, strict=True):
-            assert rows_match(a, b), (a, b)

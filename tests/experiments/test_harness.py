@@ -1,59 +1,89 @@
 """Tests for the experiment harness."""
 
 
-import numpy as np
 import pytest
 
+from repro.api.specs import SessionSpec
 from repro.experiments.harness import (
-    ExperimentConfig,
+    BASE_SEED,
     ResultTable,
     format_series,
-    run_cell,
+    run_spec_cell,
+    session_spec,
+    spec_cells,
 )
 
 
-class TestExperimentConfig:
+def tiny_spec(policy="T1-on", budget=2, seed=BASE_SEED, **fields):
+    return session_spec(
+        n=fields.pop("n", 7),
+        k=fields.pop("k", 3),
+        seed=seed,
+        policy=policy,
+        budget=budget,
+        params={"width": 0.25},
+        **fields,
+    ).to_dict()
+
+
+class TestSpecCells:
     def test_workload_is_rep_stable_and_policy_independent(self):
-        config = ExperimentConfig(n=6, k=3, repetitions=2)
-        one = config.workload_for(0)
-        two = config.workload_for(0)
-        other_rep = config.workload_for(1)
-        assert [d.support for d in one] == [d.support for d in two]
-        assert [d.support for d in one] != [d.support for d in other_rep]
+        cells = spec_cells(
+            "X", {"T1-on": None, "naive": None}, [2], reps=2, n=6, k=3
+        )
+        seeds = [cell.params["spec"]["instance"]["seed"] for cell in cells]
+        assert seeds == [BASE_SEED, BASE_SEED + 1] * 2
+        instances = [cell.params["spec"]["instance"] for cell in cells]
+        assert instances[0] == instances[2]  # same rep, other policy
+        assert instances[0] != instances[1]  # other rep
 
     def test_truth_is_rep_stable(self):
-        config = ExperimentConfig(n=6, k=3)
-        dists = config.workload_for(0)
-        a = config.truth_for(0, dists)
-        b = config.truth_for(0, dists)
-        np.testing.assert_array_equal(a.ordering, b.ordering)
+        a = run_spec_cell(tiny_spec(budget=0))
+        b = run_spec_cell(tiny_spec(budget=0))
+        assert a == {**b, "cpu": a["cpu"], "build_cpu": a["build_cpu"]}
+
+    def test_cells_are_spec_dicts_tagged_with_the_experiment(self):
+        (cell,) = spec_cells("X", {"naive": None}, [3], reps=1, n=6, k=3)
+        assert cell.runner == "repro.experiments.harness:run_spec_cell"
+        spec = SessionSpec.from_dict(cell.params["spec"])
+        assert spec.policy.name == "naive"
+        assert spec.budget.questions == 3
+        assert spec.engine_params == {"resolution": 800}
+        assert cell.tags == {"experiment": "X"}
+
+    def test_crowd_model_follows_accuracy(self):
+        perfect = SessionSpec.from_dict(tiny_spec())
+        noisy = SessionSpec.from_dict(tiny_spec(accuracy=0.8))
+        assert perfect.crowd.model == "perfect"
+        assert noisy.crowd.model == "noisy"
 
 
 class TestRunCell:
     def test_produces_result(self):
-        config = ExperimentConfig(
-            n=7, k=3, workload_params={"width": 0.25}, repetitions=1
-        )
-        result = run_cell(config, "T1-on", 4, 0)
-        assert result.policy == "T1-on"
-        assert result.questions_asked <= 4
+        row = run_spec_cell(tiny_spec(budget=4))
+        assert row["policy"] == "T1-on"
+        assert row["asked"] <= 4
+        assert row["evaluations"] > 0
 
     def test_policies_face_same_instance(self):
-        config = ExperimentConfig(
-            n=7, k=3, workload_params={"width": 0.25}, repetitions=1
-        )
-        a = run_cell(config, "naive", 2, 0)
-        b = run_cell(config, "T1-on", 2, 0)
-        # Paired design ⇒ identical initial uncertainty/distance.
-        assert a.initial_uncertainty == pytest.approx(b.initial_uncertainty)
-        assert a.initial_distance == pytest.approx(b.initial_distance)
+        a = run_spec_cell(tiny_spec("naive"))
+        b = run_spec_cell(tiny_spec("T1-on"))
+        # Common random numbers ⇒ identical initial instance and truth.
+        assert a["initial_distance"] == pytest.approx(b["initial_distance"])
+        assert a["orderings_initial"] == b["orderings_initial"]
 
     def test_noisy_config(self):
-        config = ExperimentConfig(
-            n=6, k=3, worker_accuracy=0.8, repetitions=1
-        )
-        result = run_cell(config, "T1-on", 3, 0)
+        from repro.api.run import run_session
+
+        spec = tiny_spec(budget=3, n=6, accuracy=0.8)
+        result = run_session(SessionSpec.from_dict(spec))
         assert result.answers[0].accuracy < 1.0
+        assert run_spec_cell(spec)["asked"] == result.questions_asked
+
+    def test_inference_flag_reaches_the_session(self):
+        spec = tiny_spec("naive", budget=6, n=8, k=4)
+        assert run_spec_cell(spec)["inferred"] == 0
+        assert run_spec_cell(spec, inference=True)["inferred"] == 1
 
 
 class TestResultTable:
@@ -105,12 +135,8 @@ class TestResultTable:
         assert "0.2500" in text
 
     def test_add_result_projection(self):
-        config = ExperimentConfig(
-            n=6, k=3, workload_params={"width": 0.25}, repetitions=1
-        )
-        result = run_cell(config, "naive", 2, 0)
         table = ResultTable()
-        table.add_result(result, rep=0)
+        table.add(**run_spec_cell(tiny_spec("naive", n=6)))
         row = table.rows[0]
         assert row["policy"] == "naive"
-        assert "cpu" in row and "distance" in row
+        assert {"cpu", "distance", "evaluations", "inferred"} <= set(row)

@@ -1,7 +1,6 @@
 """Tests for the consolidated report writer."""
 
-import pytest
-
+from repro.experiments import astar_comparison, run_grid
 from repro.experiments.report import run_report
 
 
@@ -9,22 +8,19 @@ class TestRunReport:
     def test_single_experiment_document(self, tmp_path):
         output = tmp_path / "report.md"
         csv_dir = tmp_path / "csv"
+        grid_report = run_grid(astar_comparison.grid(fast=True))
         document = run_report(
-            ["ASTAR"], fast=True, output=str(output), csv_dir=str(csv_dir)
+            {"ASTAR": grid_report},
+            fast=True,
+            output=str(output),
+            csv_dir=str(csv_dir),
         )
         assert "# Reproduction report" in document
         assert "## ASTAR" in document
+        assert astar_comparison.report(grid_report.table) in document
         assert output.exists()
         assert (csv_dir / "astar.csv").exists()
         assert output.read_text() == document
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown experiment"):
-            run_report(["WAT"])
-
-    def test_ids_case_insensitive(self):
-        document = run_report(["astar"], fast=True)
-        assert "## ASTAR" in document
 
 
 class TestCliIntegration:

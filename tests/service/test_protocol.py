@@ -250,7 +250,7 @@ class TestV1Endpoints:
             assert set(body["plugins"]) == set(all_registries())
             assert body["plugins"]["measures"] == ["H", "Hw", "MPO", "ORA"]
             assert body["plugins"]["evals"] == [
-                "calibration", "golden", "regret",
+                "calibration", "golden", "paper", "regret",
             ]
             assert "RPL010" in body["plugins"]["checks"]
             assert "memory" in body["plugins"]["stores"]

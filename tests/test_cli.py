@@ -109,7 +109,9 @@ class TestExperiment:
 
 
 class TestRunGrid:
-    ARGS = ["run-grid", "FIG1A", "--policies", "T1-on,naive",
+    """Grid runs (filters, store, resume, listing) on the one verb."""
+
+    ARGS = ["experiment", "FIG1A", "--policies", "T1-on,naive",
             "--budgets", "0,5"]
 
     def test_runs_filtered_grid_serially(self, capsys):
@@ -132,17 +134,36 @@ class TestRunGrid:
         assert code == 0
         out = capsys.readouterr().out
         assert "FIG1A: 8 cells" in out
-        assert '"policy":"T1-on"' in out
+        assert '"policy":{"name":"T1-on"' in out
+        assert "executed" not in out
 
     def test_resume_requires_store(self, capsys):
-        code = main(["run-grid", "FIG1A", "--resume"])
+        code = main(["experiment", "FIG1A", "--resume"])
         assert code == 2
         assert "--resume requires --store" in capsys.readouterr().err
 
     def test_unknown_id(self, capsys):
-        code = main(["run-grid", "NOPE"])
+        code = main(["experiment", "FIG1A", "NOPE"])
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_bad_budget_filter(self, capsys):
+        code = main(["experiment", "FIG1A", "--budgets", "0,x"])
+        assert code == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+
+    def test_help_lists_the_experiment_ids(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        out = capsys.readouterr().out
+        for name in ("FIG1A", "FIG1B", "SCALE", "TRANS"):
+            assert name in out
+
+    def test_run_grid_verb_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-grid", "FIG1A"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'run-grid'" in capsys.readouterr().err
 
 
 def test_requires_subcommand():
