@@ -221,32 +221,48 @@ def topk_distance_profile(
     reference is a dot product with this profile, which is what lets the
     batched ``U_MPO`` / ``U_ORA`` measures price many hypothetical
     posteriors against one reference without rebuilding spaces.
+
+    Only pairs touching a tuple of the path or of the reference count, so
+    each path's pairs are read off its ``K`` positions and the reference's
+    ``r`` tuples in O(K·r + r²), never over all ``N²`` pairs.  With
+    ``Q = positions()[:, reference]`` (absent tuples at the sentinel
+    ``K``, below every ranked one):
+
+    * a reference pair ``a < b`` is discordant when ``Q_a > Q_b`` and
+      one-silent when both are absent from the path;
+    * a path tuple outside the reference at position ``p`` is discordant
+      with every reference tuple the path ranks below it or omits,
+      ``#{a : Q_a > p}``;
+    * two path tuples outside the reference are one-silent.
+
+    Every other pair is concordant or outside the union of the lists.
+    ``chunk`` bounds how many paths are counted at once.
     """
     check_fraction("penalty", penalty)
     reference = list(reference)
+    if len(set(reference)) != len(reference):
+        raise ValueError("top-K lists must not repeat tuples")
     n = space.n_tuples
-    depth = max(space.depth, len(reference), 1)
-    pos_ref = _positions(reference, n, depth)
-    present_ref = pos_ref < depth
-    both_in_ref = present_ref[:, None] & present_ref[None, :]
-    stance_ref = np.sign(pos_ref[None, :] - pos_ref[:, None]).astype(np.int8)
-    pos = space.positions().astype(np.int64)
+    k = space.depth
+    in_reference = _positions(reference, n, len(reference)) < len(reference)
+    ref = np.asarray(reference, dtype=np.intp)
+    first, second = np.triu_indices(ref.size, k=1)
+    ranks = np.arange(k)
+    positions = space.positions()
     profile = np.empty(space.size)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     for start in range(0, space.size, chunk):
         block = slice(start, min(start + chunk, space.size))
-        pb = pos[block]
-        present = pb < space.depth
-        stance = np.sign(pb[:, None, :] - pb[:, :, None]).astype(np.int8)
-        opposite = (stance * stance_ref[None, :, :]) < 0
-        # Fagin case 4, union-restricted (see topk_kendall).
-        both_in_path = present[:, :, None] & present[:, None, :]
-        one_silent = (stance == 0) & both_in_ref[None, :, :]
-        one_silent |= (stance_ref[None, :, :] == 0) & both_in_path
-        profile[block] = (
-            (opposite & upper[None, :, :]).sum(axis=(1, 2)).astype(float)
-            + penalty
-            * (one_silent & upper[None, :, :]).sum(axis=(1, 2)).astype(float)
+        q = positions[block, ref]
+        outside = ~in_reference[space.paths[block]]
+        absent = (q == k).sum(axis=1)  # reference tuples the path omits
+        extra = outside.sum(axis=1)  # path tuples the reference omits
+        below = (q[:, None, :] > ranks[None, :, None]).sum(axis=2)
+        opposite = (q[:, first] > q[:, second]).sum(axis=1) + (
+            below * outside
+        ).sum(axis=1)
+        one_silent = absent * (absent - 1) // 2 + extra * (extra - 1) // 2
+        profile[block] = opposite.astype(float) + penalty * one_silent.astype(
+            float
         )
     if not normalized:
         return profile

@@ -10,11 +10,12 @@ the event "prefix ``t_1 ≻ … ≻ t_d`` is the top-d ranking" has probability
 ``h_d`` — the *prefix density* — is what makes one-level extension (and
 hence the paper's ``incr`` algorithm) cheap.  Since the flat level-table
 refactor, it no longer lives on per-node objects: each engine keeps a
-payload *aligned with the frontier level's row order* in
-``tree.engine_cache`` (a ``(W, C)`` density matrix for the grid engine, a
-list of piecewise polynomials for the exact engine, a sample→node index
-vector for Monte Carlo) and extends the whole frontier in one batched
-pass — no Python loop over nodes on the numeric hot path.
+payload *indexed by the frontier level's rows* in ``tree.engine_cache``
+(for the grid engine, blocks of densities grouped by each row's last
+tuple and cut to that tuple's support band; a list of piecewise
+polynomials for the exact engine; a sample→node index vector for Monte
+Carlo) and extends the whole frontier in one batched pass — no Python
+loop over nodes on the numeric hot path.
 
 Three interchangeable engines:
 
@@ -45,8 +46,9 @@ through the dropped subtrees, so a beam build certifies
 bind) and every retained ordering keeps its exact mass.  With the beam
 off, construction is bit-identical to the exact path.
 
-The retired pointer-chasing grid path survives only as a parity oracle
-in the test suite (``tests/oracles/pointer_tpo.py``).
+The retired pointer-chasing grid path and the full-grid (unwindowed)
+batched path survive only as parity oracles in the test suite
+(``tests/oracles/pointer_tpo.py``, ``tests/oracles/full_grid.py``).
 """
 
 from __future__ import annotations
@@ -244,13 +246,23 @@ class TPOBuilder(abc.ABC):
 class GridBuilder(TPOBuilder):
     """Numeric TPO construction on a shared integration grid.
 
-    ``extend`` is one batched pass over the whole frontier: one
-    vectorized upper-tail sweep over the ``(W, C)`` prefix-density
-    matrix, one exclude-one cumulative-product integrand per distinct
-    candidate *set* (``m = N − depth`` candidates per node, ``C`` grid
-    cells), and one ``(W_g, C) × (C, m)`` matmul per set-group —
-    probabilities for every child of every frontier node with no
-    per-node Python work.
+    ``extend`` is one batched pass over the whole frontier, and every
+    numeric step runs only where its operands can be non-zero:
+
+    * each frontier row's prefix density lives on its last tuple's grid
+      support band (``h_{d+1} = f_t · T(h_d)`` vanishes outside
+      ``supp f_t``), so its upper tail is one ``cumsum`` inside the band
+      — left of it the tail is the row mass, right of it zero;
+    * the frontier is grouped by candidate *set* (``m = N − depth``
+      tuples), and each set's exclude-one CDF-product integrand is
+      computed only on the set's window and only for its live
+      candidates (see :meth:`_GridCache.set_windows`);
+    * each group's children drop out of one full ``(W_g, C) × (C, m)``
+      matmul of the tails against the integrand.
+
+    The skipped cells hold exact zeros (and the skipped CDF factors exact
+    ones), and the matmul sees the same operands as a full-grid pass, so
+    the built levels are bit-identical to computing every cell.
 
     Parameters
     ----------
@@ -290,12 +302,10 @@ class GridBuilder(TPOBuilder):
         if depth >= tree.k:
             return
         cells = grid.cell_count
-        remaining = self._remaining_candidates(tree)
-        width, m = remaining.shape
-        if depth == 0:
-            tails = np.ones((1, cells), dtype=np.float64)
-        else:
-            tails = _upper_tail_rows(cache.frontier_h, grid)
+        sets, inverse, order, bounds = _candidate_sets(tree)
+        width = inverse.size
+        m = sets.shape[1]
+        starts, stops, live = cache.set_windows(sets)
 
         # The child probability ∫ f_t · T_node · Π_{j≠t} F_j factors into
         # (tail of the node) × (integrand of the candidate *set*): the
@@ -304,24 +314,30 @@ class GridBuilder(TPOBuilder):
         # candidate set, build each set's (m, C) integrand once, and all
         # of a group's children drop out of a single (W_g, C) × (C, m)
         # matmul — the per-node pointer loop becomes one GEMM per set.
-        sets, inverse = np.unique(remaining, axis=0, return_inverse=True)
-        order = np.argsort(inverse.ravel(), kind="stable")
-        bounds = np.append(
-            np.flatnonzero(np.diff(inverse.ravel()[order], prepend=-1)),
-            order.size,
-        )
+        # Tails are laid out in group order, so each group's GEMM operand
+        # is a contiguous slice.  The GEMM stays full: over C and over all
+        # m rows, dead ones zero.  Cutting either changes the BLAS
+        # summation order and moves probabilities by an ulp.
+        slot = np.empty(width, dtype=np.intp)
+        slot[order] = np.arange(width)
+        tails = cache.frontier_tails(slot)
         probs = np.empty((width, m), dtype=np.float64)
         created = 0
         anytime = self.beam_active
         for group in range(sets.shape[0]):
             rows = order[bounds[group] : bounds[group + 1]]
-            cand = sets[group]
-            integrand = (
-                cache.densities[cand]
-                * _exclude_one_products(cache.cdfs[cand])
-                * grid.widths
-            )
-            block = tails[rows] @ integrand.T  # (W_g, m)
+            integrand = np.zeros((m, cells), dtype=np.float64)
+            start, stop = starts[group], stops[group]
+            if stop > start:
+                columns = np.flatnonzero(live[group])
+                cand = sets[group, columns]
+                window = slice(start, stop)
+                integrand[columns, window] = (
+                    cache.densities[cand, window]
+                    * _exclude_one_products(cache.cdfs[cand, window])
+                    * grid.widths[window]
+                )
+            block = tails[bounds[group] : bounds[group + 1]] @ integrand.T
             probs[rows] = block
             if not anytime:
                 # The incremental count aborts runaway levels before all
@@ -337,14 +353,13 @@ class GridBuilder(TPOBuilder):
         if anytime:
             self._check_size(tree, int(np.count_nonzero(keep_flat)))
         keep_rows, keep_cols = np.nonzero(keep_flat.reshape(width, m))
-        child_tuples = remaining[keep_rows, keep_cols]
+        child_tuples = sets[inverse[keep_rows], keep_cols]
         if depth + 1 < tree.k:
-            # Child prefix densities h_{d+1} = f_t · T(h_d), kept rows
-            # only.  The deepest level never extends again, so its (far
-            # widest) density matrix is never materialized at all.
-            cache.frontier_h = cache.densities[child_tuples] * tails[keep_rows]
+            cache.set_frontier(child_tuples, tails, slot[keep_rows])
         else:
-            cache.frontier_h = None
+            # The deepest level never extends again, so its (far widest)
+            # prefix densities are never materialized at all.
+            cache.frontier, cache.width = [], 0
         tree.append_level(
             child_tuples, keep_rows, probs[keep_rows, keep_cols]
         )
@@ -352,16 +367,68 @@ class GridBuilder(TPOBuilder):
             tree.record_level_loss(*loss)
 
 
+def _candidate_sets(
+    tree: TPOTree,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the frontier rows by the tuples their prefixes leave.
+
+    Returns ``(sets, inverse, order, bounds)``: ``sets`` is
+    ``(G, N − depth)``, each row the ascending tuples a frontier prefix
+    has not ranked yet, in lexicographic row order; ``inverse[w]`` is
+    frontier row ``w``'s set; ``order[bounds[g]:bounds[g + 1]]`` are set
+    ``g``'s rows, ascending.  Rows are keyed by their sorted prefix
+    (``depth ≤ K`` columns, never the ``N − depth`` remaining ones), and
+    descending prefixes complement to ascending candidate sets.
+    """
+    n = tree.n_tuples
+    depth = tree.built_depth
+    if depth == 0:
+        one = np.zeros(1, dtype=np.intp)
+        return np.arange(n, dtype=np.intp).reshape(1, n), one, one, np.arange(2)
+    prefixes = np.sort(tree.paths_at_depth(depth), axis=1)
+    width = prefixes.shape[0]
+    order = np.lexsort(-prefixes[:, ::-1].T)
+    ranked = prefixes[order]
+    fresh = np.ones(width, dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(width, dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    unique = ranked[fresh]
+    count = unique.shape[0]
+    present = np.zeros((count, n), dtype=bool)
+    present[np.arange(count)[:, None], unique] = True
+    sets = np.nonzero(~present)[1].reshape(count, n - depth)
+    return sets, inverse, order, np.append(np.flatnonzero(fresh), width)
+
+
 class _GridCache:
     """Per-tree numeric context for :class:`GridBuilder`.
 
-    ``frontier_h`` is the ``(W, C)`` matrix of prefix densities of the
-    deepest level's nodes, row-aligned with that level — the only mutable
-    piece, replaced wholesale on every extension and compacted by
+    ``densities``/``cdfs`` are the ``(N, C)`` grid projections, and
+    ``[lo[t], hi[t])`` is tuple ``t``'s support band: its first to its
+    last non-zero density cell.  ``first[t] ≤ lo[t]`` is the first cell
+    where ``t``'s density *or* CDF is non-zero, and from ``settled[t]``
+    on its CDF is exactly 1.0.
+
+    ``frontier`` holds the deepest level's prefix densities as blocks
+    ``(t, rows, h)``: the frontier rows whose last tuple is ``t``, and
+    their densities on ``t``'s band only, a ``(len(rows), hi[t] − lo[t])``
+    matrix (``None`` before the first level).  It is the only mutable
+    piece, replaced wholesale on every extension and remapped by
     :meth:`prune_frontier` when the tree is pruned mid-build.
     """
 
-    __slots__ = ("grid", "densities", "cdfs", "frontier_h")
+    __slots__ = (
+        "grid",
+        "densities",
+        "cdfs",
+        "lo",
+        "hi",
+        "first",
+        "settled",
+        "frontier",
+        "width",
+    )
 
     def __init__(
         self, grid: Grid, densities: np.ndarray, cdfs: np.ndarray
@@ -369,22 +436,110 @@ class _GridCache:
         self.grid = grid
         self.densities = densities
         self.cdfs = cdfs
-        self.frontier_h: Optional[np.ndarray] = None
+        self.lo = _first_true(densities != 0.0)
+        self.hi = _end_of_last_true(densities != 0.0)
+        self.first = np.minimum(self.lo, _first_true(cdfs != 0.0))
+        self.settled = _end_of_last_true(cdfs != 1.0)
+        self.frontier: Optional[List[Tuple[int, np.ndarray, np.ndarray]]]
+        self.frontier = None
+        self.width = 1
+
+    def frontier_tails(self, slot: np.ndarray) -> np.ndarray:
+        """Upper tails ``T(h)`` of the frontier's densities, on all cells.
+
+        Returns a ``(W, C)`` matrix whose row ``slot[w]`` is frontier row
+        ``w``'s tail.  Inside a block's band the tail is
+        :meth:`Grid.upper_tail`'s reversed ``cumsum``; the zeros outside
+        it add exactly, so left of the band the tail is the row mass and
+        right of it zero.  Before the first level the root's tail is 1
+        everywhere.
+        """
+        cells = self.grid.cell_count
+        if self.frontier is None:
+            return np.ones((1, cells), dtype=np.float64)
+        tails = np.zeros((self.width, cells), dtype=np.float64)
+        for t, rows, h in self.frontier:
+            lo, hi = self.lo[t], self.hi[t]
+            at = slot[rows]
+            masses = h * self.grid.widths[lo:hi]
+            suffix = np.cumsum(masses[:, ::-1], axis=1)[:, ::-1]
+            tails[at, :lo] = suffix[:, :1]
+            tails[at, lo : hi - 1] = suffix[:, 1:] + 0.5 * masses[:, :-1]
+            tails[at, hi - 1] = 0.5 * masses[:, -1]
+        return tails
+
+    def set_windows(
+        self, sets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per candidate set, the cell window its integrand can fill.
+
+        Left of ``start`` (the set's largest ``first``) the tuple holding
+        it has zero density and a zero CDF, so every candidate's
+        integrand vanishes there.  A candidate is *live* unless its
+        density ends and its CDF is exactly 1.0 by ``start``; a dead
+        candidate's integrand row is zero and its CDF factor an exact 1.0
+        on the whole window, so dropping it changes no bit.  The window
+        ends at the live candidates' largest ``hi``.  Returns
+        ``(starts, stops, live)``; ``stops ≤ starts`` means an all-zero
+        integrand.
+        """
+        starts = self.first[sets].max(axis=1)
+        hi = self.hi[sets]
+        live = (hi > starts[:, None]) | (self.settled[sets] > starts[:, None])
+        stops = np.where(live, hi, 0).max(axis=1)
+        return starts, stops, live
+
+    def set_frontier(
+        self, child_tuples: np.ndarray, tails: np.ndarray, parents: np.ndarray
+    ) -> None:
+        """Install the new level's banded densities ``f_t · T(h_parent)``.
+
+        ``parents[w]`` is the row of ``tails`` holding child ``w``'s
+        parent tail.
+        """
+        order = np.argsort(child_tuples, kind="stable")
+        ranked = child_tuples[order]
+        cuts = np.flatnonzero(np.diff(ranked, prepend=-1))
+        blocks = []
+        for begin, end in zip(cuts, np.append(cuts[1:], order.size)):
+            t = int(ranked[begin])
+            rows = order[begin:end]
+            lo, hi = self.lo[t], self.hi[t]
+            h = self.densities[t, lo:hi] * tails[parents[rows], lo:hi]
+            blocks.append((t, rows, h))
+        self.frontier = blocks
+        self.width = int(child_tuples.size)
 
     def prune_frontier(
         self, alive: np.ndarray, index_map: np.ndarray
     ) -> None:
-        """Drop the prefix-density rows of pruned frontier nodes."""
-        if self.frontier_h is not None:
-            self.frontier_h = self.frontier_h[alive]
+        """Drop pruned frontier rows and renumber the survivors."""
+        if self.frontier is None:
+            return
+        blocks = []
+        for t, rows, h in self.frontier:
+            keep = alive[rows]
+            if keep.any():
+                blocks.append((t, index_map[rows[keep]], h[keep]))
+        self.frontier = blocks
+        self.width = int(np.count_nonzero(alive))
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first True (the row length if none)."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
+
+
+def _end_of_last_true(mask: np.ndarray) -> np.ndarray:
+    """Per row, one past the index of the last True (0 if none)."""
+    return mask.shape[1] - _first_true(mask[:, ::-1])
 
 
 def _exclude_one_products(stacked: np.ndarray) -> np.ndarray:
     """Products of all *other* rows: ``out[…, i, :] = Π_{j≠i} rows[…, j, :]``.
 
-    Operates on the second-to-last axis of an ``(…, m, C)`` stack, so one
-    call covers every frontier node of a chunk.  Computed with
-    prefix/suffix cumulative products in O(m·C) per node; avoids the
+    Operates on the second-to-last axis of an ``(…, m, C)`` stack.
+    Computed with prefix/suffix cumulative products in O(m·C); avoids the
     numerically hazardous divide-by-row alternative (CDFs are 0 on the
     left of each support).
     """
@@ -398,17 +553,6 @@ def _exclude_one_products(stacked: np.ndarray) -> np.ndarray:
     for i in range(m - 2, -1, -1):
         suffix[..., i, :] = suffix[..., i + 1, :] * stacked[..., i + 1, :]
     return prefix * suffix
-
-
-def _upper_tail_rows(cell_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Row-wise :meth:`Grid.upper_tail` of a ``(W, C)`` density matrix."""
-    masses = cell_values * grid.widths
-    suffix = np.cumsum(masses[:, ::-1], axis=1)[:, ::-1]
-    after = np.concatenate(
-        [suffix[:, 1:], np.zeros((masses.shape[0], 1), dtype=np.float64)],
-        axis=1,
-    )
-    return after + 0.5 * masses
 
 
 # ----------------------------------------------------------------------

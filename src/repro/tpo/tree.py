@@ -21,8 +21,8 @@ level ``d`` is one :class:`TPOLevel` — a structure-of-arrays triple
 and ``to_space`` is ``K`` vectorized gathers along the ``parent_idx``
 chains (no per-leaf walk).  Builders append whole levels at once with
 :meth:`append_level` and keep their per-frontier numeric payloads (prefix
-densities, sample assignments) in ``engine_cache``, aligned with the top
-level's row order.
+densities, sample assignments) in ``engine_cache``, indexed by the top
+level's rows.
 
 The pointer-era introspection API (``root``, ``leaves``,
 ``nodes_at_depth``, ``iter_nodes``) survives as thin

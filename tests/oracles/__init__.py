@@ -3,8 +3,12 @@ production code against.
 
 * :mod:`oracles.pointer_tpo` — the pointer-era grid engine and its
   ``TPONode`` tree (leaf parity for the flat level-table engines);
+* :mod:`oracles.full_grid` — the grid engine computing every cell of
+  every step (bit parity for the support-windowed ``GridBuilder``);
 * :mod:`oracles.scalar_residual` — one-space-per-answer residual
-  uncertainty (parity for the batched ``ResidualEvaluator`` paths).
+  uncertainty (parity for the batched ``ResidualEvaluator`` paths);
+* :mod:`oracles.stance_distance` — the ``(chunk, N, N)`` stance-tensor
+  result distance (bit parity for ``topk_distance_profile``).
 
 ``tests/`` is on ``sys.path`` (the suite's root ``conftest.py`` lives
 there), so test modules import these as ``from oracles... import ...``.

@@ -1,0 +1,120 @@
+"""The full-grid TPO build, kept as a bit-parity oracle.
+
+Before the support-windowed build, ``repro.tpo.builders.GridBuilder``
+kept the frontier's prefix densities as one ``(W, C)`` matrix over the
+whole grid, took every upper tail with a ``cumsum`` across all ``C``
+cells, and computed each candidate set's exclude-one CDF products on
+every cell for every candidate.  This module preserves that path — same
+grouping, same operation order, same matmul operands — so the parity
+tests can assert that the windowed engine builds ``np.array_equal``
+levels.
+
+It is intentionally *not* registered in ``repro.api.ENGINES``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.distributions.grid import Grid
+from repro.tpo.builders import GridBuilder, _effective, _exclude_one_products
+from repro.tpo.tree import TPOTree
+
+
+class FullGridBuilder(GridBuilder):
+    """:class:`GridBuilder` computing every grid cell of every step."""
+
+    def _initialize(self, tree: TPOTree) -> None:
+        dists = [_effective(d) for d in tree.distributions]
+        grid = Grid.for_distributions(dists, self.resolution)
+        densities = np.stack([grid.density(d) for d in dists])
+        cdfs = np.stack([grid.cdf(d) for d in dists])
+        tree.engine_cache = _FullGridCache(grid, densities, cdfs)
+
+    def extend(self, tree: TPOTree) -> None:
+        cache: _FullGridCache = tree.engine_cache
+        grid = cache.grid
+        depth = tree.built_depth
+        if depth >= tree.k:
+            return
+        cells = grid.cell_count
+        remaining = self._remaining_candidates(tree)
+        width, m = remaining.shape
+        if depth == 0:
+            tails = np.ones((1, cells), dtype=np.float64)
+        else:
+            tails = _upper_tail_rows(cache.frontier_h, grid)
+        sets, inverse = np.unique(remaining, axis=0, return_inverse=True)
+        order = np.argsort(inverse.ravel(), kind="stable")
+        bounds = np.append(
+            np.flatnonzero(np.diff(inverse.ravel()[order], prepend=-1)),
+            order.size,
+        )
+        probs = np.empty((width, m), dtype=np.float64)
+        created = 0
+        anytime = self.beam_active
+        for group in range(sets.shape[0]):
+            rows = order[bounds[group] : bounds[group + 1]]
+            cand = sets[group]
+            integrand = (
+                cache.densities[cand]
+                * _exclude_one_products(cache.cdfs[cand])
+                * grid.widths
+            )
+            block = tails[rows] @ integrand.T  # (W_g, m)
+            probs[rows] = block
+            if not anytime:
+                created += int(
+                    np.count_nonzero(block > self.min_probability)
+                )
+                self._check_size(tree, created)
+        keep_flat, loss = self._apply_beam(
+            probs, probs.ravel() > self.min_probability
+        )
+        if anytime:
+            self._check_size(tree, int(np.count_nonzero(keep_flat)))
+        keep_rows, keep_cols = np.nonzero(keep_flat.reshape(width, m))
+        child_tuples = remaining[keep_rows, keep_cols]
+        if depth + 1 < tree.k:
+            cache.frontier_h = cache.densities[child_tuples] * tails[keep_rows]
+        else:
+            cache.frontier_h = None
+        tree.append_level(
+            child_tuples, keep_rows, probs[keep_rows, keep_cols]
+        )
+        if loss is not None:
+            tree.record_level_loss(*loss)
+
+
+class _FullGridCache:
+    """Grid projections plus the ``(W, C)`` frontier density matrix."""
+
+    __slots__ = ("grid", "densities", "cdfs", "frontier_h")
+
+    def __init__(
+        self, grid: Grid, densities: np.ndarray, cdfs: np.ndarray
+    ) -> None:
+        self.grid = grid
+        self.densities = densities
+        self.cdfs = cdfs
+        self.frontier_h: Optional[np.ndarray] = None
+
+    def prune_frontier(
+        self, alive: np.ndarray, index_map: np.ndarray
+    ) -> None:
+        """Drop the prefix-density rows of pruned frontier nodes."""
+        if self.frontier_h is not None:
+            self.frontier_h = self.frontier_h[alive]
+
+
+def _upper_tail_rows(cell_values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Row-wise :meth:`Grid.upper_tail` of a ``(W, C)`` density matrix."""
+    masses = cell_values * grid.widths
+    suffix = np.cumsum(masses[:, ::-1], axis=1)[:, ::-1]
+    after = np.concatenate(
+        [suffix[:, 1:], np.zeros((masses.shape[0], 1), dtype=np.float64)],
+        axis=1,
+    )
+    return after + 0.5 * masses

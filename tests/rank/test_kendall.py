@@ -11,7 +11,7 @@ from repro.rank import (
     stance_marginals,
     topk_kendall,
 )
-from repro.rank.kendall import presence_pair_marginals
+from repro.rank.kendall import presence_pair_marginals, topk_distance_profile
 from repro.tpo.space import OrderingSpace
 
 
@@ -125,6 +125,17 @@ class TestExpectedDistance:
     def test_bounded_by_one(self, small_space):
         reference = list(small_space.paths[-1])
         assert 0.0 <= expected_topk_distance(small_space, reference) <= 1.0
+
+    def test_rejects_reference_repeating_a_tuple(self):
+        # Regression: [2, 2, 1] was silently priced as a 3-list (0.183
+        # on this space, against 0.275 for [2, 1]).
+        space = OrderingSpace.from_orderings(
+            [[0, 1, 2], [2, 1, 3], [4, 2, 5]], [0.5, 0.3, 0.2], 8
+        )
+        for distance in (expected_topk_distance, topk_distance_profile):
+            with pytest.raises(ValueError, match="must not repeat tuples"):
+                distance(space, [2, 2, 1])
+        assert expected_topk_distance(space, [2, 1]) == pytest.approx(0.275)
 
 
 class TestMarginals:

@@ -1,0 +1,138 @@
+"""The support-windowed grid build is bit-identical to the full-grid one.
+
+:class:`~repro.tpo.builders.GridBuilder` computes tails, integrands and
+prefix densities only on each tuple's support band and each candidate
+set's window.  The oracle in ``tests/oracles/full_grid.py`` computes
+every cell; every built level must agree with it exactly — tuple ids,
+parent indices and probabilities under ``np.array_equal``.
+"""
+
+from itertools import pairwise
+
+import numpy as np
+import pytest
+from oracles.full_grid import FullGridBuilder
+
+from repro.api.catalog import WORKLOADS
+from repro.distributions.histogram import Histogram
+from repro.distributions.point import PointMass
+from repro.distributions.uniform import Uniform
+from repro.tpo.builders import GridBuilder
+
+K = 4
+RESOLUTION = 256
+BEAMS = {
+    "off": {},
+    "epsilon": {"beam_epsilon": 0.01},
+    "width": {"beam_width": 40},
+}
+
+
+def assert_levels_equal(tree, oracle):
+    assert tree.built_depth == oracle.built_depth
+    for level, expected in zip(tree.levels, oracle.levels, strict=True):
+        assert np.array_equal(level.tuple_ids, expected.tuple_ids)
+        assert np.array_equal(level.parent_idx, expected.parent_idx)
+        assert np.array_equal(level.probs, expected.probs)
+    assert tree.lost_mass == oracle.lost_mass
+
+
+def start_pair(dists, k=K, resolution=RESOLUTION, **params):
+    engines = (
+        GridBuilder(resolution=resolution, **params),
+        FullGridBuilder(resolution=resolution, **params),
+    )
+    return engines, [engine.start(dists, k) for engine in engines]
+
+
+def extend_pair(engines, trees):
+    """Extend both trees by one level and compare them *before*
+    ``renormalize`` rewrites the inner levels from the leaves."""
+    for engine, tree in zip(engines, trees, strict=True):
+        engine.extend(tree)
+    assert_levels_equal(*trees)
+
+
+def build_pair(dists, k=K, **params):
+    engines, trees = start_pair(dists, k, **params)
+    while not trees[0].is_complete:
+        extend_pair(engines, trees)
+    for tree in trees:
+        tree.renormalize()
+    return trees
+
+
+def generate(name, n, seed):
+    """An instance of ``name`` whose overlap shrinks as ``n`` grows."""
+    width = min(0.5, 4.0 / n)
+    params = {
+        "pareto": {"tail": 1.0 + 10.0 / n},
+        "gaussian": {"sigma": width / 4.0},
+    }.get(name, {"width": width})
+    return WORKLOADS.create(name, n=n, rng=seed, **params)
+
+
+@pytest.mark.parametrize("beam", sorted(BEAMS))
+@pytest.mark.parametrize("n", [6, 18, 70])
+@pytest.mark.parametrize("generator", sorted(WORKLOADS))
+def test_levels_match_full_grid(generator, n, beam):
+    dists = generate(generator, n, seed=n)
+    tree, oracle = build_pair(dists, **BEAMS[beam])
+    assert_levels_equal(tree, oracle)
+
+
+def test_histogram_with_zero_density_interior_bin():
+    gap = Histogram([0.1, 0.3, 0.35, 0.5, 0.7], [0.3, 0.0, 0.2, 0.5])
+    split = Histogram([0.0, 0.2, 0.45, 0.6], [0.5, 0.0, 0.5])
+    dists = [gap, split, Uniform(0.2, 0.55), Uniform(0.32, 0.4),
+             Uniform(0.05, 0.25), Uniform(0.5, 0.65)]
+    tree, oracle = build_pair(dists)
+    assert_levels_equal(tree, oracle)
+
+
+def test_histogram_bins_between_cell_midpoints():
+    # Bins narrower than a grid cell that no cell midpoint falls in: the
+    # CDF is 0.5 where the sampled density is still (or already) zero,
+    # so a window cut at the density band alone would drop real mass.
+    early = Histogram([0.2, 0.2001, 0.3, 0.6], [0.5, 0.0, 0.5])
+    late = Histogram([0.25, 0.5, 0.5999, 0.6], [0.5, 0.0, 0.5])
+    dists = [early, late, Uniform(0.21, 0.45), Uniform(0.3, 0.62),
+             Uniform(0.22, 0.28), Uniform(0.55, 0.7)]
+    engines, trees = start_pair(dists, resolution=64)
+    cache = trees[0].engine_cache
+    assert cache.first[0] < cache.lo[0]
+    assert cache.settled[1] > cache.hi[1]
+    while not trees[0].is_complete:
+        extend_pair(engines, trees)
+
+
+def test_point_masses():
+    dists = [PointMass(0.4), PointMass(0.4), Uniform(0.3, 0.5),
+             PointMass(0.1), Uniform(0.0, 0.45), PointMass(0.9),
+             Uniform(0.35, 0.95)]
+    tree, oracle = build_pair(dists)
+    assert_levels_equal(tree, oracle)
+
+
+@pytest.mark.parametrize("beam", sorted(BEAMS))
+def test_incremental_build_pruned_mid_build(beam):
+    dists = WORKLOADS.create("uniform", n=10, width=0.5, rng=5)
+    engines, trees = start_pair(dists, 5, **BEAMS[beam])
+    extend_pair(engines, trees)
+    extend_pair(engines, trees)
+    # Prune twice on pairs the built prefixes disagree on, extending in
+    # between, then finish the build.
+    for _ in range(2):
+        i, j = contested_pair(trees[1].paths_at_depth(trees[1].built_depth))
+        for tree in trees:
+            assert tree.prune_with_answer(i, j, holds=True) > 0
+        assert_levels_equal(*trees)
+        extend_pair(engines, trees)
+    while not trees[0].is_complete:
+        extend_pair(engines, trees)
+
+
+def contested_pair(paths):
+    """A pair ``(i, j)`` ranked ``i`` first on one path, ``j`` on another."""
+    ordered = {(int(a), int(b)) for row in paths for a, b in pairwise(row)}
+    return next(pair for pair in sorted(ordered) if pair[::-1] in ordered)
