@@ -55,7 +55,6 @@ from repro.api.run import (
     run_session,
 )
 from repro.api.specs import (
-    SHARD_STRATEGIES,
     BudgetSpec,
     CrowdSpec,
     EngineSpec,
@@ -99,7 +98,6 @@ __all__ = [
     "SessionSpec",
     "StoreSpec",
     "ServeSpec",
-    "SHARD_STRATEGIES",
     "as_instance_spec",
     # execution
     "PreparedSession",

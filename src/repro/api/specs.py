@@ -551,10 +551,6 @@ class SessionSpec:
         return self.engine_spec.build()
 
 
-#: Shard strategies the serve runtime understands (session key → worker).
-SHARD_STRATEGIES = ("blake2b",)
-
-
 @dataclass(frozen=True)
 class StoreSpec:
     """The TPO store a serve worker runs: hot LRU, optional cold tier.
@@ -647,7 +643,7 @@ class ServeSpec:
     asyncio loop, behavior unchanged); ``workers > 1`` runs the sharded
     runtime of :mod:`repro.service.sharding` — a router on
     ``host:port`` over ``workers`` session-manager processes, sessions
-    assigned by ``shard_by`` of the session key, TPOs shared through
+    placed by BLAKE2b of the session key, TPOs shared through
     :attr:`store`.  The CLI's ``repro serve`` flags are a thin parser
     over this spec.
     """
@@ -655,7 +651,6 @@ class ServeSpec:
     host: str = "127.0.0.1"
     port: int = 8080
     workers: int = 1
-    shard_by: str = "blake2b"
     store: StoreSpec = field(default_factory=StoreSpec)
     log: Optional[str] = None
     resolution: int = 1024
@@ -671,11 +666,6 @@ class ServeSpec:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         object.__setattr__(self, "workers", workers)
-        if self.shard_by not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard strategy {self.shard_by!r}; "
-                f"expected one of {list(SHARD_STRATEGIES)}"
-            )
         if not isinstance(self.store, StoreSpec):
             object.__setattr__(
                 self, "store", StoreSpec.from_dict(self.store)
@@ -701,7 +691,6 @@ class ServeSpec:
             "host": self.host,
             "port": self.port,
             "workers": self.workers,
-            "shard_by": self.shard_by,
             "store": self.store.to_dict(),
             "log": self.log,
             "resolution": self.resolution,
@@ -719,7 +708,6 @@ class ServeSpec:
                 "host",
                 "port",
                 "workers",
-                "shard_by",
                 "store",
                 "log",
                 "resolution",
@@ -730,7 +718,6 @@ class ServeSpec:
             host=payload.get("host", "127.0.0.1"),
             port=payload.get("port", 8080),
             workers=payload.get("workers", 1),
-            shard_by=payload.get("shard_by", "blake2b"),
             store=StoreSpec.from_dict(payload.get("store", {})),
             log=payload.get("log"),
             resolution=payload.get("resolution", 1024),
@@ -761,6 +748,5 @@ __all__: List[str] = [
     "SessionSpec",
     "StoreSpec",
     "ServeSpec",
-    "SHARD_STRATEGIES",
     "as_instance_spec",
 ]

@@ -225,12 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="cold-tier directory for the disk-npz backend",
     )
-    serve.add_argument(
-        "--shard-by",
-        default="blake2b",
-        choices=["blake2b"],
-        help="session-to-worker placement strategy",
-    )
 
     evaluate = sub.add_parser(
         "eval",
@@ -521,7 +515,6 @@ def _serve_spec_from_args(args) -> Any:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        shard_by=args.shard_by,
         store=store,
         log=args.log,
         resolution=args.resolution,

@@ -382,13 +382,13 @@ class TopologyInfo:
     role: str = "single"
     workers: int = 1
     shard: Optional[int] = None
-    strategy: str = "blake2b"
 
     def to_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "role": self.role,
             "workers": self.workers,
-            "strategy": self.strategy,
+            # Session placement is always BLAKE2b of the session id.
+            "strategy": "blake2b",
         }
         if self.shard is not None:
             payload["shard"] = self.shard

@@ -27,7 +27,7 @@ session-scoped requests verbatim; fleet-level reads (``/v1/healthz``,
 worker and merge.  TPOs cross the process boundary through the shared
 cold tier configured by :class:`~repro.api.specs.StoreSpec` — a worker
 that builds a tree publishes its npz form once; its siblings deserialize
-(or memmap) instead of rebuilding.
+it instead of rebuilding.
 
 Workers are crash-isolated: each logs to its own event-log file
 (:func:`worker_log_path`), and the router's monitor restarts a dead
@@ -67,9 +67,7 @@ PathLike = Union[str, Path]
 WORKER_START_TIMEOUT = 60.0
 
 
-def shard_for(
-    session_id: str, workers: int, strategy: str = "blake2b"
-) -> int:
+def shard_for(session_id: str, workers: int) -> int:
     """Which worker owns ``session_id`` — stable across processes.
 
     The digest is :func:`repro.api.canonical.content_key` — the same
@@ -80,8 +78,6 @@ def shard_for(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if strategy != "blake2b":
-        raise ValueError(f"unknown shard strategy {strategy!r}")
     return int(content_key(session_id, digest_size=8), 16) % workers
 
 
@@ -120,7 +116,6 @@ async def _run_worker(
         role="worker",
         workers=spec.workers,
         shard=shard,
-        strategy=spec.shard_by,
     )
     server = await start_server(
         manager, host="127.0.0.1", port=0, topology=topology
@@ -200,7 +195,6 @@ class ShardedService:
         self.topology = TopologyInfo(
             role="router",
             workers=spec.workers,
-            strategy=spec.shard_by,
         )
 
     # -- worker lifecycle ----------------------------------------------
@@ -365,9 +359,7 @@ class ShardedService:
         if method == "POST" and segments == ["sessions"]:
             return await self._route_create(method, path, raw_body)
         if len(segments) >= 2 and segments[0] == "sessions":
-            shard = shard_for(
-                segments[1], self.spec.workers, self.spec.shard_by
-            )
+            shard = shard_for(segments[1], self.spec.workers)
             return await self._forward_raw(shard, method, path, raw_body)
         # Anything else (unknown routes, wrong methods on fleet paths):
         # let a worker produce the protocol-correct 404/405 envelope.
@@ -400,9 +392,7 @@ class ShardedService:
             raw_body = json.dumps(body).encode("utf-8")
         elif not isinstance(session_id, str):
             raise HttpError(400, "session_id must be a string")
-        shard = shard_for(
-            session_id, self.spec.workers, self.spec.shard_by
-        )
+        shard = shard_for(session_id, self.spec.workers)
         return await self._forward_raw(shard, method, path, raw_body)
 
     async def _handle_client(
@@ -474,7 +464,7 @@ class ShardedService:
         )
         print(
             f"repro service router on {addresses} "
-            f"({self.spec.workers} workers, shard by {self.spec.shard_by}, "
+            f"({self.spec.workers} workers, shard by blake2b, "
             f"protocol /{PROTOCOL_VERSION})"
         )
         try:

@@ -18,8 +18,7 @@ registry of :mod:`repro.api.catalog`:
     the reference implementation of the tier contract.
 ``disk-npz``
     One atomic (tmp+rename, fsynced) ``<key>.npz`` file per instance in
-    a shared directory, memmap-loaded so concurrent workers share
-    physical pages.  Torn or corrupt files are treated as misses and
+    a shared directory.  Torn or corrupt files are treated as misses and
     deleted rather than poisoning the fleet — the same discipline the
     event log applies to torn JSONL tails.  Cross-process single-flight:
     a ``<key>.lock`` file (``O_CREAT | O_EXCL``) elects one builder; the
@@ -88,25 +87,33 @@ class ColdTier:
 
     # -- tier interface ------------------------------------------------
 
-    def get(
+    def _read(
         self, key: str, distributions: Sequence[ScoreDistribution]
     ) -> Optional[TPOTree]:
-        """The stored tree for ``key``, or ``None`` on miss.
-
-        A damaged payload (torn mid-copy, truncated by a crash) counts
-        as a miss, is discarded, and bumps the ``torn`` counter.
-        """
+        """One uncounted look: a damaged payload (torn mid-copy,
+        truncated by a crash) is discarded, bumps ``torn`` and reads as
+        ``None``."""
         try:
-            tree = self._load(key, distributions)
+            return self._load(key, distributions)
         except TPOSerializationError:
             self.torn += 1
             self._discard_damaged(key)
-            tree = None
+            return None
+
+    def _tally(self, tree: Optional[TPOTree]) -> Optional[TPOTree]:
+        """Count one lookup as a hit or a miss and pass its result on."""
         if tree is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return tree
+
+    def get(
+        self, key: str, distributions: Sequence[ScoreDistribution]
+    ) -> Optional[TPOTree]:
+        """The stored tree for ``key``, or ``None`` on miss (a damaged
+        payload counts as a miss and as ``torn``)."""
+        return self._tally(self._read(key, distributions))
 
     def put(self, key: str, tree: TPOTree) -> TPOTree:
         """Persist ``tree`` under ``key``; returns the stored round-trip."""
@@ -134,7 +141,11 @@ class ColdTier:
         distributions: Sequence[ScoreDistribution],
         timeout: float,
     ) -> Optional[TPOTree]:
-        """Wait up to ``timeout`` seconds for another builder's artifact."""
+        """Wait up to ``timeout`` seconds for another builder's artifact.
+
+        A tier that polls counts the whole wait as one lookup — one hit
+        or one miss, however many polls it took.
+        """
         return None
 
     # -- bookkeeping ---------------------------------------------------
@@ -220,7 +231,7 @@ def _check_key(key: str) -> str:
 
 
 class DiskNpzColdTier(ColdTier):
-    """Shared-directory cold tier of atomic, memmap-loaded npz files.
+    """Shared-directory cold tier of atomic npz files.
 
     Parameters
     ----------
@@ -228,10 +239,6 @@ class DiskNpzColdTier(ColdTier):
         Directory holding one ``<key>.npz`` per instance (created on
         first write).  Point every worker of a fleet at the same
         directory.
-    mmap:
-        Memory-map level tables on load (default) so concurrent readers
-        share pages; pass ``False`` to force heap copies (e.g. when the
-        directory is about to be deleted).
     lock_timeout:
         How long :meth:`wait_for` polls for another process's build
         before giving up and building locally anyway.
@@ -242,13 +249,11 @@ class DiskNpzColdTier(ColdTier):
     def __init__(
         self,
         path: PathLike,
-        mmap: bool = True,
         lock_timeout: float = 30.0,
         poll_interval: float = 0.02,
     ) -> None:
         super().__init__()
         self.root = Path(path)
-        self.mmap = bool(mmap)
         self.lock_timeout = float(lock_timeout)
         self.poll_interval = float(poll_interval)
 
@@ -264,11 +269,11 @@ class DiskNpzColdTier(ColdTier):
         path = self._file(key)
         if not path.exists():
             return None
-        return tree_from_npz(path, distributions, mmap=self.mmap)
+        return tree_from_npz(path, distributions)
 
     def _store(self, key: str, tree: TPOTree) -> TPOTree:
         path = tree_to_npz(tree, self._file(key))
-        return tree_from_npz(path, tree.distributions, mmap=self.mmap)
+        return tree_from_npz(path, tree.distributions)
 
     def _discard_damaged(self, key: str) -> None:
         try:
@@ -313,16 +318,18 @@ class DiskNpzColdTier(ColdTier):
         timeout: float,
     ) -> Optional[TPOTree]:
         deadline = time.monotonic() + timeout
+        tree = None
         while time.monotonic() < deadline:
-            tree = self.get(key, distributions)
+            tree = self._read(key, distributions)
             if tree is not None:
-                return tree
+                break
             if not self._lock(key).exists():
                 # The builder released (or died) without producing the
                 # artifact; one more look, then let the caller build.
-                return self.get(key, distributions)
+                tree = self._read(key, distributions)
+                break
             time.sleep(self.poll_interval)
-        return None
+        return self._tally(tree)
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -3,9 +3,12 @@
 Builds, extends, prunes, and flattens the TPO ``T_K`` of Soliman & Ilyas
 that the paper's uncertainty-reduction algorithms operate on.  The tree
 is stored as flat per-level ``(tuple_ids, parent_idx, probs)`` array
-tables (see :mod:`repro.tpo.tree`), and every engine extends the whole
-frontier in one batched pass (:mod:`repro.tpo.builders`); the pointer
-node API survives as read-only views.
+tables (see :mod:`repro.tpo.tree`): every engine extends the whole
+frontier in one batched pass (:mod:`repro.tpo.builders`), the ``incr``
+algorithm prunes partial trees, and :meth:`TPOTree.to_space` flattens
+the leaves into the :class:`OrderingSpace` that policies and measures
+consume.  The one serialized form is the npz archive of
+:mod:`repro.tpo.serialize`.
 """
 
 from repro.tpo.builders import (
@@ -20,9 +23,7 @@ from repro.tpo.analysis import (
     overlap_statistics,
     profile_space,
     question_impact_table,
-    tuple_volatility,
 )
-from repro.tpo.node import ROOT_TUPLE, TPONodeView
 from repro.tpo.semantics import (
     answer_report,
     expected_ranks,
@@ -30,13 +31,10 @@ from repro.tpo.semantics import (
     u_kranks,
     u_topk,
 )
-from repro.tpo.serialize import tree_from_dict, tree_to_dict, tree_to_dot
 from repro.tpo.space import DegenerateSpaceError, OrderingSpace
 from repro.tpo.tree import TPOLevel, TPOTree
 
 __all__ = [
-    "TPONodeView",
-    "ROOT_TUPLE",
     "TPOTree",
     "TPOLevel",
     "OrderingSpace",
@@ -47,9 +45,6 @@ __all__ = [
     "ExactBuilder",
     "MonteCarloBuilder",
     "ENGINES",
-    "tree_to_dict",
-    "tree_from_dict",
-    "tree_to_dot",
     "u_topk",
     "u_kranks",
     "pt_k",
@@ -57,6 +52,5 @@ __all__ = [
     "answer_report",
     "profile_space",
     "question_impact_table",
-    "tuple_volatility",
     "overlap_statistics",
 ]

@@ -2,7 +2,7 @@
 
 Answering "why is this query so uncertain?" needs more than a scalar
 measure.  These helpers decompose a TPO's uncertainty the way a DBA would
-want to see it: per level, per tuple, and per potential crowd question —
+want to see it: per level, per workload, and per potential crowd question —
 they power the example scripts and are handy in notebooks.
 """
 
@@ -109,22 +109,6 @@ def question_impact_table(
     return rows[:top]
 
 
-def tuple_volatility(space: OrderingSpace) -> np.ndarray:
-    """Per-tuple rank volatility: entropy of each tuple's rank marginal.
-
-    Tuples whose position is spread across many ranks (or across the
-    in/out-of-top-K boundary) drive the ordering uncertainty.
-    """
-    from repro.uncertainty.entropy import shannon_entropy
-
-    marginals = space.rank_marginals()
-    presence = marginals.sum(axis=1, keepdims=True)
-    # Append the "below rank K" outcome so each row is a distribution.
-    full = np.concatenate([marginals, 1.0 - presence], axis=1)
-    volatility = np.array([shannon_entropy(row) for row in full])
-    return volatility
-
-
 def overlap_statistics(
     distributions: Sequence[ScoreDistribution],
 ) -> Dict[str, float]:
@@ -147,6 +131,5 @@ __all__ = [
     "SpaceProfile",
     "profile_space",
     "question_impact_table",
-    "tuple_volatility",
     "overlap_statistics",
 ]

@@ -195,19 +195,6 @@ class OrderingSpace:
         pj = pos[:, j_indices]
         return np.where(pi < pj, 1, np.where(pj < pi, -1, 0)).astype(np.int8)
 
-    def answer_probability(self, i: int, j: int) -> float:
-        """``Pr(t_i ≺ t_j)`` under the space's own distribution.
-
-        Defined over the decisive paths only and renormalized; if no path
-        is decisive the answer is uninformative and 0.5 is returned.
-        """
-        codes = self.agreement_codes(i, j)
-        yes = float(self.probabilities[codes == 1].sum())
-        no = float(self.probabilities[codes == -1].sum())
-        if yes + no <= 0:
-            return 0.5
-        return yes / (yes + no)
-
     def condition(self, i: int, j: int, holds: bool) -> "OrderingSpace":
         """Prune paths disagreeing with the answer to ``t_i ?≺ t_j``.
 
@@ -372,9 +359,8 @@ class OrderingSpace:
         """The single most probable top-K prefix (the paper's MPO).
 
         Ties on the maximal mass resolve to the lexicographically
-        smallest path — the same deterministic policy as
-        :meth:`top_orderings`, so the MPO is stable across platforms and
-        numpy versions.
+        smallest path, so the MPO is stable across platforms and numpy
+        versions.
         """
         probabilities = self.probabilities
         ties = np.flatnonzero(probabilities == probabilities.max())
@@ -446,24 +432,6 @@ class OrderingSpace:
         w = less + 0.5 * both_absent
         np.fill_diagonal(w, 0.0)
         return w
-
-    def sample_ordering(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one ordering according to the space's distribution."""
-        index = rng.choice(self.size, p=self.probabilities)
-        return self.paths[index].copy()
-
-    def top_orderings(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``count`` most probable orderings and their masses.
-
-        Sorted by descending mass with equal-mass orderings in ascending
-        path (lexicographic) order — a deterministic total order, unlike
-        the reversed unstable argsort it replaces, whose tie order
-        depended on the platform's quicksort.  Mirrors the stable-tie
-        policy of :mod:`repro.uncertainty.representative`.
-        """
-        keys = tuple(self.paths.T[::-1]) + (-self.probabilities,)
-        order = np.lexsort(keys)[:count]
-        return self.paths[order].copy(), self.probabilities[order].copy()
 
     # ------------------------------------------------------------------
 

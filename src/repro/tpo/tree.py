@@ -22,23 +22,17 @@ and ``to_space`` is ``K`` vectorized gathers along the ``parent_idx``
 chains (no per-leaf walk).  Builders append whole levels at once with
 :meth:`append_level` and keep their per-frontier numeric payloads (prefix
 densities, sample assignments) in ``engine_cache``, indexed by the top
-level's rows.
-
-The pointer-era introspection API (``root``, ``leaves``,
-``nodes_at_depth``, ``iter_nodes``) survives as thin
-:class:`~repro.tpo.node.TPONodeView` facades over the level tables, so
-serialization, diagnostics, and tests keep working unchanged.
+level's rows.  The binary form of the tables is
+:mod:`repro.tpo.serialize`'s npz archive.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.distributions.base import ScoreDistribution
-from repro.tpo.node import TPONodeView
 from repro.tpo.space import (
     DegenerateSpaceError,
     OrderingSpace,
@@ -128,36 +122,6 @@ class TPOTree:
     def is_approximate(self) -> bool:
         """True when an anytime beam dropped mass during construction."""
         return self.lost_mass > 0.0
-
-    @property
-    def root(self) -> TPONodeView:
-        """View of the synthetic depth-0 root."""
-        return TPONodeView(self, 0, 0)
-
-    def iter_nodes(self) -> Iterator[TPONodeView]:
-        """All nodes except the synthetic root (pre-order)."""
-        for node in self.root.iter_subtree():
-            if not node.is_root:
-                yield node
-
-    def nodes_at_depth(self, depth: int) -> List[TPONodeView]:
-        """All nodes at exactly ``depth`` (1-based levels)."""
-        if depth == 0:
-            return [self.root]
-        if depth > self.built_depth:
-            return []
-        return [
-            TPONodeView(self, depth, index)
-            for index in range(self.levels[depth - 1].width)
-        ]
-
-    def leaves(self) -> List[TPONodeView]:
-        """Deepest materialized nodes (= paths of the current space)."""
-        return self.nodes_at_depth(self.built_depth)
-
-    def node_count(self) -> int:
-        """Number of non-root nodes."""
-        return sum(level.width for level in self.levels)
 
     def ordering_count(self) -> int:
         """Number of possible orderings currently represented."""
@@ -252,15 +216,6 @@ class TPOTree:
             index = level.parent_idx[index]
         return paths
 
-    def path_of(self, depth: int, index: int) -> np.ndarray:
-        """The root-to-node prefix of one node (used by node views)."""
-        path = np.empty(depth, dtype=np.int32)
-        for level_depth in range(depth, 0, -1):
-            level = self.levels[level_depth - 1]
-            path[level_depth - 1] = level.tuple_ids[index]
-            index = int(level.parent_idx[index])
-        return path
-
     # ------------------------------------------------------------------
     # Conversion
     # ------------------------------------------------------------------
@@ -277,103 +232,6 @@ class TPOTree:
             lost_mass=self.lost_mass,
             lost_leaves=self.lost_leaves,
         )
-
-    # ------------------------------------------------------------------
-    # Lazy k-best enumeration
-    # ------------------------------------------------------------------
-
-    def iter_orderings(self) -> Iterator[Tuple[np.ndarray, float]]:
-        """Stream materialized orderings best-first, without a full sort.
-
-        Yields ``(path, mass)`` pairs in exactly the deterministic order
-        of :meth:`OrderingSpace.top_orderings` — descending mass, ties in
-        ascending path-lexicographic order — via a priority-queue
-        expansion of the level tables (the disco-dop ``lazykbest``
-        pattern over a packed chart).  ``mass`` is the raw leaf mass from
-        the top level table; divide by the level total for the
-        normalized probabilities an :class:`OrderingSpace` reports.
-
-        Correctness relies on keys being monotone along root-to-leaf
-        chains: a node's mass never exceeds its parent's (guaranteed
-        exactly once internal masses are children's sums, which
-        :meth:`renormalize` enforces and every builder runs), and a
-        node's path tuple lexicographically precedes its extensions.  So
-        nodes pop in globally sorted order and each yielded ordering
-        costs ``O(branch · log frontier)`` — no ``O(L log L)`` sort and
-        no ``(L, K)`` path materialization for the leaves never reached.
-        """
-        if self.built_depth == 0:
-            return
-        # Children of node (depth, index) are the contiguous slice
-        # child_starts[depth][index : index + 2] of level depth + 1
-        # (parent-major order makes this a searchsorted per level).
-        child_starts = [
-            np.searchsorted(
-                self.levels[depth].parent_idx,
-                np.arange(self.levels[depth - 1].width + 1),
-            )
-            for depth in range(1, self.built_depth)
-        ]
-        top = self.built_depth
-        heap: List[Tuple[float, Tuple[int, ...], int, int]] = []
-
-        def push(depth: int, index: int, prefix: Tuple[int, ...]) -> None:
-            level = self.levels[depth - 1]
-            heapq.heappush(
-                heap,
-                (
-                    -float(level.probs[index]),
-                    prefix + (int(level.tuple_ids[index]),),
-                    depth,
-                    index,
-                ),
-            )
-
-        for index in range(self.levels[0].width):
-            push(1, index, ())
-        while heap:
-            neg_mass, prefix, depth, index = heapq.heappop(heap)
-            if depth == top:
-                yield np.asarray(prefix, dtype=np.int32), -neg_mass
-                continue
-            starts = child_starts[depth - 1]
-            for child in range(starts[index], starts[index + 1]):
-                push(depth + 1, child, prefix)
-
-    def top_orderings_lazy(
-        self, count: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """First ``count`` rows of ``to_space().top_orderings(count)``.
-
-        Same arrays bit-for-bit — paths ``(c, depth)`` int32 and
-        normalized probabilities ``(c,)`` — but produced lazily through
-        :meth:`iter_orderings`, so only the expanded prefix chains are
-        ever materialized.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if self.built_depth == 0:
-            raise ValueError("tree has no materialized levels yet")
-        depth = self.built_depth
-        total = float(self.levels[-1].probs.sum())
-        if total <= 0:
-            raise DegenerateSpaceError("tree has zero mass")
-        paths: List[np.ndarray] = []
-        masses: List[float] = []
-        if count > 0:
-            for path, mass in self.iter_orderings():
-                paths.append(path)
-                masses.append(mass)
-                if len(paths) == count:
-                    break
-        if not paths:
-            return (
-                np.empty((0, depth), dtype=np.int32),
-                np.empty(0, dtype=float),
-            )
-        # Dividing by the same level total OrderingSpace.__init__ uses
-        # keeps the normalized masses bit-identical to the eager path.
-        return np.vstack(paths), np.asarray(masses, dtype=float) / total
 
     # ------------------------------------------------------------------
     # Structural updates (used by the incremental algorithm)
@@ -472,96 +330,11 @@ class TPOTree:
         self.renormalize()
         return removed
 
-    def reweight_with_answer(
-        self, i: int, j: int, holds: bool, accuracy: float
-    ) -> None:
-        """Noisy-answer Bayesian reweighting on the materialized leaves.
-
-        Mirrors :meth:`OrderingSpace.reweight_by_answer` but acts in place
-        on the tree, so the ``incr`` algorithm can keep extending it.
-        """
-        if not self.levels:
-            return
-        paths = self.paths_at_depth(self.built_depth)
-        codes = _prefix_agreement_codes(paths, i, j)
-        agree_value = 1 if holds else -1
-        weights = np.where(
-            codes == agree_value,
-            accuracy,
-            np.where(codes == 0, 0.5, 1.0 - accuracy),
-        )
-        top = self.levels[-1]
-        if self.lost_mass > 0.0:
-            # Worst case the dropped mass carried the largest weight.
-            total = float(top.probs.sum())
-            reweighted = float((top.probs * weights).sum())
-            w_max = max(accuracy, 1.0 - accuracy)
-            if total > 0.0 and w_max > 0.0:
-                self.lost_mass = conditioned_lost_mass(
-                    self.lost_mass, reweighted / (total * w_max)
-                )
-        top.probs = top.probs * weights
-        self.renormalize()
-
-    # ------------------------------------------------------------------
-
-    def validate(self, tolerance: float = 1e-6) -> None:
-        """Check structural invariants; raises :class:`AssertionError`.
-
-        Invariants: every materialized level's mass is ~1; children masses
-        never exceed their parent's (up to tolerance); parent indices are
-        in range and non-decreasing; no tuple repeats along a path.
-        """
-        for depth in range(1, self.built_depth + 1):
-            mass = self.level_mass(depth)
-            assert abs(mass - 1.0) <= tolerance, (
-                f"level {depth} mass {mass} differs from 1"
-            )
-        for depth, level in enumerate(self.levels, start=1):
-            parent_width = self.levels[depth - 2].width if depth > 1 else 1
-            if level.width:
-                assert 0 <= level.parent_idx.min(), "negative parent index"
-                assert level.parent_idx.max() < parent_width, (
-                    f"level {depth} parent index out of range"
-                )
-                assert not np.any(np.diff(level.parent_idx) < 0), (
-                    f"level {depth} is not parent-major"
-                )
-            if depth > 1:
-                child_sums = np.bincount(
-                    level.parent_idx,
-                    weights=level.probs,
-                    minlength=parent_width,
-                )
-                parents = self.levels[depth - 2].probs
-                assert np.all(child_sums <= parents + tolerance), (
-                    f"level {depth} children mass exceeds parents"
-                )
-            paths = self.paths_at_depth(depth)
-            ordered = np.sort(paths, axis=1)
-            assert not np.any(ordered[:, 1:] == ordered[:, :-1]), (
-                f"a depth-{depth} path repeats a tuple"
-            )
-
     def __repr__(self) -> str:
         return (
             f"TPOTree(n={self.n_tuples}, k={self.k}, "
             f"built={self.built_depth}, orderings={self.ordering_count()})"
         )
-
-
-def _prefix_agreement_codes(
-    paths: np.ndarray, i: int, j: int
-) -> np.ndarray:
-    """+1 / −1 / 0 stance of each prefix row on ``t_i ≺ t_j``.
-
-    Absent tuples rank strictly below present ones — the top-K prefix
-    semantics of :meth:`OrderingSpace.agreement_codes`.
-    """
-    depth = paths.shape[1]
-    pi = np.where(paths == i, np.arange(depth), depth).min(axis=1)
-    pj = np.where(paths == j, np.arange(depth), depth).min(axis=1)
-    return np.where(pi < pj, 1, np.where(pj < pi, -1, 0)).astype(np.int8)
 
 
 __all__ = ["TPOTree", "TPOLevel"]

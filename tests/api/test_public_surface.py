@@ -2,8 +2,9 @@
 
 ``repro.api`` is the stable front door: adding a name is a conscious,
 reviewed act, and removing or renaming one is a breaking change.  This
-test pins the exact exported surface so accidental drift fails CI (it
-also runs inside the lint job).
+test pins the exact exported surface — of ``repro.api`` and of the
+``repro.tpo`` substrate — so accidental drift fails CI (it also runs
+inside the lint job).
 """
 
 import importlib
@@ -11,6 +12,7 @@ import importlib
 import pytest
 
 import repro.api as api
+import repro.tpo as tpo
 
 EXPECTED_API_ALL = [
     # canonical identity
@@ -43,7 +45,6 @@ EXPECTED_API_ALL = [
     "SessionSpec",
     "StoreSpec",
     "ServeSpec",
-    "SHARD_STRATEGIES",
     "as_instance_spec",
     # execution
     "PreparedSession",
@@ -51,6 +52,30 @@ EXPECTED_API_ALL = [
     "prepare_session",
     "replay_session",
     "run_session",
+]
+
+#: The tree-of-possible-orderings substrate: the level-table tree, its
+#: flattened space, the engines, and the diagnostics over them.  The npz
+#: archive of ``repro.tpo.serialize`` is the tree's one serialized form.
+EXPECTED_TPO_ALL = [
+    "TPOTree",
+    "TPOLevel",
+    "OrderingSpace",
+    "DegenerateSpaceError",
+    "TPOBuilder",
+    "TPOSizeError",
+    "GridBuilder",
+    "ExactBuilder",
+    "MonteCarloBuilder",
+    "ENGINES",
+    "u_topk",
+    "u_kranks",
+    "pt_k",
+    "expected_ranks",
+    "answer_report",
+    "profile_space",
+    "question_impact_table",
+    "overlap_statistics",
 ]
 
 #: Every enumerable plugin axis — ``repro list`` kinds and the
@@ -131,6 +156,12 @@ def test_every_exported_name_resolves():
         assert getattr(api, name) is not None
 
 
+def test_tpo_all_is_exactly_the_reviewed_surface():
+    assert list(tpo.__all__) == EXPECTED_TPO_ALL
+    for name in tpo.__all__:
+        assert getattr(tpo, name) is not None
+
+
 def test_registry_kind_list_is_stable():
     assert sorted(api.all_registries()) == EXPECTED_REGISTRY_KINDS
 
@@ -147,7 +178,9 @@ def test_builtin_plugin_names_are_stable():
 #: a stale alias.  3.0.0 removed the pre-``repro.api`` factories; 4.0.0
 #: removed the second analyzer front end (``repro check`` is the one);
 #: 5.0.0 removed the second session path of the figure drivers (their
-#: cells are ``SessionSpec`` dicts run through ``repro.api.run``).
+#: cells are ``SessionSpec`` dicts run through ``repro.api.run``); 6.0.0
+#: removed the pointer-era tree surface (node views, the JSON/DOT
+#: formats, lazy k-best) and the one-valued shard strategy knob.
 REMOVED = [
     ("repro", "make_policy"),
     ("repro", "make_builder"),
@@ -175,6 +208,17 @@ REMOVED = [
     ("repro.experiments.runner", "make_run"),
     ("repro.experiments.fig1a", "run"),
     ("repro.experiments.fig1a", "main"),
+    ("repro.tpo", "TPONodeView"),
+    ("repro.tpo", "ROOT_TUPLE"),
+    ("repro.tpo", "tree_to_dict"),
+    ("repro.tpo", "tree_from_dict"),
+    ("repro.tpo", "tree_to_dot"),
+    ("repro.tpo", "tuple_volatility"),
+    ("repro.tpo.serialize", "tree_to_dict"),
+    ("repro.tpo.serialize", "tree_from_dict"),
+    ("repro.tpo.serialize", "tree_to_dot"),
+    ("repro.tpo.serialize", "_memmap_npz_members"),
+    ("repro.api", "SHARD_STRATEGIES"),
 ]
 
 
@@ -189,3 +233,25 @@ def test_result_table_has_no_session_projection():
     from repro.experiments.harness import ResultTable
 
     assert not hasattr(ResultTable, "add_result")
+
+
+def test_tpo_tree_and_space_drop_the_pointer_era_methods():
+    from repro.tpo import OrderingSpace, TPOTree
+
+    for name in (
+        "root",
+        "iter_nodes",
+        "nodes_at_depth",
+        "leaves",
+        "node_count",
+        "path_of",
+        "iter_orderings",
+        "top_orderings_lazy",
+        "reweight_with_answer",
+        "validate",
+    ):
+        assert not hasattr(TPOTree, name), name
+    for name in ("top_orderings", "sample_ordering", "answer_probability"):
+        assert not hasattr(OrderingSpace, name), name
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.tpo.node")

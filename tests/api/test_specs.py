@@ -344,7 +344,6 @@ class TestServeSpec:
         spec = ServeSpec()
         assert spec.workers == 1
         assert spec.store.backend == "none"
-        assert spec.shard_by == "blake2b"
 
     def test_store_dict_and_shorthand_coerced(self, tmp_path):
         from repro.api import ServeSpec, StoreSpec
@@ -372,8 +371,6 @@ class TestServeSpec:
         with pytest.raises(ValueError):
             ServeSpec(workers=0)
         with pytest.raises(ValueError):
-            ServeSpec(shard_by="round-robin")
-        with pytest.raises(ValueError):
             ServeSpec(resolution=1)
         for field in ("port", "workers", "resolution"):
             for bad in (1024.5, True, "1024"):
@@ -385,6 +382,10 @@ class TestServeSpec:
 
         with pytest.raises(ValueError, match="wokers"):
             ServeSpec.from_dict({"wokers": 2})
+        # Placement is always BLAKE2b of the session key: no knob.
+        with pytest.raises(ValueError, match="shard_by"):
+            ServeSpec.from_dict({"shard_by": "blake2b"})
+        assert "shard_by" not in ServeSpec().to_dict()
 
     def test_content_key_is_byte_stable(self):
         from repro.api import ServeSpec

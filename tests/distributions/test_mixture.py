@@ -71,11 +71,13 @@ class TestIntegration:
     def test_mixture_in_tpo(self):
         from repro.tpo import GridBuilder
 
+        from oracles.tree_invariants import validate
+
         dists = [
             Mixture([Uniform(0, 0.4), Uniform(0.6, 1.0)], [0.5, 0.5]),
             Uniform(0.3, 0.7),
             TruncatedGaussian(0.5, 0.1),
         ]
         tree = GridBuilder(resolution=800).build(dists, 2)
-        tree.validate(tolerance=1e-4)
+        validate(tree, tolerance=1e-4)
         assert tree.to_space().size >= 2

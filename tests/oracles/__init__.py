@@ -8,7 +8,9 @@ production code against.
 * :mod:`oracles.scalar_residual` — one-space-per-answer residual
   uncertainty (parity for the batched ``ResidualEvaluator`` paths);
 * :mod:`oracles.stance_distance` — the ``(chunk, N, N)`` stance-tensor
-  result distance (bit parity for ``topk_distance_profile``).
+  result distance (bit parity for ``topk_distance_profile``);
+* :mod:`oracles.tree_invariants` — the structural invariants of a
+  level-table ``TPOTree`` (masses, parent order, no repeated tuple).
 
 ``tests/`` is on ``sys.path`` (the suite's root ``conftest.py`` lives
 there), so test modules import these as ``from oracles... import ...``.

@@ -21,8 +21,10 @@ import numpy as np
 from repro.distributions.base import ScoreDistribution
 from repro.distributions.grid import Grid
 from repro.tpo.builders import TPOSizeError, _effective
-from repro.tpo.node import ROOT_TUPLE
 from repro.tpo.space import OrderingSpace
+
+#: Tuple index stored by the synthetic root node.
+ROOT_TUPLE = -1
 
 
 class TPONode:

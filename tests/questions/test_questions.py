@@ -76,7 +76,10 @@ class TestSingleResidual:
     def test_two_outcome_expectation(self, toy_space, evaluator):
         question = Question(0, 1)
         codes = toy_space.agreement_codes(0, 1)
-        p_yes = toy_space.answer_probability(0, 1)
+        # Pr(yes) over the decisive paths: 0.4 + 0.2 of 0.9.
+        p_yes = toy_space.probabilities[codes == 1].sum() / (
+            toy_space.probabilities[codes != 0].sum()
+        )
         measure = EntropyMeasure()
         expected = p_yes * measure(
             toy_space.restrict(codes != -1)

@@ -103,18 +103,20 @@ class TestTPOCache:
     def test_default_tier_round_trips_through_npz_bytes(self):
         # With no cold backend the tree still passes through the npz
         # bytes a cold tier would store, and comes back unchanged.
-        from repro.tpo.serialize import tree_from_dict, tree_to_dict
+        from repro.tpo.serialize import tree_from_npz_bytes, tree_to_npz_bytes
 
         distributions, build = make_instance()
         cache = TPOCache(capacity=2)
         space = cache.get_space("k", distributions, build)
-        via_dict = tree_from_dict(
-            tree_to_dict(build()), distributions
+        direct = build().to_space()
+        via_npz = tree_from_npz_bytes(
+            tree_to_npz_bytes(build()), distributions
         ).to_space()
-        np.testing.assert_array_equal(space.paths, via_dict.paths)
-        np.testing.assert_array_equal(
-            space.probabilities, via_dict.probabilities
-        )
+        for expected in (direct, via_npz):
+            assert np.array_equal(space.paths, expected.paths)
+            assert np.array_equal(
+                space.probabilities, expected.probabilities
+            )
         cold = cache.stats()["cold"]
         assert (cold["backend"], cold["puts"], cold["entries"]) == (
             "none",

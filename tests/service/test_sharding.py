@@ -49,8 +49,6 @@ class TestShardFor:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             shard_for("sid", 0)
-        with pytest.raises(ValueError):
-            shard_for("sid", 2, strategy="round-robin")
 
 
 class TestWorkerLogPath:

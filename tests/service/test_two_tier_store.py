@@ -2,13 +2,14 @@
 configuration of the TPO cache."""
 
 import multiprocessing
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.service.cache import TPOCache
-from repro.service.store import DiskNpzColdTier, MemoryColdTier
+from repro.service.store import ColdTier, DiskNpzColdTier, MemoryColdTier
 from repro.tpo.builders import GridBuilder
 from repro.workloads.synthetic import uniform_intervals
 
@@ -31,28 +32,35 @@ def sibling(tier):
     return tier
 
 
+def assert_same_tree(restored, tree):
+    """Exact level tables and beam-loss bookkeeping."""
+    assert restored.built_depth == tree.built_depth
+    for level, other in zip(restored.levels, tree.levels, strict=True):
+        assert np.array_equal(level.tuple_ids, other.tuple_ids)
+        assert np.array_equal(level.parent_idx, other.parent_idx)
+        assert np.array_equal(level.probs, other.probs)
+    assert restored.lost_mass == tree.lost_mass
+    assert restored.level_lost == tree.level_lost
+
+
 class TestColdTiers:
     def test_roundtrip_parity_every_backend(self, tmp_path):
         distributions, build = make_instance()
-        tree = build()
-        expected = tree.to_space()
-        for tier in cold_tiers(tmp_path):
-            assert tier.get("k1", distributions) is None
-            stored = tier.put("k1", tree)
-            space = stored.to_space()
-            np.testing.assert_array_equal(space.paths, expected.paths)
-            np.testing.assert_allclose(
-                space.probabilities,
-                expected.probabilities,
-                atol=1e-12,
-            )
-            again = tier.get("k1", distributions)
-            assert again is not None
-            np.testing.assert_array_equal(
-                again.to_space().paths, expected.paths
-            )
-            assert tier.entry_count() == 1
-            assert tier.stored_bytes() > 0
+        beam = GridBuilder(resolution=256, beam_width=2).build(
+            distributions, 3
+        )
+        assert beam.lost_mass > 0.0
+        for name, tree in (("exact", build()), ("beam", beam)):
+            for tier in [ColdTier(), *cold_tiers(tmp_path / name)]:
+                assert tier.get("k1", distributions) is None
+                assert_same_tree(tier.put("k1", tree), tree)
+                if tier.name == "none":
+                    continue  # stores nothing: put only round-trips
+                again = tier.get("k1", distributions)
+                assert again is not None
+                assert_same_tree(again, tree)
+                assert tier.entry_count() == 1
+                assert tier.stored_bytes() > 0
 
     def test_stored_bytes_survives_a_put_mid_snapshot(self, interleaver):
         """``/v1/stats`` sums payload sizes on the loop thread while the
@@ -140,6 +148,39 @@ class TestColdTiers:
         distributions, _ = make_instance()
         tier = DiskNpzColdTier(tmp_path / "cold", poll_interval=0.01)
         assert tier.wait_for("k1", distributions, timeout=0.05) is None
+
+    def test_disk_wait_for_counts_one_lookup(self, tmp_path):
+        """A wait is one lookup however often it polls: a fruitless wait
+        is one miss, and a served one is one hit (not a miss per poll)."""
+        distributions, build = make_instance()
+        tier = DiskNpzColdTier(tmp_path / "cold", poll_interval=0.01)
+        assert tier.begin_build("k1") is True  # a builder that never ends
+        assert tier.wait_for("k1", distributions, timeout=0.1) is None
+        assert (tier.hits, tier.misses) == (0, 1)
+
+        publisher = threading.Timer(0.1, lambda: tier.put("k1", build()))
+        publisher.start()
+        try:
+            waited = tier.wait_for("k1", distributions, timeout=5.0)
+        finally:
+            publisher.join()
+        assert waited is not None
+        assert (tier.hits, tier.misses) == (1, 1)
+        assert tier.stats()["hit_rate"] == 0.5
+        tier.end_build("k1")
+
+    def test_disk_wait_for_discards_torn_payload(self, tmp_path):
+        distributions, build = make_instance()
+        tier = DiskNpzColdTier(tmp_path / "cold", poll_interval=0.01)
+        tier.put("k1", build())
+        artifact = tmp_path / "cold" / "k1.npz"
+        artifact.write_bytes(artifact.read_bytes()[:64])
+        assert tier.begin_build("k1") is True
+        assert tier.wait_for("k1", distributions, timeout=0.05) is None
+        assert tier.torn == 1
+        assert not artifact.exists()
+        assert (tier.hits, tier.misses) == (0, 1)
+        tier.end_build("k1")
 
 
 def _worker_reads_shared_tree(config):

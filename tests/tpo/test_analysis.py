@@ -7,7 +7,6 @@ from repro.tpo.analysis import (
     overlap_statistics,
     profile_space,
     question_impact_table,
-    tuple_volatility,
 )
 from repro.tpo.space import OrderingSpace
 from repro.uncertainty import EntropyMeasure
@@ -58,21 +57,6 @@ class TestQuestionImpact:
 
     def test_top_limits_output(self, small_space):
         assert len(question_impact_table(small_space, top=2)) <= 2
-
-
-class TestVolatility:
-    def test_shape_and_range(self, small_space):
-        volatility = tuple_volatility(small_space)
-        assert volatility.shape == (small_space.n_tuples,)
-        assert (volatility >= -1e-12).all()
-
-    def test_fixed_tuple_has_zero_volatility(self):
-        space = OrderingSpace.from_orderings(
-            [[0, 1], [0, 2]], [0.5, 0.5], 3
-        )
-        volatility = tuple_volatility(space)
-        assert volatility[0] == pytest.approx(0.0)  # always rank 0
-        assert volatility[1] > 0
 
 
 class TestOverlapStatistics:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.distributions import Uniform
 from repro.tpo import GridBuilder, MonteCarloBuilder
 
+from oracles.tree_invariants import validate
+
 
 @st.composite
 def uniform_workloads(draw):
@@ -26,7 +28,7 @@ def uniform_workloads(draw):
 def test_grid_tree_invariants(dists, k):
     k = min(k, len(dists))
     tree = GridBuilder(resolution=400).build(dists, k)
-    tree.validate(tolerance=1e-4)
+    validate(tree, tolerance=1e-4)
     space = tree.to_space()
     assert abs(space.probabilities.sum() - 1.0) < 1e-9
     # No path repeats a tuple, and paths are unique.

@@ -12,6 +12,8 @@ from repro.tpo import (
     TPOSizeError,
 )
 
+from oracles.tree_invariants import validate
+
 
 def space_map(space):
     """Path → probability dict for engine comparisons."""
@@ -86,7 +88,7 @@ class TestTreeShape:
     def test_gaussian_tree_builds(self):
         dists = [TruncatedGaussian(m, 0.1) for m in (0.3, 0.4, 0.55)]
         tree = GridBuilder(resolution=1000).build(dists, 2)
-        tree.validate(tolerance=1e-4)
+        validate(tree, tolerance=1e-4)
 
     def test_levels_sum_to_one_all_engines(self, overlapping_uniforms):
         for builder in (
@@ -121,12 +123,14 @@ class TestIncrementalExtension:
         assert tree.ordering_count() == count
 
     def test_parent_states_are_freed(self, overlapping_uniforms):
+        # The engine payload covers the frontier only: after two levels
+        # it is aligned with level 2, and nothing is kept for level 1.
         builder = GridBuilder(resolution=400)
         tree = builder.start(overlapping_uniforms, 3)
         builder.extend(tree)
         builder.extend(tree)
-        for node in tree.nodes_at_depth(1):
-            assert node.state is None
+        assert tree.engine_cache.width == tree.levels[-1].width
+        assert tree.engine_cache.width != tree.levels[0].width
 
 
 class TestGuards:
@@ -168,7 +172,7 @@ class TestMonteCarloDetails:
         tree = MonteCarloBuilder(samples=samples, seed=1).build(
             overlapping_uniforms, 2
         )
-        for leaf in tree.leaves():
-            assert (leaf.probability * samples) == pytest.approx(
-                round(leaf.probability * samples), abs=1e-6
+        for probability in tree.levels[-1].probs:
+            assert (probability * samples) == pytest.approx(
+                round(probability * samples), abs=1e-6
             )

@@ -1,12 +1,18 @@
-"""Tests of the flat level-table tree internals and compat views."""
+"""Tests of the flat level-table tree internals."""
+
+import io
 
 import numpy as np
 import pytest
 
 from repro.distributions import Uniform
 from repro.tpo import GridBuilder, MonteCarloBuilder, TPOTree
-from repro.tpo.node import ROOT_TUPLE
-from repro.tpo.serialize import tree_from_dict, tree_to_dict
+from repro.tpo.serialize import (
+    TPOSerializationError,
+    _npz_payload,
+    tree_from_npz_bytes,
+    tree_to_npz_bytes,
+)
 
 
 class TestLevelTable:
@@ -28,31 +34,18 @@ class TestLevelTable:
         with pytest.raises(ValueError, match="non-decreasing"):
             tree.append_level([1, 0], [1, 0], [0.5, 0.5])
 
-    def test_paths_at_depth_matches_views(self, small_tree):
+    def test_paths_at_depth_follows_parent_chains(self, small_tree):
         for depth in range(1, small_tree.built_depth + 1):
             paths = small_tree.paths_at_depth(depth)
-            prefixes = [
-                node.prefix() for node in small_tree.nodes_at_depth(depth)
-            ]
-            assert [tuple(row) for row in paths.tolist()] == prefixes
-
-    def test_views_walk_like_pointers(self, small_tree):
-        root = small_tree.root
-        assert root.is_root and root.tuple_index == ROOT_TUPLE
-        child = root.children[0]
-        assert child.parent.is_root
-        assert child.depth == 1
-        grandchildren = child.children
-        assert all(g.parent.tuple_index == child.tuple_index for g in grandchildren)
-        leaves = small_tree.leaves()
-        assert all(leaf.is_leaf for leaf in leaves)
-        # Pre-order traversal covers every non-root node exactly once.
-        visited = sum(1 for _ in small_tree.iter_nodes())
-        assert visited == small_tree.node_count()
-
-    def test_state_is_always_none_on_views(self, small_tree):
-        for node in small_tree.iter_nodes():
-            assert node.state is None
+            level = small_tree.levels[depth - 1]
+            assert paths.shape == (level.width, depth)
+            np.testing.assert_array_equal(paths[:, -1], level.tuple_ids)
+            if depth > 1:
+                # Each row extends its parent's row by one tuple.
+                parents = small_tree.paths_at_depth(depth - 1)
+                np.testing.assert_array_equal(
+                    paths[:, :-1], parents[level.parent_idx]
+                )
 
 
 class TestPruneFrontierInterplay:
@@ -115,35 +108,31 @@ class TestPruneFrontierInterplay:
 
 
 class TestSerializeFlatRoundTrip:
-    def test_wire_format_is_unchanged(self, small_tree):
-        payload = tree_to_dict(small_tree)
-        assert set(payload) == {"k", "n_tuples", "built_depth", "root"}
-        assert payload["root"]["tuple"] == -1
-        assert payload["root"]["p"] == 1.0
-        first = payload["root"]["children"][0]
-        assert set(first) == {"tuple", "p", "children"}
-
     def test_built_depth_mismatch_is_rejected(
         self, small_tree, overlapping_uniforms
     ):
-        payload = tree_to_dict(small_tree)
-        payload["built_depth"] = small_tree.built_depth + 1
-        with pytest.raises(ValueError, match="built_depth"):
-            tree_from_dict(payload, overlapping_uniforms)
+        payload = _npz_payload(small_tree)
+        payload["meta"] = payload["meta"].copy()
+        payload["meta"][3] = small_tree.built_depth + 1
+        buffer = io.BytesIO()
+        np.savez(buffer, **payload)
+        with pytest.raises(TPOSerializationError, match="level4"):
+            tree_from_npz_bytes(buffer.getvalue(), overlapping_uniforms)
 
     def test_round_trip_preserves_level_tables(self, small_tree):
-        rebuilt = tree_from_dict(
-            tree_to_dict(small_tree), small_tree.distributions
+        rebuilt = tree_from_npz_bytes(
+            tree_to_npz_bytes(small_tree), small_tree.distributions
         )
+        assert rebuilt.built_depth == small_tree.built_depth
         for level, other in zip(small_tree.levels, rebuilt.levels, strict=True):
-            np.testing.assert_array_equal(level.tuple_ids, other.tuple_ids)
-            np.testing.assert_array_equal(level.parent_idx, other.parent_idx)
-            np.testing.assert_allclose(level.probs, other.probs)
+            assert np.array_equal(level.tuple_ids, other.tuple_ids)
+            assert np.array_equal(level.parent_idx, other.parent_idx)
+            assert np.array_equal(level.probs, other.probs)
 
 
 def test_empty_tree_counts():
     tree = TPOTree([Uniform(0, 1), Uniform(0, 1)], 2)
     assert tree.built_depth == 0
-    assert tree.node_count() == 0
+    assert tree.levels == []
     assert tree.ordering_count() == 1  # the empty prefix
     assert tree.prune_with_answer(0, 1, True) == 0

@@ -5,10 +5,10 @@ import pytest
 
 from repro.distributions import Uniform
 from repro.tpo import GridBuilder, TPOTree
-from repro.tpo.node import ROOT_TUPLE
 from repro.tpo.space import DegenerateSpaceError
 
-from oracles.pointer_tpo import TPONode
+from oracles.pointer_tpo import ROOT_TUPLE, TPONode
+from oracles.tree_invariants import validate
 
 
 class TestNode:
@@ -65,11 +65,15 @@ class TestTree:
             assert built_tree.level_mass(depth) == pytest.approx(1.0, abs=1e-6)
 
     def test_structural_invariants(self, built_tree):
-        built_tree.validate()
+        validate(built_tree)
 
     def test_node_and_ordering_counts(self, built_tree):
-        assert built_tree.ordering_count() == len(built_tree.leaves())
-        assert built_tree.node_count() >= built_tree.ordering_count()
+        widths = [level.width for level in built_tree.levels]
+        assert built_tree.ordering_count() == widths[-1]
+        assert built_tree.ordering_count() == len(
+            built_tree.paths_at_depth(built_tree.k)
+        )
+        assert sum(widths) >= built_tree.ordering_count()
 
     def test_to_space_matches_leaves(self, built_tree):
         space = built_tree.to_space()
@@ -110,19 +114,6 @@ class TestTree:
         builder.extend(tree)  # depth 2 of 3
         assert not tree.is_complete
         tree.prune_with_answer(1, 0, True)
-        tree.validate()
+        validate(tree)
         space = tree.to_space()
         assert (space.agreement_codes(1, 0) != -1).all()
-
-    def test_reweight_with_answer_keeps_all_paths(self, built_tree):
-        before = built_tree.ordering_count()
-        built_tree.reweight_with_answer(0, 1, True, accuracy=0.8)
-        assert built_tree.ordering_count() == before
-        assert built_tree.level_mass(built_tree.k) == pytest.approx(1.0)
-
-    def test_reweight_shifts_mass_toward_agreement(self, built_tree):
-        space_before = built_tree.to_space()
-        p_before = space_before.answer_probability(0, 1)
-        built_tree.reweight_with_answer(0, 1, True, accuracy=0.9)
-        p_after = built_tree.to_space().answer_probability(0, 1)
-        assert p_after >= p_before

@@ -1,15 +1,11 @@
-"""Tests for TPO serialization."""
-
-import json
+"""Tests for TPO serialization: a decoded tree stays a working tree."""
 
 import pytest
 
-from repro.tpo import (
-    GridBuilder,
-    tree_from_dict,
-    tree_to_dict,
-    tree_to_dot,
-)
+from repro.tpo import GridBuilder
+from repro.tpo.serialize import tree_from_npz_bytes, tree_to_npz_bytes
+
+from oracles.tree_invariants import validate
 
 
 @pytest.fixture
@@ -17,48 +13,11 @@ def tree(overlapping_uniforms):
     return GridBuilder(resolution=400).build(overlapping_uniforms, 2)
 
 
-def test_dict_roundtrip_preserves_structure(tree, overlapping_uniforms):
-    payload = tree_to_dict(tree)
-    rebuilt = tree_from_dict(payload, overlapping_uniforms)
-    assert rebuilt.k == tree.k
-    assert rebuilt.built_depth == tree.built_depth
-    assert rebuilt.ordering_count() == tree.ordering_count()
-    original = {
-        tuple(leaf.prefix()): leaf.probability for leaf in tree.leaves()
-    }
-    restored = {
-        tuple(leaf.prefix()): leaf.probability for leaf in rebuilt.leaves()
-    }
-    assert original.keys() == restored.keys()
-    for path in original:
-        assert restored[path] == pytest.approx(original[path])
-
-
-def test_dict_is_json_serializable(tree):
-    text = json.dumps(tree_to_dict(tree))
-    assert '"k":' in text
-
-
 def test_rebuilt_tree_supports_pruning(tree, overlapping_uniforms):
-    rebuilt = tree_from_dict(tree_to_dict(tree), overlapping_uniforms)
+    rebuilt = tree_from_npz_bytes(tree_to_npz_bytes(tree), overlapping_uniforms)
     space = rebuilt.to_space()
     codes = space.agreement_codes(0, 1)
-    if (codes == -1).any() and (codes != -1).any():
-        rebuilt.prune_with_answer(0, 1, True)
-        rebuilt.validate()
-
-
-def test_dot_output_mentions_tuples(tree):
-    dot = tree_to_dot(tree, labels=["a", "b", "c", "d", "e"])
-    assert dot.startswith("digraph TPO")
-    assert "a\\np=" in dot or "b\\np=" in dot
-    assert dot.rstrip().endswith("}")
-
-
-def test_dot_truncation():
-    from repro.distributions import Uniform
-
-    dists = [Uniform(0, 1) for _ in range(5)]
-    tree = GridBuilder(resolution=200).build(dists, 3)
-    dot = tree_to_dot(tree, max_nodes=5)
-    assert "truncated" in dot
+    assert (codes == -1).any() and (codes != -1).any()
+    rebuilt.prune_with_answer(0, 1, True)
+    validate(rebuilt)
+    assert (rebuilt.to_space().agreement_codes(0, 1) != -1).all()

@@ -1,4 +1,4 @@
-"""Binary (npz) TPO serialization: parity with the JSON wire dict.
+"""Binary (npz) TPO serialization: the one serialized form of a tree.
 
 The cold tier (:mod:`repro.service.store`) stands on three promises made
 by :mod:`repro.tpo.serialize`: npz round-trips are leaf-order-identical
@@ -21,10 +21,8 @@ from repro.tpo import GridBuilder
 from repro.tpo.serialize import (
     NPZ_FORMAT_VERSION,
     TPOSerializationError,
-    tree_from_dict,
     tree_from_npz,
     tree_from_npz_bytes,
-    tree_to_dict,
     tree_to_npz,
     tree_to_npz_bytes,
 )
@@ -60,43 +58,34 @@ def mixed_instances(draw):
     return distributions, k
 
 
-def _leaf_paths(tree):
-    return [tuple(leaf.prefix()) for leaf in tree.leaves()]
-
-
-def _assert_space_parity(rebuilt, reference):
-    space, expected = rebuilt.to_space(), reference.to_space()
-    np.testing.assert_array_equal(space.paths, expected.paths)
-    np.testing.assert_allclose(
-        space.probabilities, expected.probabilities, rtol=0, atol=1e-9
-    )
+def _assert_same_levels(rebuilt, reference):
+    assert rebuilt.built_depth == reference.built_depth
+    for level, other in zip(rebuilt.levels, reference.levels, strict=True):
+        assert np.array_equal(level.tuple_ids, other.tuple_ids)
+        assert np.array_equal(level.parent_idx, other.parent_idx)
+        assert np.array_equal(level.probs, other.probs)
 
 
 @given(mixed_instances())
 @settings(max_examples=30, deadline=None)
-def test_npz_roundtrip_matches_json_wire_dict(tmp_path_factory, instance):
-    """npz and JSON decode to leaf-order-identical, 1e-9-parity trees."""
+def test_npz_roundtrip_is_level_identical(tmp_path_factory, instance):
+    """File and byte archives decode to the source tree's exact levels."""
     distributions, k = instance
     tree = GridBuilder(resolution=220).build(distributions, k)
     path = tmp_path_factory.mktemp("npz") / "tree.npz"
     tree_to_npz(tree, path)
 
-    via_json = tree_from_dict(
-        json.loads(json.dumps(tree_to_dict(tree))), distributions
-    )
     for rebuilt in (
-        tree_from_npz(path, distributions, mmap=True),
-        tree_from_npz(path, distributions, mmap=False),
+        tree_from_npz(path, distributions),
         tree_from_npz_bytes(tree_to_npz_bytes(tree), distributions),
     ):
         assert rebuilt.k == tree.k
-        assert rebuilt.built_depth == tree.built_depth
-        # Leaf order is identical — not merely set-equal — to the
-        # source tree and to the JSON wire path.
-        assert _leaf_paths(rebuilt) == _leaf_paths(tree)
-        assert _leaf_paths(rebuilt) == _leaf_paths(via_json)
-        _assert_space_parity(rebuilt, tree)
-        _assert_space_parity(rebuilt, via_json)
+        # Leaf order is identical — not merely set-equal — so every
+        # derived space is too.
+        _assert_same_levels(rebuilt, tree)
+        space, expected = rebuilt.to_space(), tree.to_space()
+        assert np.array_equal(space.paths, expected.paths)
+        assert np.array_equal(space.probabilities, expected.probabilities)
 
 
 @given(mixed_instances())
@@ -104,8 +93,8 @@ def test_npz_roundtrip_matches_json_wire_dict(tmp_path_factory, instance):
 def test_instance_key_independent_of_serialization(instance):
     """The cache key is a pure function of the canonical instance spec.
 
-    Whether a cached entry was produced by the JSON event-log path or the
-    npz cold tier, both processes must address it by byte-identical keys.
+    A key that crossed a JSON boundary (an event log, a request body)
+    must address the npz cold-tier entry by byte-identical text.
     """
     distributions, k = instance
     spec = {
@@ -131,7 +120,7 @@ class TestAtomicWrites:
         tree_to_npz(small_tree, path)
         tree_to_npz(small_tree, path)
         rebuilt = tree_from_npz(path, overlapping_uniforms)
-        assert _leaf_paths(rebuilt) == _leaf_paths(small_tree)
+        _assert_same_levels(rebuilt, small_tree)
 
     def test_creates_parent_directories(
         self, small_tree, overlapping_uniforms, tmp_path
@@ -141,26 +130,33 @@ class TestAtomicWrites:
         assert path.exists()
 
 
+def _decode(path, distributions, via_bytes):
+    """Decode an archive file directly or through its bytes."""
+    if via_bytes:
+        return tree_from_npz_bytes(path.read_bytes(), distributions)
+    return tree_from_npz(path, distributions)
+
+
 class TestTornFiles:
-    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("via_bytes", [True, False])
     def test_truncated_archive_raises(
-        self, small_tree, overlapping_uniforms, tmp_path, mmap
+        self, small_tree, overlapping_uniforms, tmp_path, via_bytes
     ):
         path = tmp_path / "tree.npz"
         tree_to_npz(small_tree, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TPOSerializationError):
-            tree_from_npz(path, overlapping_uniforms, mmap=mmap)
+            _decode(path, overlapping_uniforms, via_bytes)
 
-    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("via_bytes", [True, False])
     def test_garbage_bytes_raise(
-        self, overlapping_uniforms, tmp_path, mmap
+        self, overlapping_uniforms, tmp_path, via_bytes
     ):
         path = tmp_path / "tree.npz"
         path.write_bytes(b"this is not an npz archive")
         with pytest.raises(TPOSerializationError):
-            tree_from_npz(path, overlapping_uniforms, mmap=mmap)
+            _decode(path, overlapping_uniforms, via_bytes)
 
     def test_torn_bytes_raise(self, small_tree, overlapping_uniforms):
         data = tree_to_npz_bytes(small_tree)
@@ -188,25 +184,3 @@ class TestTornFiles:
         with pytest.raises(TPOSerializationError):
             tree_from_npz(path, overlapping_uniforms)
 
-
-class TestMemmap:
-    def test_members_are_memory_mapped(self, small_tree, tmp_path):
-        from repro.tpo.serialize import _memmap_npz_members
-
-        path = tmp_path / "tree.npz"
-        tree_to_npz(small_tree, path)
-        arrays = _memmap_npz_members(path)
-        assert arrays  # meta + three arrays per level
-        assert all(
-            isinstance(array, np.memmap) for array in arrays.values()
-        )
-
-    def test_mmap_and_copy_loads_agree(
-        self, small_tree, overlapping_uniforms, tmp_path
-    ):
-        path = tmp_path / "tree.npz"
-        tree_to_npz(small_tree, path)
-        mapped = tree_from_npz(path, overlapping_uniforms, mmap=True)
-        copied = tree_from_npz(path, overlapping_uniforms, mmap=False)
-        assert _leaf_paths(mapped) == _leaf_paths(copied)
-        _assert_space_parity(mapped, copied)

@@ -47,14 +47,6 @@ class TestAgreement:
         # paths: [0,1]→+1, [1,0]→−1, [0,2]→+1 (1 absent), [2,3]→0
         np.testing.assert_array_equal(codes, [1, -1, 1, 0])
 
-    def test_answer_probability(self, toy_space):
-        # decisive mass: yes 0.4+0.2=0.6, no 0.3 → 2/3
-        assert toy_space.answer_probability(0, 1) == pytest.approx(0.6 / 0.9)
-
-    def test_answer_probability_uninformative_pair(self):
-        space = OrderingSpace.from_orderings([[0, 1]], [1.0], 4)
-        assert space.answer_probability(2, 3) == 0.5
-
 
 class TestConditioning:
     def test_condition_keeps_agreeing_and_silent(self, toy_space):
@@ -131,15 +123,6 @@ class TestSummaries:
         w = toy_space.pairwise_preference()
         # Pr(0 ≺ 1): paths 0 (+), 2 (+ via absence), path 3 silent → 0.05
         assert w[0, 1] == pytest.approx(0.4 + 0.2 + 0.05)
-
-    def test_sample_ordering(self, toy_space, rng):
-        ordering = toy_space.sample_ordering(rng)
-        assert ordering.shape == (2,)
-
-    def test_top_orderings(self, toy_space):
-        paths, masses = toy_space.top_orderings(2)
-        np.testing.assert_array_equal(paths[0], [0, 1])
-        assert masses[0] == pytest.approx(0.4)
 
     def test_is_certain(self, toy_space):
         assert not toy_space.is_certain
