@@ -106,30 +106,34 @@ def replay_session(
     session's answer trajectory; check RPL010 holds eval code to
     this entry point instead of hand-rolled session construction.
 
+    The answers drive the session stepper (:class:`InteractiveSession`).
     ``evaluator`` overrides the :class:`ResidualEvaluator` (e.g. to share
     evaluation counters); by default one is built from ``spec.measure``.
     """
+    from repro.core.session import InteractiveSession
     from repro.questions.model import Question
     from repro.questions.residual import ResidualEvaluator
 
     distributions = spec.instance.materialize()
     tree = spec.build_builder().build(distributions, spec.instance.k)
-    space = tree.to_space()
     if evaluator is None:
         evaluator = ResidualEvaluator(spec.measure.build())
-    uncertainties = [evaluator.uncertainty(space)]
-    intervals = [evaluator.uncertainty_interval(space)]
-    orderings = [int(space.size)]
+    session = InteractiveSession(
+        distributions, spec.instance.k, tree.to_space(), evaluator=evaluator
+    )
+    uncertainties = [evaluator.uncertainty(session.space)]
+    intervals = [evaluator.uncertainty_interval(session.space)]
+    orderings = [int(session.space.size)]
     for i, j, holds, accuracy in answers:
-        space = evaluator.apply_answer(
-            space, Question(int(i), int(j)), bool(holds), float(accuracy)
+        session.submit_answer(
+            Question(int(i), int(j)), bool(holds), float(accuracy)
         )
-        uncertainties.append(evaluator.uncertainty(space))
-        intervals.append(evaluator.uncertainty_interval(space))
-        orderings.append(int(space.size))
+        uncertainties.append(evaluator.uncertainty(session.space))
+        intervals.append(evaluator.uncertainty_interval(session.space))
+        orderings.append(int(session.space.size))
     return ReplayResult(
         spec=spec,
-        space=space,
+        space=session.space,
         uncertainties=uncertainties,
         intervals=intervals,
         orderings=orderings,

@@ -18,13 +18,14 @@ import numpy as np
 from repro.core.incremental import IncrementalAlgorithm
 from repro.core.policies.base import (
     POOL_ALL,
+    POOL_RELEVANT,
     OfflinePolicy,
     OnlinePolicy,
     Policy,
 )
 from repro.crowd.simulator import SimulatedCrowd
 from repro.distributions.base import ScoreDistribution
-from repro.questions.candidates import all_pair_questions, relevant_questions
+from repro.questions.candidates import QuestionPool, relevant_questions
 from repro.questions.model import Answer, Question
 from repro.questions.residual import ResidualEvaluator, select_min_residual
 from repro.questions.transitive import InferenceCache
@@ -139,7 +140,6 @@ class UncertaintyReductionSession:
         self.track_trajectory = track_trajectory
         self.use_transitive_inference = use_transitive_inference
         self.watch = Stopwatch()
-        self._inference: Optional[InferenceCache] = None
         self._contradictions_at_start = self.evaluator.contradictions
 
     # ------------------------------------------------------------------
@@ -150,11 +150,6 @@ class UncertaintyReductionSession:
         return expected_topk_distance(
             space, reference, penalty=self.penalty, normalized=True
         )
-
-    def _candidates(self, space: OrderingSpace, pool: str) -> List[Question]:
-        if pool == POOL_ALL:
-            return all_pair_questions(space)
-        return relevant_questions(space, self.distributions)
 
     # ------------------------------------------------------------------
 
@@ -169,140 +164,98 @@ class UncertaintyReductionSession:
         self.watch.reset()
         self.crowd.stats.reset()
         self._contradictions_at_start = self.evaluator.contradictions
-        self._inference = None
-        if self.use_transitive_inference and self.crowd.is_reliable:
-            self._inference = InferenceCache(
-                len(self.distributions), self.distributions
-            )
         if isinstance(policy, IncrementalAlgorithm):
             return self._run_incremental(policy, budget)
+        if not isinstance(policy, (OfflinePolicy, OnlinePolicy)):
+            raise TypeError(
+                f"{type(policy).__name__} is neither offline, online, nor incr"
+            )
         with self.watch.span("build"):
             tree = self.builder.build(self.distributions, self.k)
             space = tree.to_space()
         initial_uncertainty = self.evaluator.uncertainty(space)
         initial_distance = self._distance(space)
-        orderings_initial = space.size
         trajectory = [initial_distance] if self.track_trajectory else None
-        answers: List[Answer] = []
+        inference = self.use_transitive_inference and self.crowd.is_reliable
+        stepper = InteractiveSession(
+            self.distributions,
+            self.k,
+            space,
+            evaluator=self.evaluator,
+            pool=policy.pool,
+            transitive_inference=inference,
+        )
         if isinstance(policy, OfflinePolicy):
-            space = self._run_offline(policy, space, budget, answers, trajectory)
-        elif isinstance(policy, OnlinePolicy):
-            space = self._run_online(policy, space, budget, answers, trajectory)
+            self._run_offline(policy, stepper, budget, trajectory)
         else:
-            raise TypeError(
-                f"{type(policy).__name__} is neither offline, online, nor incr"
-            )
+            self._run_online(policy, stepper, budget, trajectory)
         return self._result(
             policy,
             budget,
-            answers,
-            space,
+            stepper.answers,
+            stepper.space,
             initial_uncertainty,
             initial_distance,
-            orderings_initial,
+            space.size,
             trajectory,
+            stepper.inferred_answers,
         )
 
     # ------------------------------------------------------------------
 
-    def _obtain_answer(self, question: Question) -> tuple:
-        """Answer a question, for free when transitively implied.
-
-        Returns ``(answer, was_inferred)``; inferred answers never reach
-        the crowd and do not consume budget.
-        """
-        if self._inference is not None:
-            inferred = self._inference.lookup(question)
-            if inferred is not None:
-                return inferred, True
-        answer = self.crowd.ask(question)
-        if self._inference is not None:
-            self._inference.record(answer)
-        return answer, False
+    def _step(
+        self,
+        stepper: InteractiveSession,
+        question: Question,
+        trajectory: Optional[List[float]],
+    ) -> None:
+        """Answer ``question`` (for free when inferred) and apply it."""
+        inferred = stepper.infer(question)
+        answer = inferred or self.crowd.ask(question)
+        with self.watch.span("update"):
+            stepper.submit_answer(
+                question, answer.holds, answer.accuracy, inferred=bool(inferred)
+            )
+        # Inferred answers consume no budget, so they get no trajectory
+        # point: len(trajectory) must stay questions_asked + 1.
+        if trajectory is not None and inferred is None:
+            trajectory.append(self._distance(stepper.space))
 
     def _run_offline(
         self,
         policy: OfflinePolicy,
-        space: OrderingSpace,
+        stepper: InteractiveSession,
         budget: int,
-        answers: List[Answer],
         trajectory: Optional[List[float]],
-    ) -> OrderingSpace:
+    ) -> None:
         with self.watch.span("select"):
-            candidates = self._candidates(space, policy.pool)
             batch = policy.select(
-                space, candidates, budget, self.evaluator, self.rng
+                stepper.space, stepper.candidates(), budget, self.evaluator, self.rng
             )
         for question in batch:
-            answer, inferred = self._obtain_answer(question)
-            if not inferred:
-                answers.append(answer)
-            with self.watch.span("update"):
-                space = self.evaluator.apply_answer(
-                    space, question, answer.holds, answer.accuracy
-                )
-            # Inferred answers are applied but consume no budget, so they
-            # do not get a trajectory point: len(trajectory) must stay
-            # questions_asked + 1.
-            if trajectory is not None and not inferred:
-                trajectory.append(self._distance(space))
-        return space
+            self._step(stepper, question, trajectory)
 
     def _run_online(
         self,
         policy: OnlinePolicy,
-        space: OrderingSpace,
+        stepper: InteractiveSession,
         budget: int,
-        answers: List[Answer],
         trajectory: Optional[List[float]],
-    ) -> OrderingSpace:
-        # Livelock guard: an inferred answer consumes no budget, and when
-        # it also fails to shrink/reweight the space the iteration makes no
-        # progress.  Questions known to be fruitless are filtered out of
-        # the candidate pool, so any policy drawing from the pool —
-        # deterministic or stochastic — falls through to a chargeable
-        # question if one remains and returns None once none do.  A small
-        # constant skip bound backstops policies that ignore the pool and
-        # keep re-proposing a fruitless question.
-        fruitless: set = set()
-        consecutive_skips = 0
-        while len(answers) < budget:
+    ) -> None:
+        while stepper.questions_asked < budget and not stepper.stalled:
             with self.watch.span("select"):
-                candidates = self._candidates(space, policy.pool)
-                if fruitless:
-                    candidates = [
-                        q for q in candidates if q not in fruitless
-                    ]
                 question = policy.next_question(
-                    space,
-                    candidates,
-                    budget - len(answers),
+                    stepper.space,
+                    stepper.candidates(),
+                    budget - stepper.questions_asked,
                     self.evaluator,
                     self.rng,
                 )
             if question is None:
                 break  # early termination: uncertainty exhausted
-            if question in fruitless:
-                consecutive_skips += 1
-                if consecutive_skips > 8:
-                    break  # policy keeps proposing a no-progress question
-                continue
-            answer, inferred = self._obtain_answer(question)
-            if not inferred:
-                answers.append(answer)
-            with self.watch.span("update"):
-                updated = self.evaluator.apply_answer(
-                    space, question, answer.holds, answer.accuracy
-                )
-            if (not inferred) or (updated is not space):
-                fruitless.clear()
-                consecutive_skips = 0
-            else:
-                fruitless.add(question)
-            space = updated
-            if trajectory is not None and not inferred:
-                trajectory.append(self._distance(space))
-        return space
+            if stepper.refuses(question):
+                continue  # a policy ignoring candidates; stops once stalled
+            self._step(stepper, question, trajectory)
 
     def _run_incremental(
         self, policy: IncrementalAlgorithm, budget: int
@@ -333,6 +286,7 @@ class UncertaintyReductionSession:
         initial_distance: float,
         orderings_initial: int,
         trajectory: Optional[List[float]],
+        inferred_answers: int = 0,
     ) -> SessionResult:
         return SessionResult(
             policy=policy.name,
@@ -349,9 +303,7 @@ class UncertaintyReductionSession:
             timings=dict(self.watch.totals),
             crowd_cost=self.crowd.stats.total_cost,
             trajectory=trajectory,
-            inferred_answers=(
-                self._inference.savings if self._inference is not None else 0
-            ),
+            inferred_answers=inferred_answers,
             contradictions=(
                 self.evaluator.contradictions - self._contradictions_at_start
             ),
@@ -392,13 +344,13 @@ class SessionSnapshot:
 
 
 class InteractiveSession:
-    """A stepwise (question-at-a-time) uncertainty-reduction session.
+    """The session stepper: one question at a time over a live space.
 
-    Where :class:`UncertaintyReductionSession` drives a policy loop to
-    completion in one call, this is the *interactive* surface the service
-    layer serves traffic with: callers pull the currently most informative
-    question, push answers as the crowd produces them, and may snapshot and
-    later restore the session at any point in between.
+    The batch loops of :class:`UncertaintyReductionSession`, the service
+    manager and :func:`repro.api.run.replay_session` all drive it: callers
+    pull candidates or the most informative question, push answers, and
+    may snapshot and later restore the session.  It owns the live space,
+    the applied answers and the session's :class:`QuestionPool`.
 
     Parameters
     ----------
@@ -417,6 +369,14 @@ class InteractiveSession:
     evaluator:
         Optional shared :class:`ResidualEvaluator` (the session manager
         passes one so evaluation counters aggregate across sessions).
+    pool:
+        Candidate pool: ``POOL_RELEVANT`` (the paper's ``Q_K``) or
+        ``POOL_ALL`` (every pair of present tuples).
+    transitive_inference:
+        Supply implied answers for free (:meth:`infer`, not part of
+        :meth:`snapshot`), with the livelock guard: an inferred answer that
+        changes nothing leaves its question out of :meth:`candidates`, and
+        :meth:`refuses` it, until a later answer makes progress.
     """
 
     def __init__(
@@ -426,6 +386,8 @@ class InteractiveSession:
         space: OrderingSpace,
         measure: Optional[UncertaintyMeasure] = None,
         evaluator: Optional[ResidualEvaluator] = None,
+        pool: str = POOL_RELEVANT,
+        transitive_inference: bool = False,
     ) -> None:
         self.distributions = list(distributions)
         self.k = min(k, len(self.distributions))
@@ -436,23 +398,54 @@ class InteractiveSession:
         self.evaluator = evaluator
         self.initial_space = space
         self.space = space
+        #: Charged answers, in order (inferred ones are applied, not kept).
         self.answers: List[Answer] = []
+        self.pool = pool
+        self._pool: Optional[QuestionPool] = None
+        self._inference = (
+            InferenceCache(len(self.distributions), self.distributions)
+            if transitive_inference
+            else None
+        )
+        #: Inferred no-progress questions, and proposals of them since.
+        self._fruitless: set = set()
+        self._refusals = 0
 
     # ------------------------------------------------------------------
 
     @property
     def questions_asked(self) -> int:
-        """Number of answers applied so far."""
+        """Number of charged answers applied so far."""
         return len(self.answers)
+
+    @property
+    def inferred_answers(self) -> int:
+        """Answers :meth:`infer` supplied for free."""
+        return self._inference.savings if self._inference is not None else 0
 
     @property
     def is_settled(self) -> bool:
         """True once a single ordering remains."""
         return self.space.is_certain
 
+    @property
+    def stalled(self) -> bool:
+        """True after 9 refusals in a row (a policy ignoring candidates)."""
+        return self._refusals > 8
+
     def candidates(self) -> List[Question]:
-        """The live relevant pool ``Q_K`` (settled pairs drop out)."""
-        return relevant_questions(self.space, self.distributions)
+        """The live candidate pool (settled pairs drop out)."""
+        if self.pool == POOL_ALL:
+            questions = QuestionPool(self.space.present_tuples()).questions
+        else:
+            if self._pool is None:  # built on first use: rankings may be memoized
+                self._pool = QuestionPool(
+                    self.initial_space.present_tuples(), self.distributions
+                )
+            questions = relevant_questions(self.space, pool=self._pool)
+        if self._fruitless:
+            questions = [q for q in questions if q not in self._fruitless]
+        return questions
 
     def ranking(
         self, candidates: Optional[Sequence[Question]] = None
@@ -465,7 +458,6 @@ class InteractiveSession:
         """
         if candidates is None:
             candidates = self.candidates()
-        candidates = list(candidates)
         return candidates, self.evaluator.rank_singles_batch(
             self.space, candidates
         )
@@ -492,15 +484,41 @@ class InteractiveSession:
         slack = self.evaluator.ranking_slack(self.space)
         return candidates[select_min_residual(residuals, slack)]
 
+    def infer(self, question: Question) -> Optional[Answer]:
+        """The free answer transitive inference implies, if any."""
+        return self._inference.lookup(question) if self._inference else None
+
+    def refuses(self, question: Question) -> bool:
+        """Whether ``question`` is fruitless (counted for :attr:`stalled`)."""
+        if question not in self._fruitless:
+            return False
+        self._refusals += 1
+        return True
+
     def submit_answer(
-        self, question: Question, holds: bool, accuracy: float = 1.0
+        self,
+        question: Question,
+        holds: bool,
+        accuracy: float = 1.0,
+        inferred: bool = False,
     ) -> Answer:
-        """Apply one crowd answer (prune or reweight) and record it."""
-        self.space = self.evaluator.apply_answer(
-            self.space, question, holds, accuracy
-        )
+        """Apply one answer (prune or reweight) and record it.
+
+        ``inferred`` marks an answer from :meth:`infer`: it costs no
+        budget, so it is applied but not recorded.
+        """
+        before = self.space
+        self.space = self.evaluator.apply_answer(before, question, holds, accuracy)
         answer = Answer(question, holds, accuracy=accuracy)
-        self.answers.append(answer)
+        if inferred and self.space is before:
+            self._fruitless.add(question)
+            return answer
+        self._fruitless.clear()
+        self._refusals = 0
+        if not inferred:
+            self.answers.append(answer)
+            if self._inference is not None:
+                self._inference.record(answer)
         return answer
 
     def top_k(self) -> List[int]:

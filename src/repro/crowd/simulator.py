@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.crowd.aggregation import majority_accuracy, weighted_vote
 from repro.crowd.oracle import GroundTruth
@@ -142,10 +142,6 @@ class SimulatedCrowd:
         self.stats.total_cost += len(votes) * self.cost_per_assignment
         self.stats.log.append((question, verdict))
         return Answer(question, verdict, accuracy=self.assumed_accuracy)
-
-    def ask_batch(self, questions: Sequence[Question]) -> List[Answer]:
-        """Post a batch (the offline-algorithm interaction pattern)."""
-        return [self.ask(q) for q in questions]
 
     def __repr__(self) -> str:
         return (

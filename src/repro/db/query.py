@@ -62,19 +62,6 @@ class TopKResult:
         ]
         return "\n".join(lines)
 
-    def semantics_report(self, threshold: float = 0.5) -> str:
-        """The answer under the classical uncertain-top-K semantics.
-
-        Renders U-Top-k / U-kRanks / PT-k / expected ranks with row keys
-        substituted for tuple indices (see :mod:`repro.tpo.semantics`).
-        """
-        from repro.tpo.semantics import answer_report
-
-        text = answer_report(self.space, threshold)
-        for index in reversed(range(len(self.table))):
-            text = text.replace(f"t{index}", self.table[index].key)
-        return text
-
 
 def topk(
     table: UncertainTable,

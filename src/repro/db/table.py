@@ -84,10 +84,6 @@ class UncertainTable:
     def __getitem__(self, index: int) -> UncertainTuple:
         return self.rows[index]
 
-    def index_of(self, key: str) -> int:
-        """Positional index of a key (raises ``KeyError`` if absent)."""
-        return self._key_index[key]
-
     def by_key(self, key: str) -> UncertainTuple:
         """Row lookup by key."""
         return self.rows[self._key_index[key]]

@@ -107,12 +107,6 @@ class Grid:
         after = np.concatenate([np.cumsum(masses[::-1])[::-1][1:], [0.0]])
         return after + 0.5 * masses
 
-    def lower_tail(self, cell_values: np.ndarray) -> np.ndarray:
-        """``L_i = ∫_{−∞}^{mid_i} f`` for every cell midpoint."""
-        masses = cell_values * self.widths
-        before = np.concatenate([[0.0], np.cumsum(masses)[:-1]])
-        return before + 0.5 * masses
-
     def __repr__(self) -> str:
         return (
             f"Grid(cells={self.cell_count}, "

@@ -24,7 +24,7 @@ with bounded support behave.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -311,15 +311,6 @@ class PiecewisePolynomial:
     # Transformations
     # ------------------------------------------------------------------
 
-    def clip_domain(self, lower: float, upper: float) -> "PiecewisePolynomial":
-        """Restrict to ``[lower, upper]`` (zero outside the intersection)."""
-        lo = max(lower, self.lower)
-        hi = min(upper, self.upper)
-        if hi <= lo:
-            return PiecewisePolynomial.zero(lower, upper)
-        xs = self._merged_breakpoints(self, PiecewisePolynomial.zero(lo, hi), lo, hi)
-        return PiecewisePolynomial(xs, self._refined_coefficients(xs))
-
     def extend_right_constant(self, upper: float) -> "PiecewisePolynomial":
         """Extend with the support's right endpoint value held constant.
 
@@ -358,11 +349,6 @@ class PiecewisePolynomial:
             f"PiecewisePolynomial(pieces={self.piece_count}, degree={self.degree}, "
             f"support=[{self.lower:.6g}, {self.upper:.6g}])"
         )
-
-    def sample_values(self, count: int = 257) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(x, f(x))`` on an even grid across the support."""
-        x = np.linspace(self.lower, self.upper, count)
-        return x, np.asarray(self(x))
 
 
 def _simplify_rebuild(func: PiecewisePolynomial, tolerance: float) -> PiecewisePolynomial:

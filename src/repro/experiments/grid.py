@@ -97,10 +97,6 @@ class ExperimentGrid:
     def __iter__(self) -> Iterator[GridCell]:
         return iter(self.cells)
 
-    def cell_ids(self) -> List[str]:
-        """Content addresses of all cells, in grid order."""
-        return [cell.cell_id for cell in self.cells]
-
     def filter(
         self,
         policies: Optional[Sequence[str]] = None,

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Dict, Set
+from typing import Any, Dict
 
 
 def ensure_trailing_newline(path: Path) -> None:
@@ -112,10 +112,6 @@ class ResultStore:
                     records[record["cell_id"]] = record
 
         return records
-
-    def completed_ids(self) -> Set[str]:
-        """Cell ids with a stored result."""
-        return set(self.load())
 
     def compact(self) -> int:
         """Rewrite the file with one (deduplicated) line per cell.

@@ -3,7 +3,6 @@
 from repro.questions.candidates import (
     all_pair_questions,
     informative_questions,
-    is_settled,
     relevant_questions,
 )
 from repro.questions.model import Answer, Question
@@ -16,7 +15,6 @@ __all__ = [
     "all_pair_questions",
     "relevant_questions",
     "informative_questions",
-    "is_settled",
     "ResidualEvaluator",
     "TransitiveClosure",
     "InferenceCache",

@@ -19,8 +19,8 @@ Policies score *every* candidate per step without building throwaway
 subset of the paths, i.e. one boolean mask row priced by
 :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`.
 :meth:`ResidualEvaluator.rank_singles_batch` masks the ``L`` paths with
-the one-shot ``(L, B)`` stance matrix.  The set paths
-(:meth:`ResidualEvaluator.set_residual_from_codes`,
+the ``(L, B)`` stance matrix (a session's question-pool columns).  The
+set paths (:meth:`ResidualEvaluator.set_residual_from_codes`,
 :meth:`ResidualEvaluator.rank_set_extensions`) mask *cells* instead: the
 paths sharing one answer pattern.  A pattern's restriction is the union
 of the cells it agrees with wherever both are decisive, so its row is
@@ -39,20 +39,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.questions.candidates import LiveQuestions
 from repro.questions.model import Question
-from repro.tpo.space import DegenerateSpaceError, OrderingSpace
+from repro.tpo.space import DegenerateSpaceError, OrderingSpace, _rows_per_chunk
 from repro.uncertainty.base import UncertaintyMeasure
-
-
-def _rows_per_chunk(size: int, cap: int = 4096) -> int:
-    """Hypothetical-posterior rows per batched measure call.
-
-    Bounds the ``rows × size`` float64 temporaries (``size`` = mask width:
-    ``L`` paths or the cell count) to ~128 MB regardless of ``L``, so the
-    batch engine never exceeds the O(L) working set of the scalar path by
-    more than a constant.
-    """
-    return max(1, min(cap, (1 << 24) // max(size, 1)))
 
 
 def _pattern_ids(codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -201,9 +191,9 @@ class ResidualEvaluator:
     ) -> np.ndarray:
         """``R_q`` for every candidate via the batched measure API.
 
-        Builds the ``(L, B)`` stance matrix in one shot, turns both answer
-        branches of every decisive candidate into rows of a hypothetical
-        posterior weight matrix, and prices all of them with chunked
+        Takes the ``(L, B)`` stance matrix from :meth:`codes_matrix`, turns
+        both answer branches of every decisive candidate into rows of a
+        hypothetical posterior weight matrix, and prices all of them with chunked
         :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`
         calls — no intermediate :class:`OrderingSpace` objects, and all
         float temporaries bounded to ``chunk × L`` elements (chunk is
@@ -296,7 +286,7 @@ class ResidualEvaluator:
         results: list = [None] * count
         for indices in groups.values():
             space, questions = requests[indices[0]]
-            values = self.rank_singles_batch(space, list(questions))
+            values = self.rank_singles_batch(space, questions)
             for index in indices:
                 results[index] = values
         return results
@@ -308,34 +298,19 @@ class ResidualEvaluator:
     ) -> np.ndarray:
         """``(L, B)`` stance matrix of every path on every question.
 
-        Computed in one vectorized shot from ``space.positions()`` (see
-        :meth:`~repro.tpo.space.OrderingSpace.stance_matrix`) rather than
-        ``B`` separate ``agreement_codes`` calls.  Policies that evaluate
-        many overlapping question sets (``C-off``, ``A*``, ``Exhaustive``)
-        compute this once and pass column slices to
+        Read-only.  A session's :class:`~repro.questions.candidates.LiveQuestions`
+        on ``space`` hold it; otherwise it is built in one shot by
+        :meth:`~repro.tpo.space.OrderingSpace.stance_matrix`.  Set policies
+        (``C-off``, ``A*``, ``Exhaustive``) pass its column slices to
         :meth:`set_residual_from_codes`.
         """
+        if isinstance(questions, LiveQuestions) and questions.space is space:
+            return questions.stances
         if not questions:
             return np.zeros((space.size, 0), dtype=np.int8)
         i_indices = np.fromiter((q.i for q in questions), dtype=np.intp)
         j_indices = np.fromiter((q.j for q in questions), dtype=np.intp)
         return space.stance_matrix(i_indices, j_indices)
-
-    def question_set(
-        self,
-        space: OrderingSpace,
-        questions: Sequence[Question],
-        pattern_cap: Optional[int] = None,
-    ) -> float:
-        """``R_Q(T)`` for a set of questions via the pattern partition.
-
-        ``pattern_cap`` optionally bounds the number of distinct patterns
-        evaluated (most massive first) and treats the tail as unresolved
-        (contributing the current-space measure) — an upper bound used to
-        keep deep offline searches affordable.
-        """
-        codes = self.codes_matrix(space, questions)
-        return self.set_residual_from_codes(space, codes, pattern_cap)
 
     def set_residual_from_codes(
         self,

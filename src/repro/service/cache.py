@@ -14,10 +14,10 @@ session manager's default, ``StoreSpec.build()`` and every fleet worker.
 1. **hot** — deserialized initial
    :class:`~repro.tpo.space.OrderingSpace` objects in this process (LRU).
    Spaces are immutable — every answer produces a new space — so sharing
-   one across sessions is safe; the ``(L, N)`` ``positions()`` matrix is
-   computed eagerly on insert, so concurrent sessions over the same
-   instance share one copy (and ``reweight``/``restrict`` carry it into
-   their derived spaces).
+   one across sessions is safe; the ``(L, N)`` ``positions()`` matrix and
+   the sessions' question-pool stance columns are computed eagerly, so
+   concurrent sessions over the same instance share one copy (and
+   ``reweight``/``restrict`` carry them into their derived spaces).
 2. **cold** — a :class:`~repro.service.store.ColdTier` of npz level
    tables, shared across worker processes by the ``disk-npz`` backend.
 3. **build** — construct the TPO, publish it to the cold tier, and serve
@@ -39,6 +39,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.api.canonical import content_key
 from repro.distributions.base import ScoreDistribution
+from repro.questions.candidates import QuestionPool
 from repro.service.store import ColdTier
 from repro.tpo.space import OrderingSpace
 from repro.tpo.tree import TPOTree
@@ -143,13 +144,16 @@ class TPOCache:
         space = self.lookup(key)
         if space is not None:
             return space
-        tree = self.cold.get(key, distributions)
+        # One cold lookup, counted once: here, as the builder, or by the wait.
+        tree = self.cold.peek(key, distributions)
         if tree is not None:
+            self.cold.tally(tree)
             self.cold_hits += 1
         else:
             tree = self._build_or_wait(key, distributions, build)
         space = tree.to_space()
-        space.positions()
+        # Sessions over this entry share its positions and pool stances.
+        QuestionPool(space.present_tuples(), distributions).live(space)
         self.insert(key, space)
         return space
 
@@ -159,7 +163,9 @@ class TPOCache:
         distributions: Sequence[ScoreDistribution],
         build: Callable[[], TPOTree],
     ) -> TPOTree:
-        if not self.cold.begin_build(key):
+        if self.cold.begin_build(key):
+            self.cold.tally(None)
+        else:
             waited = self.cold.wait_for(
                 key, distributions, timeout=self.build_wait
             )

@@ -93,10 +93,14 @@ class EventLog:
 
     def append(self, event: Dict[str, Any]) -> None:
         """Durably record one event."""
+        self._write([event])
+
+    def _write(self, events: List[Dict[str, Any]]) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         ensure_trailing_newline(self.path)
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(event, allow_nan=False) + "\n")
+            for event in events:
+                handle.write(json.dumps(event, allow_nan=False) + "\n")
             handle.flush()
 
     def flush(self) -> int:
@@ -130,7 +134,7 @@ class BufferedEventLog(EventLog):
     The asyncio server mutates sessions on the event-loop thread but must
     never block it on disk I/O (check RPC101).  With this variant,
     :meth:`append` is a pure in-memory list append, and the handler awaits
-    one :meth:`flush` hop through the server's log executor *before*
+    one :meth:`flush` hop through the server's service thread *before*
     responding — so the client-visible durability contract is unchanged
     (a 200 means the event is on disk) while the loop never waits on a
     file handle.
@@ -165,14 +169,8 @@ class BufferedEventLog(EventLog):
         with self._flush_lock:
             with self._lock:
                 batch, self._pending = self._pending, []
-            if not batch:
-                return 0
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            ensure_trailing_newline(self.path)
-            with open(self.path, "a") as handle:
-                for event in batch:
-                    handle.write(json.dumps(event, allow_nan=False) + "\n")
-                handle.flush()
+            if batch:
+                self._write(batch)
             return len(batch)
 
 
@@ -234,7 +232,7 @@ class SessionManager:
         self.ranking_memo_size = int(ranking_memo_size)
         self._sessions: Dict[str, ManagedSession] = {}
         #: Guards insertion into ``_sessions`` and every snapshot of it:
-        #: the server creates sessions on its executor thread while the
+        #: the server creates sessions on its service thread while the
         #: loop thread lists them, and a copy of a dict is not atomic (a
         #: GC pass inside it can hand the GIL to the inserting thread).
         self._sessions_lock = threading.Lock()
@@ -379,7 +377,8 @@ class SessionManager:
         self.rankings_computed += len(states)
         for state, residuals in zip(states, rankings, strict=True):
             candidates, members = needed[state]
-            ranking = (candidates, residuals)
+            # A plain list: the memo must not pin the pool's stances.
+            ranking = (list(candidates), residuals)
             self.rankings_coalesced += len(members) - 1
             if self.ranking_memo_size:
                 self._rankings[state] = ranking
@@ -537,7 +536,7 @@ class SessionManager:
         """Swap the eager event log for a :class:`BufferedEventLog`.
 
         After this, mutations buffer their events in memory and someone —
-        the asyncio server, via its log executor — must call
+        the asyncio server, via its service thread — must call
         :meth:`flush_log` to make them durable.  Idempotent; returns
         whether a log is configured at all.
         """

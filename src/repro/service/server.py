@@ -39,31 +39,34 @@ sessions in identical states share a single ranking pass — the asyncio
 face of the manager's cross-session batching.
 
 The manager is synchronous and touched from the event-loop thread, with
-two deliberate exceptions that run on one single-thread executor:
+two deliberate exceptions that run on one :class:`ServiceThread`:
 
 * **The durable event log.**  :func:`start_server` swaps the manager's
   eager :class:`~repro.service.manager.EventLog` for a
   :class:`~repro.service.manager.BufferedEventLog`, so mutating handlers
   append in memory (no disk I/O on the loop thread — check RPC101)
-  and then await one flush hop through the executor *before* responding.
-  A 200 still means the event is on disk; the buffered log's own lock
-  covers the loop-thread/executor-thread handoff.
+  and then await one flush hop through the service thread *before*
+  responding.  A 200 still means the event is on disk; the buffered log's
+  own lock covers the loop-thread/service-thread handoff.
 * **Session creation.**  Fetching a session's initial space may read or
   write the TPO cache's cold tier and wait for another worker's build of
   the same tree, so ``POST /sessions`` runs
-  :meth:`~repro.service.manager.SessionManager.create_session` on the
-  executor.  Creations are serialized there, so the cache and builder are
-  only ever used by that one thread; the manager's loop-side readers of
-  its session table iterate snapshots.
+  :meth:`~repro.service.manager.SessionManager.create_session` and its
+  event's flush in one hop there.  Creations are serialized there, so the
+  cache and builder are only ever used by that one thread; the manager's
+  loop-side readers of its session table iterate snapshots.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
+import contextlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import queue
+import threading
+import weakref
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.api.catalog import all_registries
@@ -123,25 +126,22 @@ class NextQuestionBatcher:
     def __init__(self, manager: SessionManager) -> None:
         self.manager = manager
         self._pending: List[Tuple[str, asyncio.Future]] = []
-        self._drain_scheduled = False
         self.batches = 0
         self.requests = 0
 
-    def request(self, session_id: str) -> "asyncio.Future":
-        """Enqueue one request; resolves to ``Optional[Question]``."""
+    async def request(self, session_id: str) -> Any:
+        """One session's ``Optional[Question]``: after one loop turn, in
+        which other handlers may enqueue, the first to resume drains all."""
         future = asyncio.get_running_loop().create_future()
         self._pending.append((session_id, future))
         self.requests += 1
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            asyncio.get_running_loop().call_soon(self._drain)
-        return future
+        await asyncio.sleep(0)
+        if self._pending:
+            self._drain()
+        return await future
 
     def _drain(self) -> None:
         batch, self._pending = self._pending, []
-        self._drain_scheduled = False
-        if not batch:
-            return
         self.batches += 1
         unique_ids = list(dict.fromkeys(sid for sid, _ in batch))
         try:
@@ -149,8 +149,8 @@ class NextQuestionBatcher:
         except Exception:
             # One member poisoning the whole batch (a bad id, or any
             # unexpected failure) must not leave the other waiters hanging
-            # forever — _drain runs outside every connection's handler, so
-            # an escaping exception would resolve no future at all.  Retry
+            # forever — _drain serves every waiter from one handler, so an
+            # escaping exception would resolve no other future.  Retry
             # ids one by one; each waiter gets its own result or error.
             questions = {}
             errors: Dict[str, Exception] = {}
@@ -170,6 +170,47 @@ class NextQuestionBatcher:
         for sid, future in batch:
             if not future.done():
                 future.set_result(questions[sid])
+
+
+class ServiceThread:
+    """The server's one thread for blocking work, in submission order.
+
+    Each call's loop future is settled by one ``call_soon_threadsafe``,
+    after which the thread blocks at once: a pool executor chains a second
+    future and keeps the GIL for its bookkeeping while the woken loop
+    waits.  The thread ends with this object."""
+
+    def __init__(self) -> None:
+        self._calls: "queue.SimpleQueue" = queue.SimpleQueue()
+        threading.Thread(
+            target=_serve_calls, args=(self._calls,), name="repro-service", daemon=True
+        ).start()
+        weakref.finalize(self, self._calls.put, None)
+
+    def run(self, func: Callable[[], Any]) -> "asyncio.Future":
+        """Future of ``func()`` called on the service thread."""
+        future = asyncio.get_running_loop().create_future()
+        self._calls.put((future, func))
+        return future
+
+
+def _serve_calls(calls: "queue.SimpleQueue") -> None:
+    for future, func in iter(calls.get, None):
+        try:
+            outcome = func(), None
+        except BaseException as exc:
+            outcome = None, exc
+        with contextlib.suppress(RuntimeError):  # the loop has closed
+            future.get_loop().call_soon_threadsafe(_settle, future, *outcome)
+
+
+def _settle(future: "asyncio.Future", result: Any, error: Any) -> None:
+    if future.cancelled():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
 
 
 # ----------------------------------------------------------------------
@@ -262,37 +303,23 @@ def _encode_response(
 # ----------------------------------------------------------------------
 
 
+@dataclass
 class Context:
-    """Everything one request handler needs."""
+    """Everything one request handler needs (the server keeps one without
+    the request fields, shared by every connection)."""
 
-    def __init__(
-        self,
-        manager: SessionManager,
-        batcher: NextQuestionBatcher,
-        body: Any,
-        params: Dict[str, str],
-        versioned: bool,
-        executor: Optional[ThreadPoolExecutor] = None,
-        topology: Optional[TopologyInfo] = None,
-    ) -> None:
-        self.manager = manager
-        self.batcher = batcher
-        self.body = body
-        self.params = params
-        self.versioned = versioned
-        self.executor = executor
-        self.topology = topology if topology is not None else TopologyInfo()
+    manager: SessionManager
+    batcher: NextQuestionBatcher
+    worker: ServiceThread
+    topology: TopologyInfo
+    body: Any = None
+    params: Dict[str, str] = field(default_factory=dict)
+    versioned: bool = True
 
     async def flush_log(self) -> None:
-        """Durably write buffered event-log appends, off the loop thread.
-
-        Mutating handlers await this before responding so the wire
-        contract stays "200 ⇒ logged", while the actual ``open``/``write``
-        happens on the (single-thread) executor, never the loop.
-        """
-        await asyncio.get_running_loop().run_in_executor(
-            self.executor, self.manager.flush_log
-        )
+        """Durably write buffered event-log appends on the service thread;
+        mutating handlers await this before responding ("200 ⇒ logged")."""
+        await self.worker.run(self.manager.flush_log)
 
 
 async def _handle_healthz(ctx: Context) -> Dict[str, Any]:
@@ -348,15 +375,16 @@ async def _handle_create_session(ctx: Context) -> Dict[str, Any]:
         # Legacy leniency: a bare spec body (no "spec" wrapper) is allowed.
         spec = ctx.body.get("spec", ctx.body)
         session_id = ctx.body.get("session_id")
-    create = functools.partial(
-        ctx.manager.create_session, spec, session_id=session_id
-    )
+
+    def create() -> str:
+        sid = ctx.manager.create_session(spec, session_id=session_id)
+        ctx.manager.flush_log()
+        return sid
+
     try:
         # Off the loop: the initial space may come from (or be published
         # to) the cold tier, or wait on another worker's build.
-        sid = await asyncio.get_running_loop().run_in_executor(
-            ctx.executor, create
-        )
+        sid = await ctx.worker.run(create)
     except TPOSizeError as exc:
         # An instance whose TPO blows the engine's size budget is a
         # client-side resource limit, not an internal failure — surface
@@ -367,7 +395,6 @@ async def _handle_create_session(ctx: Context) -> Dict[str, Any]:
         # know about (e.g. {"params": {"bogus": 1}}) — still the client's
         # fault, not a 500.
         raise HttpError(400, str(exc)) from None
-    await ctx.flush_log()
     return CreateSessionResponse(session_id=sid).to_payload()
 
 
@@ -463,13 +490,7 @@ ROUTES: List[Route] = [
 
 
 async def _route(
-    method: str,
-    path: str,
-    body: Any,
-    manager: SessionManager,
-    batcher: NextQuestionBatcher,
-    executor: Optional[ThreadPoolExecutor] = None,
-    topology: Optional[TopologyInfo] = None,
+    method: str, path: str, body: Any, shared: Context
 ) -> Tuple[Dict[str, Any], bool]:
     """Dispatch one request; returns ``(payload, versioned)``."""
     segments = [s for s in path.split("/") if s]
@@ -495,13 +516,13 @@ async def _route(
                 )
             sid = params.get("session_id")
             ctx = Context(
-                manager,
-                batcher,
+                shared.manager,
+                shared.batcher,
+                shared.worker,
+                shared.topology,
                 body,
                 params,
                 versioned,
-                executor,
-                topology,
             )
             return await handler(ctx), versioned
         raise HttpError(404, f"no route for {method} {path}")
@@ -524,12 +545,7 @@ def _error_payload(
 
 
 async def _handle_connection(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    manager: SessionManager,
-    batcher: NextQuestionBatcher,
-    executor: Optional[ThreadPoolExecutor] = None,
-    topology: Optional[TopologyInfo] = None,
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, shared: Context
 ) -> None:
     status, payload = 500, {"error": "internal error"}
     headers: Dict[str, str] = {}
@@ -543,9 +559,7 @@ async def _handle_connection(
             PROTOCOL_VERSION
         ]
         body = await _read_body(reader, content_length)
-        payload, versioned = await _route(
-            method, path, body, manager, batcher, executor, topology
-        )
+        payload, versioned = await _route(method, path, body, shared)
         status = 200
     except HttpError as exc:
         status = exc.status
@@ -564,10 +578,11 @@ async def _handle_connection(
             headers.setdefault("Deprecation", "true")
         try:
             writer.write(_encode_response(status, payload, headers))
+            writer.write_eof()  # the FIN now, not after a close callback
             await writer.drain()
             writer.close()
             await writer.wait_closed()
-        except (ConnectionError, RuntimeError):  # client went away
+        except (OSError, RuntimeError):  # client went away
             pass
 
 
@@ -581,25 +596,25 @@ async def start_server(
     poke it and close).
 
     Also moves the manager's event log into deferred mode
-    (:meth:`SessionManager.defer_log_writes`) with a dedicated
-    single-thread executor doing the actual disk writes — handlers append
+    (:meth:`SessionManager.defer_log_writes`) with a
+    :class:`ServiceThread` doing the actual disk writes — handlers append
     in memory and await the flush, so the event loop never blocks on the
     log file — and session creation.  ``topology`` is what ``/v1/meta``
     and ``/v1/stats`` report as this process's place in the deployment
     (defaults to the single-process role).
     """
-    batcher = NextQuestionBatcher(manager)
     manager.defer_log_writes()
-    executor = ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix="repro-service"
+    shared = Context(
+        manager,
+        NextQuestionBatcher(manager),
+        ServiceThread(),
+        topology if topology is not None else TopologyInfo(),
     )
 
     async def handler(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await _handle_connection(
-            reader, writer, manager, batcher, executor, topology
-        )
+        await _handle_connection(reader, writer, shared)
 
     return await asyncio.start_server(handler, host=host, port=port)
 

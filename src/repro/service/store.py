@@ -87,7 +87,7 @@ class ColdTier:
 
     # -- tier interface ------------------------------------------------
 
-    def _read(
+    def peek(
         self, key: str, distributions: Sequence[ScoreDistribution]
     ) -> Optional[TPOTree]:
         """One uncounted look: a damaged payload (torn mid-copy,
@@ -100,7 +100,7 @@ class ColdTier:
             self._discard_damaged(key)
             return None
 
-    def _tally(self, tree: Optional[TPOTree]) -> Optional[TPOTree]:
+    def tally(self, tree: Optional[TPOTree]) -> Optional[TPOTree]:
         """Count one lookup as a hit or a miss and pass its result on."""
         if tree is None:
             self.misses += 1
@@ -113,7 +113,7 @@ class ColdTier:
     ) -> Optional[TPOTree]:
         """The stored tree for ``key``, or ``None`` on miss (a damaged
         payload counts as a miss and as ``torn``)."""
-        return self._tally(self._read(key, distributions))
+        return self.tally(self.peek(key, distributions))
 
     def put(self, key: str, tree: TPOTree) -> TPOTree:
         """Persist ``tree`` under ``key``; returns the stored round-trip."""
@@ -193,7 +193,7 @@ class MemoryColdTier(ColdTier):
         super().__init__()
         self._payloads: Dict[str, bytes] = {}
         #: ``/v1/stats`` snapshots the payloads on the event loop while
-        #: the server's executor may be publishing one.
+        #: the server's service thread may be publishing one.
         self._payloads_lock = threading.Lock()
 
     def _load(
@@ -320,16 +320,16 @@ class DiskNpzColdTier(ColdTier):
         deadline = time.monotonic() + timeout
         tree = None
         while time.monotonic() < deadline:
-            tree = self._read(key, distributions)
+            tree = self.peek(key, distributions)
             if tree is not None:
                 break
             if not self._lock(key).exists():
                 # The builder released (or died) without producing the
                 # artifact; one more look, then let the caller build.
-                tree = self._read(key, distributions)
+                tree = self.peek(key, distributions)
                 break
             time.sleep(self.poll_interval)
-        return self._tally(tree)
+        return self.tally(tree)
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -15,11 +15,17 @@ update returns a new space (the arrays are shared where possible).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_fraction
+
+
+def _rows_per_chunk(size: int, cap: int = 4096) -> int:
+    """Rows per chunk keeping a ``rows × size`` float64 temporary (``size``:
+    a mask width, ``L`` or the cell count, or a pair count) near 128 MB."""
+    return max(1, min(cap, (1 << 24) // max(size, 1)))
 
 
 class DegenerateSpaceError(ValueError):
@@ -74,6 +80,7 @@ class OrderingSpace:
         "lost_leaves",
         "_positions",
         "_prefix_index",
+        "_attached",
         "__weakref__",
     )
 
@@ -113,6 +120,8 @@ class OrderingSpace:
         self._positions: Optional[np.ndarray] = None
         #: depth → (order, starts) segment index of the prefix groups.
         self._prefix_index: dict = {}
+        #: key → ``(meta, rows, index)``: see :meth:`attach_rows`.
+        self._attached: dict = {}
 
     # ------------------------------------------------------------------
     # Shape & views
@@ -171,8 +180,7 @@ class OrderingSpace:
         (neither tuple in the prefix).
         """
         pos = self.positions()
-        pi, pj = pos[:, i], pos[:, j]
-        return np.where(pi < pj, 1, np.where(pj < pi, -1, 0)).astype(np.int8)
+        return np.sign(pos[:, j] - pos[:, i]).astype(np.int8)
 
     def stance_matrix(
         self, i_indices: Sequence[int], j_indices: Sequence[int]
@@ -182,18 +190,23 @@ class OrderingSpace:
         Vectorized generalization of :meth:`agreement_codes`: given aligned
         index vectors ``i_indices``/``j_indices`` of length ``B``, returns
         the ``(L, B)`` int8 matrix whose column ``b`` equals
-        ``agreement_codes(i_indices[b], j_indices[b])``.  This is the
-        primitive the batched residual evaluator builds on — one
-        :meth:`positions` lookup instead of ``B`` separate calls.
+        ``agreement_codes(i_indices[b], j_indices[b])``.  Built in row
+        chunks of narrow positions (the stance is the sign of the rank
+        difference), so the temporaries stay bounded at any ``L · B``.
         """
         pos = self.positions()
         i_indices = np.asarray(i_indices, dtype=np.intp)
         j_indices = np.asarray(j_indices, dtype=np.intp)
         if i_indices.shape != j_indices.shape or i_indices.ndim != 1:
             raise ValueError("i_indices and j_indices must be aligned 1-D")
-        pi = pos[:, i_indices]
-        pj = pos[:, j_indices]
-        return np.where(pi < pj, 1, np.where(pj < pi, -1, 0)).astype(np.int8)
+        narrow = np.int8 if self.depth < 127 else np.int16
+        codes = np.empty((self.size, i_indices.size), dtype=np.int8)
+        step = _rows_per_chunk(i_indices.size)
+        for start in range(0, self.size, step):
+            rows = pos[start : start + step].astype(narrow)
+            difference = rows[:, j_indices] - rows[:, i_indices]
+            np.sign(difference, out=codes[start : start + step], casting="same_kind")
+        return codes
 
     def condition(self, i: int, j: int, holds: bool) -> "OrderingSpace":
         """Prune paths disagreeing with the answer to ``t_i ?≺ t_j``.
@@ -244,8 +257,9 @@ class OrderingSpace:
 
         An already-computed positions matrix is sliced into the child
         (its rows depend on each path alone), so pruning never forces a
-        from-scratch ``(L, N)`` rebuild.  The prefix-group index cannot
-        carry over — dropping rows changes the grouping.
+        from-scratch ``(L, N)`` rebuild.  Attached rows carry over as a
+        row index, gathered on their next read.  The prefix-group index
+        cannot carry over — dropping rows changes the grouping.
         """
         keep = np.asarray(keep, dtype=bool)
         if keep.all():
@@ -261,6 +275,10 @@ class OrderingSpace:
         )
         if self._positions is not None:
             child._positions = self._positions[keep]
+        # A snapshot: another thread may attach to a shared space meanwhile.
+        for key, (meta, rows, index) in list(self._attached.items()):
+            index = np.flatnonzero(keep) if index is None else index[keep]
+            child._attached[key] = (meta, rows, index)
         return child
 
     def reweight(
@@ -276,10 +294,10 @@ class OrderingSpace:
         cannot favour an absent path over every present one.
 
         The child shares this space's ``paths`` array, so the positions
-        matrix and the prefix-group index — both functions of the paths
-        alone — carry over instead of being silently dropped (rebuilding
-        the ``(L, N)`` positions matrix after every noisy answer used to
-        dominate noisy-worker sessions).  The index dict is shared, so a
+        matrix, the prefix-group index and the attached rows —
+        functions of the paths alone — carry over instead of being silently
+        dropped (rebuilding the ``(L, N)`` positions after every noisy answer
+        used to dominate noisy-worker sessions).  The index dict is shared, so a
         depth computed lazily by either space serves both.
         """
         weights = np.asarray(weights, dtype=float)
@@ -306,7 +324,26 @@ class OrderingSpace:
         )
         child._positions = self._positions
         child._prefix_index = self._prefix_index
+        child._attached = dict(self._attached)
         return child
+
+    def attach_rows(self, key: Any, meta: Any, rows: np.ndarray) -> None:
+        """Keep ``rows`` (one per path) and their ``meta`` under ``key``:
+        :meth:`restrict` passes on the kept rows (gathered on the next read),
+        :meth:`reweight` shares them.  Entries must be functions of the
+        paths and ``key``, so threads sharing a space store equal values."""
+        self._attached[key] = (meta, rows, None)
+
+    def attached_rows(self, key: Any) -> Optional[Tuple[Any, np.ndarray]]:
+        """``(meta, rows)`` attached under ``key`` here or to an ancestor."""
+        entry = self._attached.get(key)
+        if entry is None:
+            return None
+        meta, rows, index = entry
+        if index is not None:
+            rows = rows[index]
+            self._attached[key] = (meta, rows, None)
+        return meta, rows
 
     # ------------------------------------------------------------------
     # Summaries

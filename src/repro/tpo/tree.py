@@ -129,12 +129,6 @@ class TPOTree:
             return 1  # the root alone represents the empty prefix
         return self.levels[-1].width
 
-    def level_mass(self, depth: int) -> float:
-        """Total probability mass at ``depth`` (≈1 up to numeric error)."""
-        if depth == 0:
-            return 1.0
-        return float(self.levels[depth - 1].probs.sum())
-
     # ------------------------------------------------------------------
     # Level-table primitives
     # ------------------------------------------------------------------
@@ -227,7 +221,7 @@ class TPOTree:
         top = self.levels[-1]
         return OrderingSpace(
             self.paths_at_depth(self.built_depth),
-            top.probs.copy(),
+            top.probs,
             self.n_tuples,
             lost_mass=self.lost_mass,
             lost_leaves=self.lost_leaves,

@@ -50,10 +50,6 @@ class Stopwatch:
         """Total CPU seconds accumulated under ``name`` (0.0 if unused)."""
         return self.totals.get(name, 0.0)
 
-    def grand_total(self) -> float:
-        """Sum of all spans."""
-        return sum(self.totals.values())
-
     def reset(self) -> None:
         """Drop all accumulated spans."""
         self.totals.clear()

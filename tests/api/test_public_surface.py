@@ -180,7 +180,9 @@ def test_builtin_plugin_names_are_stable():
 #: 5.0.0 removed the second session path of the figure drivers (their
 #: cells are ``SessionSpec`` dicts run through ``repro.api.run``); 6.0.0
 #: removed the pointer-era tree surface (node views, the JSON/DOT
-#: formats, lazy k-best) and the one-valued shard strategy knob.
+#: formats, lazy k-best) and the one-valued shard strategy knob; 7.0.0
+#: moved the per-pair settledness test to the test oracles (the session
+#: question pool replaces it).
 REMOVED = [
     ("repro", "make_policy"),
     ("repro", "make_builder"),
@@ -219,6 +221,8 @@ REMOVED = [
     ("repro.tpo.serialize", "tree_to_dot"),
     ("repro.tpo.serialize", "_memmap_npz_members"),
     ("repro.api", "SHARD_STRATEGIES"),
+    ("repro.questions", "is_settled"),
+    ("repro.questions.candidates", "is_settled"),
 ]
 
 
@@ -255,3 +259,31 @@ def test_tpo_tree_and_space_drop_the_pointer_era_methods():
         assert not hasattr(OrderingSpace, name), name
     with pytest.raises(ImportError):
         importlib.import_module("repro.tpo.node")
+
+
+def test_methods_without_a_production_caller_stay_gone():
+    from repro.crowd.simulator import SimulatedCrowd
+    from repro.db.query import TopKResult
+    from repro.db.table import UncertainTable
+    from repro.distributions.grid import Grid
+    from repro.distributions.piecewise import PiecewisePolynomial
+    from repro.experiments.grid import ExperimentGrid
+    from repro.experiments.store import ResultStore
+    from repro.questions.residual import ResidualEvaluator
+    from repro.tpo import TPOTree
+    from repro.utils.timing import Stopwatch
+
+    for owner, name in (
+        (ResidualEvaluator, "question_set"),
+        (TopKResult, "semantics_report"),
+        (PiecewisePolynomial, "clip_domain"),
+        (PiecewisePolynomial, "sample_values"),
+        (TPOTree, "level_mass"),
+        (Grid, "lower_tail"),
+        (SimulatedCrowd, "ask_batch"),
+        (UncertainTable, "index_of"),
+        (Stopwatch, "grand_total"),
+        (ExperimentGrid, "cell_ids"),
+        (ResultStore, "completed_ids"),
+    ):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"

@@ -161,7 +161,8 @@ class TestSimulatedCrowd:
             truth, worker_accuracy=0.9, replication=3,
             cost_per_assignment=0.10, rng=0,
         )
-        crowd.ask_batch([Question(0, 1), Question(2, 3)])
+        for question in (Question(0, 1), Question(2, 3)):
+            crowd.ask(question)
         assert crowd.stats.questions_posted == 2
         assert crowd.stats.assignments == 6
         assert crowd.stats.total_cost == pytest.approx(0.60)

@@ -1,4 +1,4 @@
-"""Tests for the semantics read-out on query results."""
+"""Tests for the row-key read-out on query results."""
 
 import numpy as np
 import pytest
@@ -15,26 +15,6 @@ def table():
         c = rng.random()
         t.insert(name, score=Uniform(c, c + 0.4))
     return t
-
-
-def test_semantics_report_uses_row_keys(table):
-    result = topk(table, 3, attribute="score")
-    text = result.semantics_report(threshold=0.1)
-    assert "U-Top-3" in text
-    assert "U-kRanks" in text
-    # Row keys substituted for tuple indices.
-    assert any(name in text for name in table.keys())
-    assert "t0" not in text.split("expected ranks")[0] or "turin" in text
-
-
-def test_semantics_report_threshold_changes_ptk(table):
-    result = topk(table, 3, attribute="score")
-    loose = result.semantics_report(threshold=0.0)
-    strict = result.semantics_report(threshold=0.95)
-    # A stricter threshold can only shrink the PT-k line.
-    loose_ptk = loose.split("PT-3")[1].splitlines()[0]
-    strict_ptk = strict.split("PT-3")[1].splitlines()[0]
-    assert len(strict_ptk) <= len(loose_ptk)
 
 
 def test_ordering_keys_helper(table):

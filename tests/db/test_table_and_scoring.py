@@ -21,7 +21,7 @@ def table():
 class TestTable:
     def test_insert_and_lookup(self, table):
         assert len(table) == 3
-        assert table.index_of("b") == 1
+        assert table.keys().index("b") == 1
         assert table.by_key("c").attributes["price"] == 5.0
         assert table.keys() == ["a", "b", "c"]
 

@@ -140,11 +140,6 @@ class TestAlgebra:
 
 
 class TestTransformations:
-    def test_clip_domain(self, ramp):
-        clipped = ramp.clip_domain(0.25, 0.75)
-        assert clipped(0.5) == pytest.approx(0.5)
-        assert clipped(0.1) == 0.0
-
     def test_extend_right_constant(self, ramp):
         anti = ramp.antiderivative().extend_right_constant(3.0)
         assert anti(2.5) == pytest.approx(0.5)
@@ -189,9 +184,3 @@ class TestShiftCoefficients:
             direct = np.polyval(coeffs[::-1], v + delta)
             rebased = np.polyval(shifted[::-1], v)
             assert rebased == pytest.approx(direct)
-
-
-def test_sample_values_shape(ramp):
-    x, y = ramp.sample_values(33)
-    assert x.shape == (33,) and y.shape == (33,)
-    assert y[0] == pytest.approx(0.0)

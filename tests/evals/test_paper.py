@@ -45,7 +45,7 @@ def test_grid_is_every_figure_grid(fast):
         for module in EXPERIMENTS.values()
         for cell in module.grid(fast)
     ]
-    assert grid.cell_ids() == expected
+    assert [cell.cell_id for cell in grid] == expected
     assert {cell.tags["experiment"] for cell in grid} == set(EXPERIMENTS)
 
 

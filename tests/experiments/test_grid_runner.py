@@ -133,7 +133,7 @@ class TestRunGrid:
         # The SCALE mid-point belongs to both sweeps: one execution, two
         # rows, each with its own sweep tag.
         grid = scalability.grid(fast=True)
-        ids = grid.cell_ids()
+        ids = [cell.cell_id for cell in grid]
         assert len(set(ids)) < len(ids)
         report = run_grid(grid)
         assert len(report.executed) == len(set(ids))
@@ -146,7 +146,7 @@ class TestResumability:
         store = ResultStore(tmp_path / "results.jsonl")
         first = run_grid(tiny_grid(), store=store)
         assert len(first.executed) == 4
-        assert store.completed_ids() == set(tiny_grid().cell_ids())
+        assert set(store.load()) == {cell.cell_id for cell in tiny_grid()}
         second = run_grid(tiny_grid(), store=store, resume=True)
         assert second.executed == []
         assert len(second.skipped) == 4
@@ -167,12 +167,12 @@ class TestResumability:
 
         resumed = run_grid(grid, store=ResultStore(path), resume=True)
         assert set(resumed.skipped) == surviving
-        assert set(resumed.executed) == set(grid.cell_ids()) - surviving
+        assert set(resumed.executed) == {c.cell_id for c in grid} - surviving
         # Merged results equal the clean run cell-for-cell.
         for a, b in zip(clean.table.rows, resumed.table.rows, strict=True):
             assert rows_match(a, b), (a, b)
         # And the store is whole again.
-        assert ResultStore(path).completed_ids() == set(grid.cell_ids())
+        assert set(ResultStore(path).load()) == {c.cell_id for c in grid}
 
     def test_resume_tolerates_a_torn_final_line(self, tmp_path):
         grid = tiny_grid()

@@ -20,7 +20,7 @@ class TestResultStore:
     def test_missing_file_loads_empty(self, tmp_path):
         store = ResultStore(tmp_path / "nope.jsonl")
         assert store.load() == {}
-        assert store.completed_ids() == set()
+        assert set(store.load()) == set()
 
     def test_last_write_wins(self, tmp_path):
         store = ResultStore(tmp_path / "out.jsonl")
@@ -50,7 +50,7 @@ class TestResultStore:
     def test_creates_parent_directories(self, tmp_path):
         store = ResultStore(tmp_path / "deep" / "nested" / "out.jsonl")
         store.append("abc", "X", {"v": 1})
-        assert store.completed_ids() == {"abc"}
+        assert set(store.load()) == {"abc"}
 
     def test_lines_are_one_json_record_each(self, tmp_path):
         path = tmp_path / "out.jsonl"

@@ -7,6 +7,9 @@ production code against.
   every step (bit parity for the support-windowed ``GridBuilder``);
 * :mod:`oracles.scalar_residual` — one-space-per-answer residual
   uncertainty (parity for the batched ``ResidualEvaluator`` paths);
+* :mod:`oracles.question_pool` — the per-pair ``Q_K`` walk (parity for
+  the session ``QuestionPool``) and set residuals from a fresh stance
+  matrix;
 * :mod:`oracles.stance_distance` — the ``(chunk, N, N)`` stance-tensor
   result distance (bit parity for ``topk_distance_profile``);
 * :mod:`oracles.tree_invariants` — the structural invariants of a

@@ -20,7 +20,7 @@ def validate(tree: TPOTree, tolerance: float = 1e-6) -> None:
     in range and non-decreasing; no tuple repeats along a path.
     """
     for depth in range(1, tree.built_depth + 1):
-        mass = tree.level_mass(depth)
+        mass = float(tree.levels[depth - 1].probs.sum())
         assert abs(mass - 1.0) <= tolerance, (
             f"level {depth} mass {mass} differs from 1"
         )

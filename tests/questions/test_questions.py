@@ -10,12 +10,12 @@ from repro.questions import (
     ResidualEvaluator,
     all_pair_questions,
     informative_questions,
-    is_settled,
     relevant_questions,
 )
 from repro.tpo.space import OrderingSpace
 from repro.uncertainty import EntropyMeasure
 
+from oracles.question_pool import is_settled, question_set
 from oracles.scalar_residual import rank_singles
 
 
@@ -113,7 +113,7 @@ class TestSingleResidual:
 
 class TestQuestionSetResidual:
     def test_empty_set_is_current_uncertainty(self, toy_space, evaluator):
-        assert evaluator.question_set(toy_space, []) == pytest.approx(
+        assert question_set(evaluator, toy_space, []) == pytest.approx(
             EntropyMeasure()(toy_space)
         )
 
@@ -124,9 +124,9 @@ class TestQuestionSetResidual:
         decisive = toy_space.restrict(
             toy_space.agreement_codes(0, 1) != 0
         )
-        assert evaluator.question_set(
-            decisive, [question]
-        ) == pytest.approx(evaluator.single(decisive, question))
+        assert question_set(evaluator, decisive, [question]) == pytest.approx(
+            evaluator.single(decisive, question)
+        )
 
     def test_superset_never_increases_entropy_residual(
         self, small_space, evaluator
@@ -134,22 +134,20 @@ class TestQuestionSetResidual:
         questions = informative_questions(small_space)[:4]
         if len(questions) < 3:
             pytest.skip("not enough candidates in this instance")
-        smaller = evaluator.question_set(small_space, questions[:2])
-        larger = evaluator.question_set(small_space, questions[:3])
+        smaller = question_set(evaluator, small_space, questions[:2])
+        larger = question_set(evaluator, small_space, questions[:3])
         assert larger <= smaller + 1e-9
 
     def test_full_question_set_resolves_space(self, small_space, evaluator):
         questions = all_pair_questions(small_space)
-        residual = evaluator.question_set(small_space, questions)
+        residual = question_set(evaluator, small_space, questions)
         # Asking every pair pins down the ordering: residual ~ 0.
         assert residual == pytest.approx(0.0, abs=1e-9)
 
     def test_pattern_cap_is_upper_bound(self, small_space, evaluator):
         questions = informative_questions(small_space)[:3]
-        exact_value = evaluator.question_set(small_space, questions)
-        capped = evaluator.question_set(
-            small_space, questions, pattern_cap=2
-        )
+        exact_value = question_set(evaluator, small_space, questions)
+        capped = question_set(evaluator, small_space, questions, pattern_cap=2)
         assert capped >= exact_value - 1e-9
 
     def test_codes_matrix_shape(self, toy_space, evaluator):

@@ -9,6 +9,8 @@ from repro.questions.candidates import informative_questions
 from repro.tpo.space import OrderingSpace
 from repro.uncertainty import EntropyMeasure
 
+from oracles.question_pool import question_set
+
 
 @st.composite
 def spaces(draw):
@@ -42,8 +44,8 @@ def test_question_set_monotone_in_inclusion(space):
     questions = informative_questions(space)
     if len(questions) < 2:
         return
-    smaller = evaluator.question_set(space, questions[:1])
-    larger = evaluator.question_set(space, questions[:2])
+    smaller = question_set(evaluator, space, questions[:1])
+    larger = question_set(evaluator, space, questions[:2])
     assert larger <= smaller + 1e-9
 
 
@@ -82,7 +84,7 @@ def test_all_pairs_resolve_to_zero_entropy(space):
         for i in range(space.n_tuples)
         for j in range(i + 1, space.n_tuples)
     ]
-    residual = evaluator.question_set(space, questions)
+    residual = question_set(evaluator, space, questions)
     # Each path of a top-K prefix space induces a distinct stance pattern
     # over all pairs, so the partition isolates every path.
     assert residual <= 1e-9

@@ -1,10 +1,14 @@
 """Tests for the asyncio HTTP front end (raw sockets, no HTTP library)."""
 
 import asyncio
+import gc
 import json
+import threading
 
-from repro.service.manager import SessionManager
-from repro.service.server import start_server
+import pytest
+
+from repro.service.manager import SessionManager, UnknownSessionError
+from repro.service.server import NextQuestionBatcher, ServiceThread, start_server
 from repro.tpo.builders import GridBuilder
 
 SPEC = {
@@ -354,3 +358,77 @@ class TestRoutes:
             assert stats["store"] == stats["cache"]
 
         with_server(scenario)
+
+
+class TestServiceThread:
+    def test_calls_run_in_order_on_the_service_thread(self):
+        seen = []
+
+        def call(n):
+            seen.append((n, threading.current_thread().name))
+            return n * n
+
+        async def scenario():
+            worker = ServiceThread()
+            futures = [worker.run(lambda n=n: call(n)) for n in range(6)]
+            return await asyncio.gather(*futures)
+
+        assert asyncio.run(scenario()) == [n * n for n in range(6)]
+        assert [n for n, _ in seen] == list(range(6))
+        assert {name for _, name in seen} == {"repro-service"}
+
+    def test_errors_reach_the_awaiting_handler(self):
+        def boom():
+            raise ValueError("bad spec")
+
+        async def scenario():
+            worker = ServiceThread()
+            with pytest.raises(ValueError, match="bad spec"):
+                await worker.run(boom)
+            return await worker.run(lambda: 7)  # the thread survives
+
+        assert asyncio.run(scenario()) == 7
+
+    def test_the_thread_ends_with_its_owner(self):
+        before = set(threading.enumerate())
+        worker = ServiceThread()
+        (thread,) = set(threading.enumerate()) - before
+        assert thread.is_alive()
+        del worker
+        gc.collect()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_a_cancelled_wait_is_not_settled(self):
+        release = threading.Event()
+
+        async def scenario():
+            worker = ServiceThread()
+            future = worker.run(release.wait)
+            future.cancel()
+            release.set()
+            # The settle callback finds the future cancelled and leaves it.
+            assert await worker.run(lambda: "next") == "next"
+            return future.cancelled()
+
+        assert asyncio.run(scenario())
+
+
+class TestNextQuestionBatcher:
+    def test_one_turn_is_one_batch_and_a_bad_id_fails_alone(self):
+        manager = SessionManager(builder=GridBuilder(resolution=256))
+        sid = manager.create_session(SPEC)
+        batcher = NextQuestionBatcher(manager)
+
+        async def scenario():
+            return await asyncio.gather(
+                batcher.request(sid),
+                batcher.request("ghost"),
+                batcher.request(sid),
+                return_exceptions=True,
+            )
+
+        first, ghost, second = asyncio.run(scenario())
+        assert isinstance(ghost, UnknownSessionError)
+        assert first == second == manager.next_question(sid)
+        assert (batcher.batches, batcher.requests) == (1, 3)

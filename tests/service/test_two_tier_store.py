@@ -298,6 +298,36 @@ class TestTwoTierStore:
         assert store.builds == 1  # fell back to a local build
         tier.end_build("k1")
 
+    def test_lookup_served_by_waiting_counts_one_cold_hit(self, tmp_path):
+        """A lookup that waits for another worker's build is one cold
+        lookup: one hit, no miss for the empty probe before the wait."""
+        distributions, build = make_instance()
+        builder_tier = DiskNpzColdTier(tmp_path, poll_interval=0.01)
+        assert builder_tier.begin_build("k1") is True  # the elected builder
+
+        def publish():
+            builder_tier.put("k1", build())
+            builder_tier.end_build("k1")
+
+        publisher = threading.Timer(0.2, publish)
+        publisher.start()
+        try:
+            store = TPOCache(cold=sibling(builder_tier), build_wait=5.0)
+            store.get_space("k1", distributions, build)
+        finally:
+            publisher.join()
+        assert (store.builds, store.cold_waited) == (0, 1)
+        cold = store.stats()["cold"]
+        assert (cold["hits"], cold["misses"], cold["hit_rate"]) == (1, 0, 1.0)
+
+    def test_every_lookup_path_counts_one_cold_lookup(self, tmp_path):
+        distributions, build = make_instance()
+        for cold in cold_tiers(tmp_path):
+            store = TPOCache(capacity=0, cold=cold)
+            store.get_space("k1", distributions, build)  # miss, then build
+            store.get_space("k1", distributions, build)  # cold hit
+            assert (cold.hits, cold.misses) == (1, 1)
+
     def test_manager_accepts_two_tier_store(self, tmp_path):
         from repro.service.manager import SessionManager
 

@@ -98,7 +98,9 @@ class TestTreeShape:
         ):
             tree = builder.build(overlapping_uniforms, 3)
             for depth in range(1, 4):
-                assert tree.level_mass(depth) == pytest.approx(1.0, abs=1e-5)
+                assert tree.levels[depth - 1].probs.sum() == pytest.approx(
+                    1.0, abs=1e-5
+                )
 
 
 class TestIncrementalExtension:

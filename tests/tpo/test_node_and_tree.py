@@ -62,7 +62,9 @@ class TestTree:
 
     def test_level_masses_are_one(self, built_tree):
         for depth in range(1, built_tree.k + 1):
-            assert built_tree.level_mass(depth) == pytest.approx(1.0, abs=1e-6)
+            assert built_tree.levels[depth - 1].probs.sum() == pytest.approx(
+                1.0, abs=1e-6
+            )
 
     def test_structural_invariants(self, built_tree):
         validate(built_tree)
@@ -80,6 +82,12 @@ class TestTree:
         assert space.size == built_tree.ordering_count()
         assert space.depth == built_tree.k
         assert space.probabilities.sum() == pytest.approx(1.0)
+
+    def test_to_space_does_not_alias_the_leaf_masses(self, built_tree):
+        space = built_tree.to_space()
+        before = space.probabilities.copy()
+        built_tree.levels[-1].probs[:] = 0.0
+        assert np.array_equal(space.probabilities, before)
 
     def test_to_space_requires_built_levels(self, overlapping_uniforms):
         with pytest.raises(ValueError):
