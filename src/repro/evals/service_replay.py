@@ -21,6 +21,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.evals.golden import replayed_fields
 from repro.evals.specs import EvalSpec
 from repro.questions.model import Question
 from repro.service.manager import SessionManager
@@ -70,10 +71,11 @@ def run_golden_service_cell(*, case: Dict[str, Any]) -> Dict[str, Any]:
                     )
             manager.submit_answer(sid, i, j, holds, accuracy)
         live = _state(manager, sid)
+        replayed = replayed_fields(expected)
         mismatches += [
-            f"service.{name}: expected {expected[name]!r}, got {value!r}"
+            f"service.{name}: expected {replayed[name]!r}, got {value!r}"
             for name, value in live.items()
-            if name in expected and value != expected[name]
+            if name in replayed and value != replayed[name]
         ]
 
         # Kill-and-resume: a manager rebuilt from the log alone must land
