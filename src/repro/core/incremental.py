@@ -25,7 +25,7 @@ between rounds are vectorized gathers rather than per-leaf walks.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -78,8 +78,12 @@ class IncrementalAlgorithm(Policy):
             builder.extend(tree)
             tree.renormalize()
         asked = 0
+        # The flattened current tree; None once an answer or a new level
+        # changed it, so an unchanged tree is flattened once.
+        space: Optional[OrderingSpace] = None
         while asked < budget:
-            space = self._current_space(tree, answers)
+            if space is None:
+                space = self._current_space(tree, answers)
             with watch.span("select"):
                 candidates = informative_questions(space)
             # Build deeper levels only when questions run short (§III-D).
@@ -109,15 +113,21 @@ class IncrementalAlgorithm(Policy):
                     self._apply_answer(
                         tree, answer, evaluator, counted_contradictions
                     )
-            if tree.is_complete and self._current_space(tree, answers).is_certain:
-                break
+            space = None
+            if tree.is_complete:
+                space = self._current_space(tree, answers)
+                if space.is_certain:
+                    break
         # Complete the tree so the final space is a genuine T_K.
         while not tree.is_complete:
             with watch.span("build"):
                 self._extend_with_constraints(
                     builder, tree, answers, evaluator, counted_contradictions
                 )
-        return self._current_space(tree, answers), answers
+            space = None
+        if space is None:
+            space = self._current_space(tree, answers)
+        return space, answers
 
     # ------------------------------------------------------------------
 

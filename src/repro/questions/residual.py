@@ -24,8 +24,13 @@ set paths (:meth:`ResidualEvaluator.set_residual_from_codes`,
 :meth:`ResidualEvaluator.rank_set_extensions`) mask *cells* instead: the
 paths sharing one answer pattern.  A pattern's restriction is the union
 of the cells it agrees with wherever both are decisive, so its row is
-only as wide as the cells, and ``U_H`` sums ``p`` and ``p·ln p`` per cell
-once per call.  Every mask temporary is chunked by ``_rows_per_chunk``.
+only as wide as the cells.  A measure with additive per-path terms
+(``U_H``: ``p`` and ``p·ln p``) skips the masks when ranking uncapped set
+extensions: cell ``(b, s)`` of ``S ∪ {c}`` keeps ``(b′, s′)`` iff base
+cells ``b`` and ``b′`` are compatible and ``s·s′ ≠ −1``, so one product
+of the base-compatibility matrix with the per-cell term tables of every
+candidate and stance prices all extensions of a greedy step.  Every
+temporary is chunked by ``_rows_per_chunk``.
 
 :meth:`ResidualEvaluator.single` prices one question the scalar way
 (two restricted spaces); the test suite holds the batched paths to it,
@@ -45,18 +50,30 @@ from repro.tpo.space import DegenerateSpaceError, OrderingSpace, _rows_per_chunk
 from repro.uncertainty.base import UncertaintyMeasure
 
 
+#: Columns folded into one base-3 key (``3**39 < 2**63``).
+_DIGITS_PER_KEY = 39
+
+
 def _pattern_ids(codes: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Dense answer-pattern id of every row of ``codes``, and the patterns.
 
-    Ids are folded one column at a time (``id·3 + code + 1``, kept dense by
-    a 1-D ``np.unique``), so ascending ids follow the lexicographic order
-    of ``np.unique(codes, axis=0)`` without sorting whole rows.
+    Up to :data:`_DIGITS_PER_KEY` columns fold into one base-3 key (digit
+    ``code + 1``, first column most significant), and wider blocks are
+    combined through dense ids, so ascending ids follow the lexicographic
+    row order of ``np.unique(codes, axis=0)`` without sorting whole rows.
     """
-    ids = np.zeros(codes.shape[0], dtype=np.intp)
-    for column in codes.T:
-        _, ids = np.unique(
-            ids * 3 + column.astype(np.intp) + 1, return_inverse=True
-        )
+    ids = np.zeros(codes.shape[0], dtype=np.int64)
+    for start in range(0, codes.shape[1], _DIGITS_PER_KEY):
+        key = np.zeros(codes.shape[0], dtype=np.int64)
+        for column in codes[:, start : start + _DIGITS_PER_KEY].T:
+            key *= 3
+            key += column
+            key += 1
+        if start:
+            _, prefix = np.unique(ids, return_inverse=True)
+            _, key = np.unique(key, return_inverse=True)
+            key += prefix * (int(key.max()) + 1)
+        ids = key
     _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
     return ids, codes[first]
 
@@ -346,15 +363,51 @@ class ResidualEvaluator:
         """``R_{S ∪ {c}}`` for every candidate column ``c`` at once.
 
         The greedy set policies (``C-off``, ``A*``) score every remaining
-        candidate as an extension of the same already-chosen set ``S``.
-        The base patterns of ``S`` are computed once; each extension's
-        cells are ``3·base_pattern + stance`` ids, counted by ``bincount``
-        and priced by :meth:`_price_cells`.  Values match per-candidate
-        :meth:`set_residual_from_codes` to float precision, including the
-        tie resolution of a ``pattern_cap`` cut (both paths rank the
-        identical lexicographically-ordered mass array).
+        candidate as an extension of the same already-chosen set ``S``,
+        whose base patterns are computed once.  A measure declaring
+        additive :meth:`~repro.uncertainty.base.UncertaintyMeasure.restriction_terms`
+        (``U_H``) prices every uncapped extension at once
+        (:meth:`_price_extensions_by_terms`); otherwise each extension's
+        cells go through :meth:`_price_cells`.  Values match
+        per-candidate :meth:`set_residual_from_codes` to float precision,
+        including the tie resolution of a ``pattern_cap`` cut, and count
+        the same evaluations.
         """
         base_ids, base_patterns = _pattern_ids(codes[:, list(base_columns)])
+        terms = (
+            self.measure.restriction_terms(space)
+            if pattern_cap is None
+            else None
+        )
+        if terms is None:
+            results, covered = self._price_extensions_by_cells(
+                space, codes, base_ids, base_patterns, candidate_columns,
+                pattern_cap,
+            )
+        else:
+            results, covered = self._price_extensions_by_terms(
+                codes, base_ids, base_patterns, candidate_columns, terms
+            )
+        tail = covered < 1.0 - 1e-12
+        if np.any(tail):
+            results[tail] += (1.0 - covered[tail]) * self.uncertainty(space)
+        return results
+
+    def _price_extensions_by_cells(
+        self,
+        space: OrderingSpace,
+        codes: np.ndarray,
+        base_ids: np.ndarray,
+        base_patterns: np.ndarray,
+        candidate_columns: Sequence[int],
+        pattern_cap: Optional[int],
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Per-extension weighted values and covered masses, one
+        :meth:`_price_cells` call per candidate.
+
+        Each extension's cells are ``3·base_pattern + stance`` ids,
+        counted by ``bincount``.
+        """
         n_ids = 3 * base_patterns.shape[0]
         compressed = np.empty(n_ids, dtype=np.intp)
         results = np.empty(len(candidate_columns), dtype=np.float64)
@@ -377,10 +430,92 @@ class ResidualEvaluator:
             results[out_index], covered[out_index] = self._price_cells(
                 space, patterns, compressed[ids], masses, pattern_cap
             )
-        tail = covered < 1.0 - 1e-12
-        if np.any(tail):
-            results[tail] += (1.0 - covered[tail]) * self.uncertainty(space)
-        return results
+        return results, covered
+
+    def _price_extensions_by_terms(
+        self,
+        codes: np.ndarray,
+        base_ids: np.ndarray,
+        base_patterns: np.ndarray,
+        candidate_columns: Sequence[int],
+        terms: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Per-extension weighted values and covered masses, all
+        candidates priced by one chunked product per step.
+
+        Cell ``(b, s)`` of ``S ∪ {c}`` keeps ``(b′, s′)`` iff base cells
+        ``b`` and ``b′`` agree wherever both are decisive and
+        ``s·s′ ≠ −1``: stance −1 keeps stances {−1, 0}, +1 keeps {0, +1}
+        and 0 keeps the whole base cell.  So the ``m`` additive terms are
+        summed per base cell, candidate and stance (one ``bincount``
+        each) into the two kept sums of every candidate plus the base
+        cell's total, and the base-compatibility matrix (row chunks of
+        ``_rows_per_chunk``) multiplies those ``(n_base, m·(2·C + 1))``
+        tables once.  Every positive-mass cell counts one evaluation, as
+        on the cell path.  Candidates are chunked so the ``(L, C)`` ids
+        and the tables stay within one chunk too.
+        """
+        candidates = np.asarray(candidate_columns, dtype=np.intp)
+        n_paths, n_terms = terms.shape
+        n_base = base_patterns.shape[0]
+        signs = base_patterns.astype(np.float32)
+        decisive = np.abs(signs)
+        base_rows = _rows_per_chunk(n_base)
+        per_chunk = _rows_per_chunk(max(n_paths, 3 * n_terms * n_base))
+        base_totals = np.column_stack(
+            [
+                np.bincount(base_ids, weights=column, minlength=n_base)
+                for column in terms.T
+            ]
+        )
+        results = np.empty(candidates.size, dtype=np.float64)
+        covered = np.empty_like(results)
+        for start in range(0, candidates.size, per_chunk):
+            block = candidates[start : start + per_chunk]
+            count = block.size
+            # Column 3·j + s + 1 of base cell b: candidate j, stance s.
+            ids = codes[:, block].astype(np.intp)
+            ids += np.arange(1, 3 * count, 3)
+            ids += (base_ids * (3 * count))[:, None]
+            ids = ids.ravel()
+            # Per base cell: (−1, 0) and (0, +1) sums of every candidate,
+            # then the cell's total; one slice per term.
+            tables = np.empty((n_base, 2 * count + 1, n_terms), dtype=np.float64)
+            for term in range(n_terms):
+                cells = np.bincount(
+                    ids,
+                    weights=np.repeat(terms[:, term], count),
+                    minlength=n_base * 3 * count,
+                ).reshape(n_base, count, 3)
+                if term == 0:
+                    masses = cells
+                tables[:, 0:-1:2, term] = cells[..., 0] + cells[..., 1]
+                tables[:, 1:-1:2, term] = cells[..., 1] + cells[..., 2]
+            tables[:, -1] = base_totals
+            del ids
+            tables = tables.reshape(n_base, -1)
+            sums = np.empty_like(tables)
+            for row in range(0, n_base, base_rows):
+                rows = slice(row, row + base_rows)
+                # Σ|r·c| = Σ r·c exactly when no question has r·c = −1.
+                compatible = decisive[rows] @ decisive.T == (
+                    signs[rows] @ signs.T
+                )
+                sums[rows] = compatible.astype(np.float64) @ tables
+            sums = sums.reshape(n_base, 2 * count + 1, n_terms)
+            kept = np.empty((n_base, count, 3, n_terms), dtype=np.float64)
+            kept[:, :, 0] = sums[:, 0:-1:2]
+            kept[:, :, 1] = sums[:, -1:]
+            kept[:, :, 2] = sums[:, 1:-1:2]
+            positive = masses > 0.0
+            weighted = np.zeros_like(masses)
+            weighted[positive] = masses[positive] * self.measure.value_from_sums(
+                kept[positive]
+            )
+            results[start : start + count] = weighted.sum(axis=(0, 2))
+            covered[start : start + count] = masses.sum(axis=(0, 2))
+            self.evaluations += int(np.count_nonzero(positive))
+        return results, covered
 
     def _price_cells(
         self,

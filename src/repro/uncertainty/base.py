@@ -117,6 +117,27 @@ class UncertaintyMeasure(abc.ABC):
             space, masks * space.probabilities[None, :]
         )
 
+    def restriction_terms(self, space: OrderingSpace) -> Optional[np.ndarray]:
+        """Per-path additive terms that determine the measure, or ``None``.
+
+        A measure whose value on every restriction of ``space`` follows
+        from the restriction's sums of a few per-path terms declares them
+        here: an ``(L, m)`` matrix whose first column is the path mass
+        ``p``; :meth:`value_from_sums` maps the ``m`` sums of one
+        restriction to its value.  Set-extension ranking then prices every
+        candidate's cells with one matrix product per greedy step.  The
+        default ``None`` keeps a measure on the cell-mask path
+        (:meth:`evaluate_restrictions` with ``cells``).
+        """
+        return None
+
+    def value_from_sums(self, sums: np.ndarray) -> np.ndarray:
+        """Values from ``(..., m)`` sums of :meth:`restriction_terms` over
+        restrictions that each keep positive mass."""
+        raise NotImplementedError(
+            f"{type(self).__name__} declares no additive restriction terms"
+        )
+
     @staticmethod
     def _check_weights(space: OrderingSpace, weights: np.ndarray) -> np.ndarray:
         """Validate a hypothetical-posterior matrix (shared by overrides)."""

@@ -36,6 +36,14 @@ def _lost_entropy_slack(
     return float((binary + delta * support) / np.log(base))
 
 
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """``p·ln p`` per entry, 0 where ``p`` is 0."""
+    plogp = np.zeros_like(p)
+    positive = p > 0.0
+    plogp[positive] = p[positive] * np.log(p[positive])
+    return plogp
+
+
 def shannon_entropy(masses: np.ndarray, base: float = 2.0) -> float:
     """Entropy of a probability vector, ignoring zero entries."""
     masses = np.asarray(masses, dtype=float)
@@ -115,15 +123,18 @@ class EntropyMeasure(UncertaintyMeasure):
         """Pruning hypotheticals via ``Σ q·ln q = (Σ_S p·ln p)/T − ln T``.
 
         The per-path ``p·ln p`` vector is computed once, so each row costs
-        two mask–vector products and zero transcendentals — the fast path
-        behind batched question ranking.  Cell masks sum ``p`` and
-        ``p·ln p`` per cell first, so rows are only as wide as the cells.
+        two mask–vector products and zero transcendentals — the path
+        behind batched single-question ranking, whose matvecs fix the
+        summation order golden replay depends on.  Cell masks sum ``p``
+        and ``p·ln p`` per cell first, so rows are only as wide as the
+        cells (the capped set path).  Uncapped set-extension ranking
+        skips the masks altogether: it sums the same two terms
+        (:meth:`restriction_terms`) per cell and prices every extension
+        with one matrix product per step.
         """
         masks = np.asarray(masks, dtype=float)
         p = space.probabilities
-        plogp = np.zeros_like(p)
-        positive = p > 0.0
-        plogp[positive] = p[positive] * np.log(p[positive])
+        plogp = _plogp(p)
         if cells is not None:
             p = np.bincount(cells, weights=p, minlength=masks.shape[1])
             plogp = np.bincount(cells, weights=plogp, minlength=p.size)
@@ -132,6 +143,17 @@ class EntropyMeasure(UncertaintyMeasure):
             raise ValueError("every restriction needs surviving mass")
         sums = masks @ plogp
         return (np.log(totals) - sums / totals) / np.log(self.base)
+
+    def restriction_terms(self, space: OrderingSpace) -> np.ndarray:
+        """``(p, p·ln p)`` per path: a restriction's entropy follows from
+        their sums ``T`` and ``Σ`` (:meth:`value_from_sums`)."""
+        p = space.probabilities
+        return np.column_stack((p, _plogp(p)))
+
+    def value_from_sums(self, sums: np.ndarray) -> np.ndarray:
+        """``(ln T − Σ/T) / ln b`` for ``(..., 2)`` sums ``(T, Σ)``."""
+        totals, plogp_sums = sums[..., 0], sums[..., 1]
+        return (np.log(totals) - plogp_sums / totals) / np.log(self.base)
 
 
 WeightsLike = Union[None, Sequence[float], Callable[[int], np.ndarray]]

@@ -11,6 +11,7 @@ from repro.core import (
 from repro.crowd import GroundTruth, SimulatedCrowd
 from repro.distributions import Uniform
 from repro.tpo import GridBuilder
+from repro.tpo.tree import TPOTree
 
 
 @pytest.fixture
@@ -153,6 +154,27 @@ class TestIncrementalSession:
         result = session.run(IncrementalAlgorithm(round_size=2), 4)
         assert np.isnan(result.initial_uncertainty)
         assert np.isnan(result.initial_distance)
+
+    @pytest.mark.parametrize("budget", [4, 8, 40])
+    def test_incr_flattens_each_tree_state_once(
+        self, dists, truth, monkeypatch, budget
+    ):
+        """The end-of-round certainty check's space is reused by the next
+        round or returned, so no tree state is flattened twice."""
+        flattened = []
+        to_space = TPOTree.to_space
+
+        def recording(tree):
+            space = to_space(tree)
+            flattened.append(
+                space.paths.tobytes() + space.probabilities.tobytes()
+            )
+            return space
+
+        monkeypatch.setattr(TPOTree, "to_space", recording)
+        make_session(dists, truth).run(IncrementalAlgorithm(round_size=3), budget)
+        assert flattened
+        assert len(flattened) == len(set(flattened))
 
     def test_incr_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ production code against.
   every step (bit parity for the support-windowed ``GridBuilder``);
 * :mod:`oracles.scalar_residual` — one-space-per-answer residual
   uncertainty (parity for the batched ``ResidualEvaluator`` paths);
+* :mod:`oracles.cell_entropy` — ``U_H`` without additive restriction
+  terms (parity for the one-product ``U_H`` set-extension path);
 * :mod:`oracles.question_pool` — the per-pair ``Q_K`` walk (parity for
   the session ``QuestionPool``) and set residuals from a fresh stance
   matrix;

@@ -6,22 +6,31 @@ The batched path (`rank_singles_batch`, batched `set_residual_from_codes`,
 every registered uncertainty measure and every TPO construction engine.
 The set paths price restrictions as masks over answer-pattern cells
 (`evaluate_restrictions(..., cells=...)`); those must equal the expanded
-path masks and stay within their chunk memory bound.
+path masks and stay within their chunk memory bound.  Uncapped ``U_H``
+set extensions are priced by one product per step; they must match the
+cell path of an ``H``-valued measure without additive terms
+(`tests/oracles/cell_entropy.py`) and count the same evaluations.
 """
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributions.uniform import Uniform
 from repro.questions import residual as residual_module
 from repro.questions.candidates import all_pair_questions
 from repro.questions.residual import ResidualEvaluator
 from repro.api import ENGINES, MEASURES
+from repro.tpo.builders import GridBuilder
 from repro.tpo.space import OrderingSpace
 from repro.uncertainty.base import UncertaintyMeasure
+from repro.uncertainty.entropy import EntropyMeasure
 
+from oracles.cell_entropy import CellEntropyMeasure
 from oracles.scalar_residual import (
     rank_singles,
     set_residual_from_codes_scalar,
@@ -280,6 +289,118 @@ def test_set_paths_chunked_match_unchunked(name, pattern_cap, monkeypatch):
     monkeypatch.setattr(residual_module, "_rows_per_chunk", lambda size: 3)
     chunked = _set_path_values(evaluator, space, codes, pattern_cap)
     np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=1e-12)
+
+
+@lru_cache(maxsize=None)
+def _parity_space(kind: str) -> OrderingSpace:
+    """A top-4 grid space, exact or beam-approximate (lost mass > 0)."""
+    rng = np.random.default_rng(53)
+    distributions = [Uniform(c, c + 0.4) for c in rng.random(8)]
+    epsilon = 0.05 if kind == "beam" else 0.0
+    builder = GridBuilder(resolution=64, beam_epsilon=epsilon)
+    return builder.build(distributions, 4).to_space()
+
+
+@given(kind=st.sampled_from(["grid", "beam"]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_term_path_matches_cell_path(kind, data):
+    """One product per step prices every ``U_H`` extension like the cell
+    path: base sets of size 0..B, empty candidate lists, all-silent
+    candidates and zero-mass paths."""
+    space = _parity_space(kind)
+    codes = ResidualEvaluator(EntropyMeasure()).codes_matrix(
+        space, all_pair_questions(space)[:9]
+    )
+    zeroed = data.draw(
+        st.lists(st.integers(0, space.size - 1), max_size=space.size // 2)
+    )
+    if zeroed:
+        probabilities = space.probabilities.copy()
+        probabilities[zeroed] = 0.0
+        if probabilities.sum() > 0.0:
+            space = OrderingSpace(space.paths, probabilities, space.n_tuples)
+    silent = data.draw(st.integers(0, 2))
+    codes = np.hstack(
+        (codes, np.zeros((space.size, silent), dtype=codes.dtype))
+    )
+    width = codes.shape[1]
+    base = data.draw(
+        st.lists(st.integers(0, width - 1), unique=True, max_size=width)
+    )
+    rest = [c for c in range(width) if c not in base]
+    candidates = data.draw(
+        st.lists(st.sampled_from(rest), unique=True) if rest else st.just([])
+    )
+    by_terms = ResidualEvaluator(EntropyMeasure())
+    by_cells = ResidualEvaluator(CellEntropyMeasure())
+    np.testing.assert_allclose(
+        by_terms.rank_set_extensions(space, codes, base, candidates),
+        by_cells.rank_set_extensions(space, codes, base, candidates),
+        rtol=0.0,
+        atol=1e-9,
+    )
+    assert by_terms.evaluations == by_cells.evaluations
+
+
+def test_capped_u_h_extensions_take_the_cell_path():
+    """A ``pattern_cap`` cut ranks cells by mass, so ``U_H`` keeps the
+    cell path there: bit-identical values and counts."""
+    space = _parity_space("grid")
+    by_terms = ResidualEvaluator(EntropyMeasure())
+    by_cells = ResidualEvaluator(CellEntropyMeasure())
+    codes = by_terms.codes_matrix(space, all_pair_questions(space)[:8])
+    for base in ([], [0], [1, 4]):
+        candidates = [c for c in range(8) if c not in base]
+        np.testing.assert_array_equal(
+            by_terms.rank_set_extensions(space, codes, base, candidates, 3),
+            by_cells.rank_set_extensions(space, codes, base, candidates, 3),
+        )
+    assert by_terms.evaluations == by_cells.evaluations
+
+
+@pytest.mark.parametrize("width", [0, 1, 38, 39, 40, 79])
+def test_pattern_ids_equal_unique_rows(width):
+    """Ids and row order equal ``np.unique(codes, axis=0)`` on either side
+    of the 39-column key boundary (rows share most columns, so they
+    differ late as well as early)."""
+    rng = np.random.default_rng(width)
+    templates = rng.integers(-1, 2, size=(5, width), dtype=np.int8)
+    codes = templates[rng.integers(0, 5, 400)]
+    if width:
+        flipped = rng.random(400) < 0.5
+        columns = rng.integers(0, width, 400)[flipped]
+        codes[flipped, columns] = rng.integers(-1, 2, columns.size)
+    ids, patterns = residual_module._pattern_ids(codes)
+    expected, inverse = np.unique(codes, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(patterns, expected)
+    np.testing.assert_array_equal(ids, inverse.ravel())
+
+
+def test_set_extension_memory_with_many_candidates(monkeypatch):
+    """48 candidates under the bound of the test below: candidates are
+    chunked so the ``(L, C)`` ids and per-cell tables stay one chunk."""
+    rng = np.random.default_rng(3)
+    paths = np.unique(
+        np.array([rng.permutation(14)[:5] for _ in range(5000)]), axis=0
+    )
+    space = OrderingSpace(paths, rng.random(paths.shape[0]) + 1e-3, 14)
+    evaluator = ResidualEvaluator(MEASURES.create("H"))
+    codes = evaluator.codes_matrix(space, all_pair_questions(space))
+    base = list(range(0, 70, 7))
+    candidates = [c for c in range(codes.shape[1]) if c not in base][:48]
+    bound = 1 << 14  # elements per chunk of rows
+    monkeypatch.setattr(
+        residual_module,
+        "_rows_per_chunk",
+        lambda size: max(1, bound // max(size, 1)),
+    )
+    tracemalloc.start()
+    try:
+        evaluator.rank_set_extensions(space, codes, base, candidates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * bound * 8 + 64 * space.size
 
 
 def test_set_extension_memory_stays_within_chunk_bound(monkeypatch):
