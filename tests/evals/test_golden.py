@@ -62,6 +62,23 @@ def test_tampered_expectation_is_caught(dataset):
     assert any("final_uncertainty" in m for m in row["mismatches"])
 
 
+def test_levelwise_incr_case_is_still_checked(dataset):
+    """A recorded NaN is matched only by NaN, and the full-tree replay of
+    an incr case still checks its final orderings."""
+    case = copy.deepcopy(
+        next(
+            c for c in dataset["cases"]
+            if c["expected"]["orderings_initial"] < 0
+        )
+    )
+    case["expected"]["initial_uncertainty"] = 0.0
+    case["expected"]["orderings_final"] += 1
+    mismatches = run_golden_api_cell(case=case)["mismatches"]
+    assert any(m.startswith("initial_uncertainty") for m in mismatches)
+    assert any(m.startswith("orderings_final") for m in mismatches)
+    assert any(m.startswith("replay.orderings_final") for m in mismatches)
+
+
 def test_recording_is_reproducible(dataset):
     case = dataset["cases"][0]
     spec = EvalSpec.from_dict(case["eval"]).session
