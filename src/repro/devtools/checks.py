@@ -5,10 +5,11 @@ One run parses every file under ``src/repro`` once, into the
 :class:`Check` over that one module index:
 
 * **per-file checks** (:class:`FileCheck`, the RPL rules of
-  :mod:`repro.devtools.rules`) judge one module at a time.  A single
-  shared AST walk per module (:class:`_Walker`) feeds every applicable
-  rule, keeping the context rules need (numpy aliases, function-local
-  spec bindings) in a :class:`FileContext`;
+  :mod:`repro.devtools.rules`) judge one module at a time.  They ride
+  the graph's own walk: each module is walked once, and that walk both
+  records the graph's facts and hands every node to the module's
+  :class:`FileContext`, which feeds the applicable rules and keeps the
+  context they need (numpy aliases, function-local spec bindings);
 * **whole-program checks** (RPC101–RPC104, below) judge *call paths*:
   each runs once over the graph and one of the fixed-point engines in
   :mod:`repro.devtools.dataflow`, so a violation can involve three
@@ -22,7 +23,8 @@ Every check is a plugin in the one ``CHECKS`` registry of
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools import dataflow
 from repro.devtools.findings import Violation
@@ -30,6 +32,7 @@ from repro.devtools.graph import (
     CallGraph,
     FunctionInfo,
     ModuleInfo,
+    build_graph,
     dotted_name,
 )
 
@@ -66,11 +69,19 @@ class Check:
 
 
 class FileContext:
-    """Everything per-file checks may need about the module being walked."""
+    """Everything per-file checks may need about the module being walked.
 
-    def __init__(self, module: ModuleInfo) -> None:
+    The graph's walk calls :meth:`visit` once per node, parents before
+    children, and :meth:`leave_function` after each ``def``'s children.
+    """
+
+    def __init__(
+        self, module: ModuleInfo, checks: Sequence["FileCheck"]
+    ) -> None:
         self.module = module
         self.path = module.path
+        self.checks = checks
+        self.violations: List[Violation] = []
         #: Local names bound to the numpy module (``import numpy as np``).
         self.numpy_aliases = {"numpy"} | {
             alias
@@ -78,8 +89,26 @@ class FileContext:
             if target == "numpy"
         }
         #: Per-function sets of names bound to frozen-spec constructor
-        #: calls (maintained by the walker for RPL003).
+        #: calls (for RPL003).
         self.spec_bindings: List[set] = [set()]
+
+    def visit(self, node: ast.AST) -> None:
+        for check in self.checks:
+            self.violations.extend(check.visit_node(node, self))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self.spec_bindings.append(set())
+        elif isinstance(node, ast.Assign) and isinstance(
+            node.value, ast.Call
+        ):
+            callee = dotted_name(node.value.func)
+            terminal = callee.rsplit(".", 1)[-1] if callee else ""
+            if terminal in SPEC_CONSTRUCTORS:
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        self.spec_bindings[-1].add(target.id)
+
+    def leave_function(self) -> None:
+        self.spec_bindings.pop()
 
     def resolve_numpy(self, dotted: Optional[str]) -> Optional[str]:
         """Normalize ``np.random.seed`` → ``numpy.random.seed``."""
@@ -99,7 +128,7 @@ class FileCheck(Check):
 
     Subclasses optionally narrow :meth:`applies_to` and yield violations
     from :meth:`visit_node` — called once per AST node of every
-    applicable module by the shared walker.
+    applicable module by the graph's walk.
     """
 
     def applies_to(self, path: str) -> bool:
@@ -139,57 +168,35 @@ SPEC_CONSTRUCTORS = frozenset(
 )
 
 
-class _Walker:
-    """The shared AST walk: one pass, every rule, context maintained."""
+def analyze(
+    root: Path, checks: Sequence[Check]
+) -> Tuple[CallGraph, List[Violation]]:
+    """Build the graph of ``<root>/src/repro`` and run ``checks`` on it.
 
-    def __init__(self, ctx: FileContext, rules: Sequence[FileCheck]) -> None:
-        self.ctx = ctx
-        self.rules = rules
-        self.violations: List[Violation] = []
-
-    def run(self) -> List[Violation]:
-        self._walk(self.ctx.module.tree)
-        return self.violations
-
-    def _walk(self, node: ast.AST) -> None:
-        for rule in self.rules:
-            self.violations.extend(rule.visit_node(node, self.ctx))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.ctx.spec_bindings.append(set())
-            for child in ast.iter_child_nodes(node):
-                self._walk(child)
-            self.ctx.spec_bindings.pop()
-            return
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = dotted_name(node.value.func)
-            terminal = callee.rsplit(".", 1)[-1] if callee else ""
-            if terminal in SPEC_CONSTRUCTORS:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.ctx.spec_bindings[-1].add(target.id)
-        for child in ast.iter_child_nodes(node):
-            self._walk(child)
-
-
-def run_checks(
-    graph: CallGraph, checks: Sequence[Check]
-) -> List[Violation]:
-    """Run ``checks`` over ``graph``, sorted by (path, line, col, rule).
-
-    Files that did not parse are always reported (``RPL000``): no check
-    could look at them.
+    Per-file checks run inside the graph's one walk per module; the
+    whole-program checks run on the finished graph.  Findings come
+    sorted by (path, line, col, rule).  Files that did not parse are
+    always reported (``RPL000``): no check could look at them.
     """
-    violations: List[Violation] = list(graph.parse_errors)
     file_checks = [c for c in checks if isinstance(c, FileCheck)]
-    for module in graph.modules.values():
+    contexts: List[FileContext] = []
+
+    def file_context(module: ModuleInfo) -> Optional[FileContext]:
         applicable = [c for c in file_checks if c.applies_to(module.path)]
-        if applicable:
-            violations.extend(_Walker(FileContext(module), applicable).run())
+        if not applicable:
+            return None
+        contexts.append(FileContext(module, applicable))
+        return contexts[-1]
+
+    graph = build_graph(root, file_context)
+    violations: List[Violation] = list(graph.parse_errors)
+    for ctx in contexts:
+        violations.extend(ctx.violations)
     for check in checks:
         if not isinstance(check, FileCheck):
             violations.extend(check.run(graph))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return violations
+    return graph, violations
 
 
 def _chain(facts: Dict[str, dataflow.TaintEvidence], start: str) -> str:
@@ -222,12 +229,11 @@ class SeedPredicate:
     def __init__(
         self,
         names: FrozenSet[str] = frozenset(),
-        dotted: FrozenSet[str] = frozenset(),
         prefixes: Sequence[str] = (),
         attrs: FrozenSet[str] = frozenset(),
     ) -> None:
+        #: Exact external names, bare (``open``) or dotted (``time.sleep``).
         self.names = names
-        self.dotted = dotted
         self.prefixes = tuple(prefixes)
         self.attrs = attrs
 
@@ -235,7 +241,7 @@ class SeedPredicate:
         self, external: Optional[str], attr: Optional[str]
     ) -> Optional[str]:
         if external is not None:
-            if external in self.names or external in self.dotted:
+            if external in self.names:
                 return external
             for prefix in self.prefixes:
                 if external.startswith(prefix):
@@ -247,9 +253,10 @@ class SeedPredicate:
 
 #: Primitives that block the calling thread (RPC101 seeds).
 BLOCKING = SeedPredicate(
-    names=frozenset({"open", "input"}),
-    dotted=frozenset(
+    names=frozenset(
         {
+            "open",
+            "input",
             "time.sleep",
             "os.system",
             "os.popen",
@@ -280,7 +287,7 @@ BLOCKING = SeedPredicate(
 
 #: Nondeterminism primitives (RPC102 seeds).
 NONDETERMINISM = SeedPredicate(
-    dotted=frozenset(
+    names=frozenset(
         {
             "time.time",
             "time.time_ns",
@@ -444,7 +451,10 @@ class RegistryClosure(Check):
     )
 
     def run(self, graph: CallGraph) -> Iterator[Violation]:
+        registered: Dict[str, Set[str]] = {}
         for ref in graph.lazy_refs:
+            if ref.registry is not None and ref.plugin is not None:
+                registered.setdefault(ref.registry, set()).add(ref.plugin)
             message = None
             if ref.module not in graph.modules:
                 message = (
@@ -471,46 +481,23 @@ class RegistryClosure(Check):
                 message=message,
                 line_text=owner.line_text(ref.line),
             )
-        yield from self._check_literal_lookups(graph)
-
-    def _check_literal_lookups(
-        self, graph: CallGraph
-    ) -> Iterator[Violation]:
-        registered: Dict[str, Set[str]] = {}
-        for ref in graph.lazy_refs:
-            if ref.registry is not None and ref.plugin is not None:
-                registered.setdefault(ref.registry, set()).add(ref.plugin)
-        if not registered:
-            return
-        for name, module in sorted(graph.modules.items()):
-            for node in ast.walk(module.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in {"create", "get"}
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in registered
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)
-                ):
-                    continue
-                registry = node.func.value.id
-                plugin = node.args[0].value
-                if plugin in registered[registry]:
-                    continue
-                yield Violation(
-                    rule=self.code,
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                    message=(
-                        f"{registry}.{node.func.attr}({plugin!r}) names an "
-                        f"unregistered plugin; registered: "
-                        f"{sorted(registered[registry])}"
-                    ),
-                    line_text=module.line_text(node.lineno),
-                )
+        for lookup in graph.lookups:
+            plugins = registered.get(lookup.registry)
+            if plugins is None or lookup.plugin in plugins:
+                continue
+            module = graph.modules[lookup.module]
+            yield Violation(
+                rule=self.code,
+                path=module.path,
+                line=lookup.line,
+                col=lookup.col + 1,
+                message=(
+                    f"{lookup.registry}.{lookup.method}({lookup.plugin!r}) "
+                    f"names an unregistered plugin; registered: "
+                    f"{sorted(plugins)}"
+                ),
+                line_text=module.line_text(lookup.line),
+            )
 
 
 class ExceptionContract(Check):
@@ -591,5 +578,5 @@ __all__ = [
     "ContentKeyPurity",
     "ExceptionContract",
     "RegistryClosure",
-    "run_checks",
+    "analyze",
 ]

@@ -19,10 +19,9 @@ from typing import List, Optional, Sequence
 
 from repro.api.catalog import CHECKS
 from repro.devtools import baseline as baseline_mod
-from repro.devtools.checks import Check, run_checks
+from repro.devtools.checks import Check, analyze
 from repro.devtools.findings import Violation
 from repro.devtools.formats import render
-from repro.devtools.graph import build_graph
 
 #: Default baseline location, relative to the repo root.
 DEFAULT_BASELINE = "check_baseline.jsonl"
@@ -84,7 +83,7 @@ def run_check(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
 
-    graph = build_graph(root)
+    graph, violations = analyze(root, checks)
     if args.graph_dump:
         dump_path = Path(args.graph_dump)
         dump_path.parent.mkdir(parents=True, exist_ok=True)
@@ -94,7 +93,6 @@ def run_check(args: argparse.Namespace) -> int:
         )
         print(f"call graph written to {dump_path}", file=sys.stderr)
 
-    violations = run_checks(graph, checks)
     baseline_path = (
         Path(args.baseline)
         if args.baseline is not None

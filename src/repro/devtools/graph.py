@@ -1,9 +1,12 @@
 """Whole-program import/call-graph construction over ``src/repro``.
 
-One AST pass per module builds a package-wide :class:`CallGraph` whose
-nodes are *functions* (including methods and a synthetic ``<module>``
-node per module for import-time code) and whose edges are resolved call
-sites.  Resolution is deliberately static but domain-aware; it follows
+Two passes build a package-wide :class:`CallGraph` whose nodes are
+*functions* (including methods and a synthetic ``<module>`` node per
+module for import-time code) and whose edges are resolved call sites.
+The index pass reads every module's imports, top-level names, classes
+and ``__init__`` attribute types; then one walk per module resolves its
+call sites against that index.  Resolution is deliberately static but
+domain-aware; it follows
 
 * plain intra-module calls (``helper()``),
 * imported names (``from repro.x import f`` / ``import repro.x as y``
@@ -33,10 +36,12 @@ Every call and raise site also records which exception types enclosing
 (RPC104) usable: a ``ValueError`` raised under
 ``except (TypeError, ValueError)`` does not escape.
 
-The parsed modules double as the index the per-file RPL checks walk:
-each file under the package is read and parsed exactly once per run, and
-a file that does not parse is reported as ``RPL000`` rather than
-skipped.
+The same walk hands every node to the per-file RPL checks (see
+:func:`repro.devtools.checks.analyze`) and records the literal
+``NAME.create/get("plugin")`` lookups that RPC103 holds to the
+registrations: each file under the package is read and parsed exactly
+once per run and walked once after indexing, and a file that does not
+parse is reported as ``RPL000`` rather than skipped.
 
 Known static limitations (documented, deliberate): property accesses are
 not call sites, and functions passed as values (e.g. into
@@ -54,11 +59,15 @@ from __future__ import annotations
 import ast
 import builtins
 import re
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.devtools.findings import Violation
+
+if TYPE_CHECKING:
+    from repro.devtools.checks import FileContext
 
 #: Matches the registries' lazy factory strings (``repro.x.y:attr``).
 LAZY_REF_PATTERN = re.compile(r"^(?P<module>[A-Za-z_][\w.]*):(?P<attr>[A-Za-z_]\w*)$")
@@ -73,13 +82,13 @@ class CallSite:
 
     #: Resolved internal target (function qname), or ``None``.
     target: Optional[str]
-    #: Normalized dotted name for unresolved calls (``time.sleep``).
-    external: Optional[str]
-    #: Bare attribute name for unresolved attribute calls (``recv``).
-    attr: Optional[str]
     line: int
     #: Exception type names caught by enclosing ``try`` bodies.
     caught: FrozenSet[str] = frozenset()
+    #: Normalized dotted name for unresolved calls (``time.sleep``).
+    external: Optional[str] = None
+    #: Bare attribute name for unresolved attribute calls (``recv``).
+    attr: Optional[str] = None
     #: Assumed edge from a coroutine to its nested sync ``def``.
     deferred: bool = False
 
@@ -106,6 +115,18 @@ class LazyRef:
     function: str  # enclosing function qname
     registry: Optional[str] = None  # registry variable for .register() calls
     plugin: Optional[str] = None  # plugin name for .register() calls
+
+
+@dataclass(frozen=True)
+class RegistryLookup:
+    """One literal ``NAME.create("plugin")`` / ``NAME.get("plugin")`` call."""
+
+    registry: str
+    method: str
+    plugin: str
+    module: str
+    line: int
+    col: int
 
 
 @dataclass
@@ -167,9 +188,13 @@ class CallGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.lazy_refs: List[LazyRef] = []
+        #: Every literal registry lookup, anywhere in a module.
+        self.lookups: List[RegistryLookup] = []
         #: ``RPL000`` findings for package files that do not parse.
         self.parse_errors: List[Violation] = []
         self._reverse: Optional[Dict[str, List[Tuple[str, CallSite]]]] = None
+        #: Class leaf name → its bases' leaf names (every class so named).
+        self._bases_by_leaf: Optional[Dict[str, List[str]]] = None
 
     # -- topology ------------------------------------------------------
 
@@ -222,34 +247,34 @@ class CallGraph:
     def exception_ancestors(self, leaf: str) -> Set[str]:
         """Leaf names of every ancestor of exception class ``leaf``.
 
-        Internal classes contribute their resolved bases; builtin
-        exceptions contribute their real MRO.  Unknown names fall back
-        to ``{leaf, "Exception"}``.
+        Internal classes contribute their resolved bases (read from a
+        leaf-name index built on first use); builtin exceptions
+        contribute their real MRO.  Unknown names fall back to
+        ``{leaf, "Exception"}``.
         """
+        if self._bases_by_leaf is None:
+            self._bases_by_leaf = {}
+            for info in self.classes.values():
+                self._bases_by_leaf.setdefault(info.name, []).extend(
+                    base.rsplit(":", 1)[-1].rsplit(".", 1)[-1]
+                    for base in info.bases
+                )
         ancestors: Set[str] = set()
-        queue = [leaf]
+        queue = deque([leaf])
         while queue:
-            name = queue.pop(0)
+            name = queue.popleft()
             if name in ancestors:
                 continue
             ancestors.add(name)
-            matched = False
-            for info in self.classes.values():
-                if info.name == name:
-                    matched = True
-                    for base in info.bases:
-                        queue.append(base.rsplit(":", 1)[-1].rsplit(".", 1)[-1])
-            if not matched:
+            bases = self._bases_by_leaf.get(name)
+            if bases is None:
                 builtin = getattr(builtins, name, None)
-                if isinstance(builtin, type) and issubclass(
-                    builtin, BaseException
-                ):
-                    queue.extend(
-                        c.__name__ for c in builtin.__mro__[1:]
-                    )
-                    matched = True
-            if not matched:
+                if isinstance(builtin, type) and issubclass(builtin, BaseException):
+                    bases = [c.__name__ for c in builtin.__mro__[1:]]
+            if bases is None:
                 ancestors.add("Exception")
+            else:
+                queue.extend(bases)
         return ancestors
 
     def is_caught(self, exc: str, caught: FrozenSet[str]) -> bool:
@@ -397,216 +422,88 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Pass 2: body resolution
+# Pass 2: one walk per module
 # ----------------------------------------------------------------------
 
+_Def = ast.FunctionDef | ast.AsyncFunctionDef
 
-class _BodyWalker:
-    """Collects call/raise/lazy-ref sites for one function body.
 
-    Nested ``def``s become their own nodes (with an assumed-call edge
-    from the parent — the "define and hand to the framework" pattern);
-    lambdas and comprehensions are inlined into the enclosing function.
+@dataclass
+class _Scope:
+    """A function body being walked: where its call, raise and lazy-ref
+    facts go.  Lambdas and comprehensions are inlined into it; nested
+    ``def``s get scopes of their own."""
+
+    function: FunctionInfo
+    env: Dict[str, str]  # typed locals → class qnames
+    cls: Optional[ClassInfo]
+    caught_stack: List[FrozenSet[str]] = field(default_factory=list)
+    #: Nested ``def`` names bound so far in this body → their qnames.
+    nested: Dict[str, str] = field(default_factory=dict)
+    #: The scopes of those nested ``def``s, in the order they were met.
+    children: List["_Scope"] = field(default_factory=list)
+    lazy_refs: List[LazyRef] = field(default_factory=list)
+
+    @property
+    def caught(self) -> FrozenSet[str]:
+        return frozenset().union(*self.caught_stack)
+
+
+def _handler_types(node: Optional[ast.AST]) -> Set[str]:
+    if node is None:
+        return {CATCH_ALL}
+    if isinstance(node, ast.Tuple):
+        merged: Set[str] = set()
+        for element in node.elts:
+            merged |= _handler_types(element)
+        return merged
+    dotted = dotted_name(node)
+    if dotted is None:
+        return {CATCH_ALL}
+    leaf = dotted.rsplit(".", 1)[-1]
+    if leaf in {"Exception", "BaseException"}:
+        return {CATCH_ALL}
+    return {leaf}
+
+
+class GraphBuilder:
+    """Two-pass builder producing a :class:`CallGraph`.
+
+    The index pass reads imports, top-level names, classes and
+    ``__init__`` attribute types of every module; resolution needs all
+    of them.  Then one walk per module hands every node to the module's
+    :class:`~repro.devtools.checks.FileContext` (when checks run) and
+    records graph facts.  Call, raise and lazy-ref sites are recorded
+    for the innermost function body, and for module-level statements
+    outside ``def``/``class``; never for class bodies, the decorators
+    and defaults of top-level functions and methods, or function-local
+    classes.  Literal ``NAME.create/get("plugin")`` lookups are
+    recorded everywhere.
     """
 
     def __init__(
         self,
-        builder: "GraphBuilder",
-        function: FunctionInfo,
-        module: ModuleInfo,
-        env: Dict[str, str],
-        cls: Optional[ClassInfo],
+        root: Path,
+        package_dir: Path,
+        file_context: Optional[
+            Callable[[ModuleInfo], Optional["FileContext"]]
+        ] = None,
     ) -> None:
-        self.builder = builder
-        self.function = function
-        self.module = module
-        self.env = env
-        self.cls = cls
-        self.caught_stack: List[FrozenSet[str]] = []
-        #: Nested ``def`` names bound so far in this body → their qnames.
-        self.nested: Dict[str, str] = {}
-
-    @property
-    def caught(self) -> FrozenSet[str]:
-        merged: Set[str] = set()
-        for level in self.caught_stack:
-            merged |= level
-        return frozenset(merged)
-
-    def walk(self, nodes: List[ast.stmt]) -> None:
-        for node in nodes:
-            self._visit(node)
-
-    def _visit(self, node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            nested = self.builder.add_function(
-                node,
-                self.module,
-                cls=None,
-                parent=self.function.qname,
-            )
-            self.nested[node.name] = nested.qname
-            # Decorators evaluate in the enclosing scope.
-            for decorator in node.decorator_list:
-                self._visit(decorator)
-            self.function.calls.append(
-                CallSite(
-                    target=nested.qname,
-                    external=None,
-                    attr=None,
-                    line=node.lineno,
-                    caught=self.caught,
-                    deferred=self.function.is_async and not nested.is_async,
-                )
-            )
-            return
-        if isinstance(node, ast.ClassDef):
-            return  # function-local classes: out of scope
-        if isinstance(node, ast.Try):
-            handled: Set[str] = set()
-            for handler in node.handlers:
-                handled |= self._handler_types(handler.type)
-            self.caught_stack.append(frozenset(handled))
-            for stmt in node.body:
-                self._visit(stmt)
-            self.caught_stack.pop()
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    self._visit(stmt)
-            for stmt in list(node.orelse) + list(node.finalbody):
-                self._visit(stmt)
-            return
-        if isinstance(node, ast.Raise):
-            self._record_raise(node)
-            # fall through: the constructor call inside is still a call
-        if isinstance(node, ast.Call):
-            self._record_call(node)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            self.builder.record_lazy_ref(
-                node.value, self.module, self.function, node.lineno, self.caught
-            )
-        if isinstance(node, ast.AnnAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            resolved = self.builder.resolve_type(
-                _annotation_dotted(node.annotation), self.module
-            )
-            if resolved:
-                self.env[node.target.id] = resolved
-        if isinstance(node, ast.Assign) and isinstance(
-            node.value, ast.Call
-        ):
-            constructed = self._constructed_class(node.value)
-            if constructed:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.env[target.id] = constructed
-        for child in ast.iter_child_nodes(node):
-            self._visit(child)
-
-    def _handler_types(self, node: Optional[ast.AST]) -> Set[str]:
-        if node is None:
-            return {CATCH_ALL}
-        if isinstance(node, ast.Tuple):
-            merged: Set[str] = set()
-            for element in node.elts:
-                merged |= self._handler_types(element)
-            return merged
-        dotted = dotted_name(node)
-        if dotted is None:
-            return {CATCH_ALL}
-        leaf = dotted.rsplit(".", 1)[-1]
-        if leaf in {"Exception", "BaseException"}:
-            return {CATCH_ALL}
-        return {leaf}
-
-    def _constructed_class(self, call: ast.Call) -> Optional[str]:
-        """Static type of a call result: constructors and annotated
-        returns (``q = self._get(sid)`` types ``q`` via ``_get``'s
-        ``-> ManagedSession`` annotation)."""
-        dotted = dotted_name(call.func)
-        if dotted is None:
-            return None
-        internal, _ = self.builder.resolve_dotted(
-            dotted, self.module, env=self.env, cls=self.cls
-        )
-        if internal is None:
-            return None
-        graph = self.builder.graph
-        if internal in graph.classes:
-            return internal
-        callee = graph.functions.get(internal)
-        if callee is not None and callee.returns is not None:
-            owner = graph.modules.get(callee.module)
-            if owner is not None:
-                return self.builder.resolve_type(callee.returns, owner)
-        return None
-
-    def _record_raise(self, node: ast.Raise) -> None:
-        exc = node.exc
-        if exc is None:
-            return  # bare re-raise: the original site already recorded it
-        if isinstance(exc, ast.Call):
-            exc = exc.func
-        dotted = dotted_name(exc)
-        if dotted is None:
-            return
-        internal, _ = self.builder.resolve_dotted(dotted, self.module)
-        qname = (
-            internal if internal in self.builder.graph.classes else None
-        )
-        leaf = (
-            qname.rsplit(":", 1)[-1].rsplit(".", 1)[-1]
-            if qname
-            else dotted.rsplit(".", 1)[-1]
-        )
-        self.function.raises.append(
-            RaiseSite(
-                exc=leaf, qname=qname, line=node.lineno, caught=self.caught
-            )
-        )
-
-    def _record_call(self, node: ast.Call) -> None:
-        dotted = dotted_name(node.func)
-        target: Optional[str] = None
-        external: Optional[str] = None
-        attr: Optional[str] = None
-        if dotted is not None and dotted in self.nested:
-            target = self.nested[dotted]
-        elif dotted is not None:
-            target, external = self.builder.resolve_dotted(
-                dotted, self.module, env=self.env, cls=self.cls
-            )
-            if target is not None and target in self.builder.graph.classes:
-                # Constructing a class "calls" its (possibly inherited)
-                # __init__.
-                init = self.builder.graph.lookup_method(target, "__init__")
-                target = init if init is not None else None
-                external = None
-        if target is None and isinstance(node.func, ast.Attribute):
-            attr = node.func.attr
-        self.function.calls.append(
-            CallSite(
-                target=target,
-                external=external,
-                attr=attr,
-                line=node.lineno,
-                caught=self.caught,
-            )
-        )
-
-
-class GraphBuilder:
-    """Two-pass builder producing a :class:`CallGraph`."""
-
-    def __init__(self, root: Path, package_dir: Path) -> None:
         #: ``root`` is the repo root; ``package_dir`` the package source
         #: tree (``<root>/src/repro``) whose files become the graph.
         self.root = root
         self.package_dir = package_dir
-        package = package_dir.name
-        self.graph = CallGraph(root, package)
-        self._pending: List[Tuple[FunctionInfo, ast.AST, Optional[str]]] = []
+        self.graph = CallGraph(root, package_dir.name)
+        #: Per-module context handed every node of the walk (or None).
+        self.file_context = file_context
+        #: Indexed ``def`` (and module) nodes → their graph nodes.
+        self.pending: Dict[ast.AST, FunctionInfo] = {}
+        #: The body scopes the walk opened for those nodes.
+        self.scopes: Dict[ast.AST, _Scope] = {}
+        #: Factory constant of a ``NAME.register(...)`` → (NAME, plugin).
+        self._registrations: Dict[ast.AST, Tuple[str, Optional[str]]] = {}
+        self._module: ModuleInfo
+        self._ctx: Optional[FileContext] = None
 
     # -- pass 1 --------------------------------------------------------
 
@@ -675,7 +572,7 @@ class GraphBuilder:
                         module.top_names.add(
                             alias.asname or alias.name.split(".", 1)[0]
                         )
-        self._pending.append((mod_fn, module.tree, None))
+        self.pending[module.tree] = mod_fn
 
     def _index_class(self, node: ast.ClassDef, module: ModuleInfo) -> None:
         qname = f"{module.name}:{node.name}"
@@ -691,7 +588,7 @@ class GraphBuilder:
                 method = self.add_function(stmt, module, cls=info)
                 info.methods[stmt.name] = method.qname
                 if stmt.name == "__init__":
-                    self._collect_init_attrs(stmt, info, module)
+                    self._collect_init_attrs(stmt, info)
             elif isinstance(stmt, ast.AnnAssign) and isinstance(
                 stmt.target, ast.Name
             ):
@@ -700,17 +597,10 @@ class GraphBuilder:
                     info.attr_types[stmt.target.id] = dotted
         self.graph.classes[qname] = info
 
-    def _collect_init_attrs(
-        self,
-        init: ast.AST,
-        info: ClassInfo,
-        module: ModuleInfo,
-    ) -> None:
+    def _collect_init_attrs(self, init: _Def, info: ClassInfo) -> None:
         params: Dict[str, str] = {}
-        args = init.args  # type: ignore[attr-defined]
-        for arg in list(args.posonlyargs) + list(args.args) + list(
-            args.kwonlyargs
-        ):
+        args = init.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
             dotted = _annotation_dotted(arg.annotation)
             if dotted:
                 params[arg.arg] = dotted
@@ -749,35 +639,29 @@ class GraphBuilder:
                     )
 
     def add_function(
-        self,
-        node: ast.AST,
-        module: ModuleInfo,
-        cls: Optional[ClassInfo],
-        parent: Optional[str] = None,
+        self, node: _Def, module: ModuleInfo, cls: Optional[ClassInfo]
     ) -> FunctionInfo:
-        name = node.name  # type: ignore[attr-defined]
-        if cls is not None:
-            qname = f"{module.name}:{cls.name}.{name}"
-        elif parent is not None:
-            qname = f"{parent}.<locals>.{name}"
-        else:
-            qname = f"{module.name}:{name}"
-        info = FunctionInfo(
+        """Index a top-level function or a method."""
+        qname = f"{module.name}:{cls.name + '.' if cls else ''}{node.name}"
+        info = self.new_function(node, module, qname, cls.qname if cls else None)
+        self.graph.functions[qname] = self.pending[node] = info
+        return info
+
+    @staticmethod
+    def new_function(
+        node: _Def, module: ModuleInfo, qname: str, cls: Optional[str] = None
+    ) -> FunctionInfo:
+        return FunctionInfo(
             qname=qname,
             module=module.name,
-            name=name,
-            cls=cls.qname if cls is not None else None,
+            name=node.name,
+            cls=cls,
             path=module.path,
-            line=node.lineno,  # type: ignore[attr-defined]
-            col=getattr(node, "col_offset", 0),
+            line=node.lineno,
+            col=node.col_offset,
             is_async=isinstance(node, ast.AsyncFunctionDef),
-            returns=_annotation_dotted(
-                getattr(node, "returns", None)
-            ),
+            returns=_annotation_dotted(node.returns),
         )
-        self.graph.functions[qname] = info
-        self._pending.append((info, node, cls.qname if cls else None))
-        return info
 
     # -- resolution ----------------------------------------------------
 
@@ -896,127 +780,248 @@ class GraphBuilder:
             return method, None
         return None, None
 
-    # -- lazy refs -----------------------------------------------------
+    # -- pass 2: one walk per module ----------------------------------
 
-    def record_lazy_ref(
-        self,
-        text: str,
-        module: ModuleInfo,
-        function: FunctionInfo,
-        line: int,
-        caught: FrozenSet[str],
-    ) -> None:
+    def resolve(self) -> None:
+        """Walk each module once, then lay nested functions and lazy refs
+        out breadth-first: the order in which walking one body at a
+        time, nested bodies queued last, would have met them."""
+        for module in self.graph.modules.values():
+            self._module = module
+            self._ctx = self.file_context(module) if self.file_context else None
+            scope = self._scope(module.tree, self.pending[module.tree])
+            self.scopes[module.tree] = scope
+            self._visit(module.tree, scope)
+        order = [self.scopes[node] for node in self.pending]
+        for scope in order:
+            order.extend(scope.children)
+        for scope in order[len(self.pending) :]:
+            self.graph.functions[scope.function.qname] = scope.function
+        self.graph.lazy_refs = [ref for scope in order for ref in scope.lazy_refs]
+        self._expand_virtual_calls()
+
+    def _scope(self, node: ast.AST, function: FunctionInfo) -> _Scope:
+        """``function``'s body scope: typed parameters, ``self``'s class."""
+        env: Dict[str, str] = {}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                resolved = self.resolve_type(
+                    _annotation_dotted(arg.annotation), self._module
+                )
+                if resolved:
+                    env[arg.arg] = resolved
+        cls = self.graph.classes.get(function.cls) if function.cls else None
+        return _Scope(function, env, cls)
+
+    def _visit(self, node: ast.AST, scope: Optional[_Scope]) -> None:
+        """Hand ``node`` to the file context, record its facts in
+        ``scope`` (if any), then visit its children."""
+        if self._ctx is not None:
+            self._ctx.visit(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._visit_def(node, scope)
+            if self._ctx is not None:
+                self._ctx.leave_function()
+            return
+        if isinstance(node, ast.Call):
+            self._record_lookup(node)
+        if scope is None or isinstance(node, ast.ClassDef):
+            for child in ast.iter_child_nodes(node):
+                self._visit(child, None)
+            return
+        if isinstance(node, ast.Try):
+            handled: Set[str] = set()
+            for handler in node.handlers:
+                handled |= _handler_types(handler.type)
+            scope.caught_stack.append(frozenset(handled))
+            for stmt in node.body:
+                self._visit(stmt, scope)
+            scope.caught_stack.pop()
+            for handler in node.handlers:
+                if self._ctx is not None:
+                    self._ctx.visit(handler)
+                if handler.type is not None:
+                    self._visit(handler.type, None)
+                for stmt in handler.body:
+                    self._visit(stmt, scope)
+            for stmt in node.orelse + node.finalbody:
+                self._visit(stmt, scope)
+            return
+        if isinstance(node, ast.Raise):
+            self._record_raise(node, scope)
+            # fall through: the constructor call inside is still a call
+        if isinstance(node, ast.Call):
+            self._record_call(node, scope)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            self._record_lazy_ref(node, scope)
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            resolved = self.resolve_type(
+                _annotation_dotted(node.annotation), self._module
+            )
+            if resolved:
+                scope.env[node.target.id] = resolved
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            constructed = self._constructed_class(node.value, scope)
+            if constructed:
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        scope.env[target.id] = constructed
+        for child in ast.iter_child_nodes(node):
+            self._visit(child, scope)
+
+    def _visit_def(self, node: _Def, scope: Optional[_Scope]) -> None:
+        """A ``def``'s body is a scope of its own.  Any ``def`` inside a
+        scope but not indexed is nested in it: its decorators evaluate
+        in the enclosing scope, which gains an assumed call of it."""
+        outer: Optional[_Scope] = None
+        body: Optional[_Scope] = None  # methods of function-local classes
+        if node in self.pending:
+            body = self.scopes[node] = self._scope(node, self.pending[node])
+        elif scope is not None:
+            qname = f"{scope.function.qname}.<locals>.{node.name}"
+            function = self.new_function(node, self._module, qname)
+            outer, body = scope, self._scope(node, function)
+            scope.nested[node.name] = qname
+            scope.children.append(body)
+        self._visit(node.args, None)
+        for stmt in node.body:
+            self._visit(stmt, body)
+        for decorator in node.decorator_list:
+            self._visit(decorator, outer)
+        for child in [node.returns, *getattr(node, "type_params", ())]:
+            if child is not None:
+                self._visit(child, None)
+        if outer is not None and body is not None:
+            nested = body.function
+            deferred = outer.function.is_async and not nested.is_async
+            outer.function.calls.append(
+                CallSite(nested.qname, node.lineno, outer.caught, deferred=deferred)
+            )
+
+    def _constructed_class(self, call: ast.Call, scope: _Scope) -> Optional[str]:
+        """Static type of a call result: constructors and annotated
+        returns (``q = self._get(sid)`` types ``q`` via ``_get``'s
+        ``-> ManagedSession`` annotation)."""
+        dotted = dotted_name(call.func)
+        if dotted is None:
+            return None
+        internal, _ = self.resolve_dotted(
+            dotted, self._module, env=scope.env, cls=scope.cls
+        )
+        if internal is None:
+            return None
+        if internal in self.graph.classes:
+            return internal
+        callee = self.graph.functions.get(internal)
+        if callee is not None and callee.returns is not None:
+            owner = self.graph.modules.get(callee.module)
+            if owner is not None:
+                return self.resolve_type(callee.returns, owner)
+        return None
+
+    def _record_raise(self, node: ast.Raise, scope: _Scope) -> None:
+        exc = node.exc
+        if exc is None:
+            return  # bare re-raise: the original site already recorded it
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        dotted = dotted_name(exc)
+        if dotted is None:
+            return
+        internal, _ = self.resolve_dotted(dotted, self._module)
+        qname = internal if internal in self.graph.classes else None
+        leaf = (qname or dotted).rsplit(":", 1)[-1].rsplit(".", 1)[-1]
+        scope.function.raises.append(
+            RaiseSite(exc=leaf, qname=qname, line=node.lineno, caught=scope.caught)
+        )
+
+    def _record_call(self, node: ast.Call, scope: _Scope) -> None:
+        dotted = dotted_name(node.func)
+        target: Optional[str] = None
+        external: Optional[str] = None
+        attr: Optional[str] = None
+        if dotted is not None and dotted in scope.nested:
+            target = scope.nested[dotted]
+        elif dotted is not None:
+            target, external = self.resolve_dotted(
+                dotted, self._module, env=scope.env, cls=scope.cls
+            )
+            if target is not None and target in self.graph.classes:
+                # Constructing a class "calls" its (possibly inherited)
+                # __init__.
+                target = self.graph.lookup_method(target, "__init__")
+                external = None
+        if target is None and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+        scope.function.calls.append(
+            CallSite(target, node.lineno, scope.caught, external, attr)
+        )
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "register"
+            and isinstance(node.func.value, ast.Name)
+        ):
+            # ``NAME.register(plugin, "m:attr")``: the factory string's
+            # lazy ref, met next in the walk, carries both names.
+            plugin: Optional[str] = None
+            factory: Optional[ast.Constant] = None
+            for arg in node.args + [kw.value for kw in node.keywords]:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    if LAZY_REF_PATTERN.match(arg.value):
+                        factory = arg
+                    elif plugin is None:
+                        plugin = arg.value
+            if factory is not None:
+                self._registrations[factory] = (node.func.value.id, plugin)
+
+    def _record_lazy_ref(self, node: ast.Constant, scope: _Scope) -> None:
         """Record a ``"repro.…:attr"`` literal plus its call edge."""
-        match = LAZY_REF_PATTERN.match(text)
+        match = LAZY_REF_PATTERN.match(node.value)
         if match is None:
             return
         target_module = match.group("module")
         if not target_module.startswith(self.graph.package + "."):
             return
-        self.graph.lazy_refs.append(
+        registry, plugin = self._registrations.get(node, (None, None))
+        scope.lazy_refs.append(
             LazyRef(
-                text=text,
+                text=node.value,
                 module=target_module,
                 attr=match.group("attr"),
-                path=module.path,
-                line=line,
-                function=function.qname,
+                path=self._module.path,
+                line=node.lineno,
+                function=scope.function.qname,
+                registry=registry,
+                plugin=plugin,
             )
         )
-        internal, _ = self._resolve_in_module(
-            target_module, [match.group("attr")]
-        )
+        internal, _ = self._resolve_in_module(target_module, [match.group("attr")])
         if internal is not None and internal in self.graph.classes:
             internal = self.graph.lookup_method(internal, "__init__")
         if internal is not None:
-            function.calls.append(
-                CallSite(
-                    target=internal,
-                    external=None,
-                    attr=None,
-                    line=line,
-                    caught=caught,
+            scope.function.calls.append(CallSite(internal, node.lineno, scope.caught))
+
+    def _record_lookup(self, node: ast.Call) -> None:
+        func, args = node.func, node.args
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in {"create", "get"}
+            and isinstance(func.value, ast.Name)
+            and args
+            and isinstance(args[0], ast.Constant)
+            and isinstance(args[0].value, str)
+        ):
+            self.graph.lookups.append(
+                RegistryLookup(
+                    func.value.id,
+                    func.attr,
+                    args[0].value,
+                    self._module.name,
+                    node.lineno,
+                    node.col_offset,
                 )
             )
-
-    def _annotate_registrations(self) -> None:
-        """Attach registry/plugin names to ``.register(name, "m:attr")``."""
-        by_site = {
-            (ref.path, ref.line, ref.text): index
-            for index, ref in enumerate(self.graph.lazy_refs)
-        }
-        for module in self.graph.modules.values():
-            for node in ast.walk(module.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "register"
-                    and isinstance(node.func.value, ast.Name)
-                ):
-                    continue
-                registry = node.func.value.id
-                plugin: Optional[str] = None
-                factory: Optional[ast.Constant] = None
-                strings = [
-                    arg
-                    for arg in list(node.args)
-                    + [kw.value for kw in node.keywords]
-                    if isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                ]
-                for arg in strings:
-                    if LAZY_REF_PATTERN.match(arg.value):
-                        factory = arg
-                    elif plugin is None:
-                        plugin = arg.value
-                if factory is None:
-                    continue
-                key = (module.path, factory.lineno, factory.value)
-                index = by_site.get(key)
-                if index is not None:
-                    self.graph.lazy_refs[index] = replace(
-                        self.graph.lazy_refs[index],
-                        registry=registry,
-                        plugin=plugin,
-                    )
-
-    # -- pass 2 --------------------------------------------------------
-
-    def resolve_bodies(self) -> None:
-        for info, node, cls_qname in self._pending:
-            module = self.graph.modules[info.module]
-            cls = self.graph.classes.get(cls_qname) if cls_qname else None
-            env: Dict[str, str] = {}
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                for arg in (
-                    list(args.posonlyargs)
-                    + list(args.args)
-                    + list(args.kwonlyargs)
-                ):
-                    resolved = self.resolve_type(
-                        _annotation_dotted(arg.annotation), module
-                    )
-                    if resolved:
-                        env[arg.arg] = resolved
-                body = list(node.body)
-            else:  # the synthetic <module> node
-                body = [
-                    stmt
-                    for stmt in node.body  # type: ignore[attr-defined]
-                    if not isinstance(
-                        stmt,
-                        (
-                            ast.FunctionDef,
-                            ast.AsyncFunctionDef,
-                            ast.ClassDef,
-                        ),
-                    )
-                ]
-            walker = _BodyWalker(self, info, module, env, cls)
-            walker.walk(body)
-        self._annotate_registrations()
-        self._expand_virtual_calls()
 
     def _expand_virtual_calls(self) -> None:
         """Union subclass overrides into method call edges (CHA).
@@ -1055,27 +1060,28 @@ class GraphBuilder:
                 owner = f"{site.target.rsplit(':', 1)[0]}:{cls_name}"
                 for target in overrides(owner, method):
                     if target != site.target:
-                        extra.append(
-                            CallSite(
-                                target=target,
-                                external=None,
-                                attr=None,
-                                line=site.line,
-                                caught=site.caught,
-                            )
-                        )
+                        extra.append(CallSite(target, site.line, site.caught))
             info.calls.extend(extra)
 
     def build(self) -> CallGraph:
         self.discover()
-        self.resolve_bodies()
+        self.resolve()
         return self.graph
 
 
-def build_graph(root: Path) -> CallGraph:
-    """Build the whole-program graph of ``<root>/src/repro``."""
+def build_graph(
+    root: Path,
+    file_context: Optional[
+        Callable[[ModuleInfo], Optional["FileContext"]]
+    ] = None,
+) -> CallGraph:
+    """Build the whole-program graph of ``<root>/src/repro``.
+
+    ``file_context(module)`` gives the context the walk hands each node
+    of ``module`` to (see :func:`repro.devtools.checks.analyze`).
+    """
     root = Path(root).resolve()
-    return GraphBuilder(root, root / "src" / "repro").build()
+    return GraphBuilder(root, root / "src" / "repro", file_context).build()
 
 
 __all__ = [
@@ -1089,6 +1095,7 @@ __all__ = [
     "LAZY_REF_PATTERN",
     "ModuleInfo",
     "RaiseSite",
+    "RegistryLookup",
     "build_graph",
     "dotted_name",
     "module_node",

@@ -7,12 +7,12 @@ invariant and why breaking it is a real bug here, not a style nit.
 (RPL004, blocking calls in service coroutines, retired into RPC101;
 RPL006 retired with the shims it policed.)
 
-Rules are :class:`~repro.devtools.checks.FileCheck` plugins walking the
-modules the call graph already parsed, and path-aware: ``applies_to``
-receives the repo-relative posix path, so e.g. the dtype rule only runs
-on the flat-table hot paths.  Fixture self-tests exercise this by laying
-files out under a fake root with the mirrored layout (see
-``tests/devtools/``).
+Rules are :class:`~repro.devtools.checks.FileCheck` plugins, fed every
+node of a module by the call graph's one walk over it (no rule walks a
+tree itself), and path-aware: ``applies_to`` receives the repo-relative
+posix path, so e.g. the dtype rule only runs on the flat-table hot
+paths.  Fixture self-tests exercise this by laying files out under a
+fake root with the mirrored layout (see ``tests/devtools/``).
 """
 
 from __future__ import annotations
@@ -281,10 +281,11 @@ class ExplicitDtypeRule(FileCheck):
 class TornTailAppendRule(FileCheck):
     """Append-mode JSONL writes go through the torn-tail-safe helpers.
 
-    ``ResultStore`` / ``EventLog`` call ``ensure_trailing_newline`` before
-    every append so a record glued onto a killed run's torn final line can
-    never lose both records.  A raw ``open(path, "a")`` anywhere else
-    reintroduces exactly that corruption on the next crash.
+    ``ResultStore`` / ``EventLog`` heal a torn final line with
+    ``ensure_trailing_newline`` before they append, so a record glued
+    onto a killed run's torn tail can never lose both records.  A raw
+    ``open(path, "a")`` anywhere else reintroduces exactly that
+    corruption on the next crash.
     """
 
     code = "RPL007"

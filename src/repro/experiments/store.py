@@ -31,7 +31,8 @@ def ensure_trailing_newline(path: Path) -> None:
 
     A run killed mid-write leaves a line without a newline; appending
     straight after it would glue the new record onto the torn JSON and
-    lose *both*.  Called before every append.
+    lose *both*.  ``ResultStore`` calls it before every append, an
+    ``EventLog`` before its first write and after a write that raised.
     """
     try:
         with open(path, "rb+") as handle:

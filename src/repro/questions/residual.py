@@ -272,42 +272,6 @@ class ResidualEvaluator:
         )
         return residuals
 
-    def rank_singles_many(
-        self,
-        requests: Sequence[tuple],
-        keys: Optional[Sequence] = None,
-    ) -> list:
-        """Price many ``(space, questions)`` ranking requests at once.
-
-        The cross-session batch entry point: a service manager holding N
-        concurrent sessions funnels their pending next-question requests
-        through one call.  ``keys`` optionally names each request's state
-        (e.g. the (instance hash, answer history) of its session); requests
-        sharing a key are in bit-identical states, so their ranking is
-        computed by a single :meth:`rank_singles_batch` call and fanned
-        back out.  Without keys every request is priced independently.
-
-        Returns one residual array per request, aligned with ``requests``
-        (shared — not copied — within a key group; treat as read-only).
-        """
-        count = len(requests)
-        if keys is None:
-            keys = range(count)
-        elif len(keys) != count:
-            raise ValueError(
-                f"got {len(keys)} keys for {count} requests"
-            )
-        groups: dict = {}
-        for index, key in enumerate(keys):
-            groups.setdefault(key, []).append(index)
-        results: list = [None] * count
-        for indices in groups.values():
-            space, questions = requests[indices[0]]
-            values = self.rank_singles_batch(space, questions)
-            for index in indices:
-                results[index] = values
-        return results
-
     # ------------------------------------------------------------------
 
     def codes_matrix(

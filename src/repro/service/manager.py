@@ -7,10 +7,11 @@ end user answering crowd questions) and makes them cheap to serve:
   :class:`~repro.service.cache.TPOCache`, so hashed-equal instances pay
   one tree build;
 * next-question rankings are memoized by *session state* — (instance
-  hash, answer history) — and batches of pending requests are funnelled
-  through :meth:`~repro.questions.residual.ResidualEvaluator.rank_singles_many`,
-  so sessions in identical states (common early in their lifetime, and
-  throughout for reliable crowds) share one scoring pass;
+  hash, answer history) — and a batch of pending requests is grouped by
+  state before pricing, so sessions in identical states (common early in
+  their lifetime, and throughout for reliable crowds) share one
+  :meth:`~repro.questions.residual.ResidualEvaluator.rank_singles_batch`
+  scoring pass;
 * every mutation is appended to a JSONL event log (the
   :mod:`repro.experiments.store` style: one strict-JSON line per event,
   flushed immediately, torn tail tolerated on load), so a killed manager
@@ -90,18 +91,26 @@ class EventLog:
 
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
+        #: Whether the last write through this object completed.
+        self._tail_sound = False
 
     def append(self, event: Dict[str, Any]) -> None:
         """Durably record one event."""
         self._write([event])
 
     def _write(self, events: List[Dict[str, Any]]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        ensure_trailing_newline(self.path)
+        # The directory and a torn tail (a killed run's, or one this
+        # object's own failed write left) are seen to at the first write
+        # and after a write that raised, not on every flush.
+        if not self._tail_sound:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            ensure_trailing_newline(self.path)
+        self._tail_sound = False
         with open(self.path, "a") as handle:
             for event in events:
                 handle.write(json.dumps(event, allow_nan=False) + "\n")
             handle.flush()
+        self._tail_sound = True
 
     def flush(self) -> int:
         """No-op: every :meth:`append` is already durable.  Returns the
@@ -339,9 +348,9 @@ class SessionManager:
 
         Sessions in bit-identical states — same instance hash, same
         answer history — share one ranking: memoized rankings are reused
-        directly, and the remaining distinct states are priced through a
-        single :meth:`ResidualEvaluator.rank_singles_many` call.  This is
-        the entry point the asyncio server funnels concurrent requests
+        directly, and each remaining distinct state is priced by one
+        :meth:`ResidualEvaluator.rank_singles_batch` call.  This is the
+        entry point the asyncio server funnels concurrent requests
         through.
         """
         results: Dict[str, Optional[Question]] = {}
@@ -366,17 +375,11 @@ class SessionManager:
                 )
             else:
                 group[1].append((sid, managed.session))
-        if not needed:
-            return results
-        states = list(needed)
-        requests = [
-            (needed[state][1][0][1].space, needed[state][0])
-            for state in states
-        ]
-        rankings = self.evaluator.rank_singles_many(requests, keys=states)
-        self.rankings_computed += len(states)
-        for state, residuals in zip(states, rankings, strict=True):
-            candidates, members = needed[state]
+        for state, (candidates, members) in needed.items():
+            residuals = self.evaluator.rank_singles_batch(
+                members[0][1].space, candidates
+            )
+            self.rankings_computed += 1
             # A plain list: the memo must not pin the pool's stances.
             ranking = (list(candidates), residuals)
             self.rankings_coalesced += len(members) - 1

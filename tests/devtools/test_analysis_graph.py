@@ -12,10 +12,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from oracles.exception_ancestry import exception_ancestors
 
 from repro.devtools import dataflow
 from repro.devtools.checks import BLOCKING, _seed_taints
-from repro.devtools.graph import build_graph, module_node
+from repro.devtools.graph import CATCH_ALL, build_graph, module_node
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -127,6 +128,20 @@ class TestCaughtTracking:
         assert repo_graph.is_caught("ProtocolError", frozenset({"ValueError"}))
         assert not repo_graph.is_caught("KeyError", frozenset({"ValueError"}))
         assert repo_graph.is_caught("KeyError", frozenset({"*"}))
+
+    def test_indexed_ancestry_matches_the_class_scan(self, repo_graph):
+        """Every exception the repo raises or catches gets the same
+        ancestors from the leaf-name index as from scanning every class."""
+        names = set()
+        for info in repo_graph.functions.values():
+            names |= {site.exc for site in info.raises}
+            for site in [*info.calls, *info.raises]:
+                names |= site.caught - {CATCH_ALL}
+        assert {"ProtocolError", "TPOSizeError", "KeyError"} <= names
+        for name in sorted(names):
+            assert repo_graph.exception_ancestors(name) == exception_ancestors(
+                repo_graph, name
+            ), name
 
 
 class TestDataflow:

@@ -58,8 +58,21 @@ def test_json_format_schema(capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["format_version"] == JSON_FORMAT_VERSION
     assert document["ok"] is False
+    assert set(document["counts"]) == {
+        "violations",
+        "suppressed",
+        "stale_baseline",
+    }
     assert document["counts"]["violations"] == len(document["violations"])
     for violation in document["violations"]:
+        assert set(violation) == {
+            "rule",
+            "path",
+            "line",
+            "col",
+            "message",
+            "line_text",
+        }
         assert violation["rule"] == "RPC103"
     rule_rows = {rule["code"] for rule in document["rules"]}
     assert {"RPC101", "RPC102", "RPC103", "RPC104"} <= rule_rows

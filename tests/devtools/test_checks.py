@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.api.catalog import CHECKS
 from repro.cli import main as repro_main
-from repro.devtools.checks import FileCheck, run_checks
-from repro.devtools.graph import build_graph
+from repro.devtools.checks import FileCheck, FileContext, analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -41,8 +41,7 @@ EXPECTED_BAD_COUNTS = {
 
 
 def run_on(root: Path, code: str):
-    graph = build_graph(root)
-    return run_checks(graph, [CHECKS.create(code)])
+    return analyze(root, [CHECKS.create(code)])[1]
 
 
 def test_every_check_has_both_fixtures():
@@ -88,9 +87,9 @@ def test_disabling_the_check_hides_its_findings(code):
     so disabling a check demonstrably flips its fixture from failing to
     passing."""
     others = [c for c in EVERY_CODE if c != code]
-    graph = build_graph(FIXTURES / code.lower() / "bad")
-    violations = run_checks(
-        graph, [CHECKS.create(other) for other in others]
+    _, violations = analyze(
+        FIXTURES / code.lower() / "bad",
+        [CHECKS.create(other) for other in others],
     )
     assert violations == [], (
         f"bad fixture for {code} is not isolated: "
@@ -131,12 +130,11 @@ def test_rpc104_names_the_origin_frame():
     assert "raised in repro.service.handlers:_reset_engine" in by_message
 
 
-def test_real_repo_is_clean(repo_graph):
+def test_real_repo_is_clean(repo_analysis):
     """The committed tree satisfies every check (the one real RPC finding
     — TPOSizeError escaping the create handler as an opaque 500 — was
     fixed, not baselined)."""
-    checks = [CHECKS.create(code) for code in EVERY_CODE]
-    violations = run_checks(repo_graph, checks)
+    _, violations = repo_analysis
     assert violations == [], "\n".join(
         f"{v.rule} {v.path}:{v.line} {v.message}" for v in violations
     )
@@ -170,3 +168,82 @@ def test_readme_table_lists_every_check_by_its_registered_name():
     assert dict(rows) == {
         code: CHECKS.create(code).name for code in EVERY_CODE
     }
+
+
+#: A mini package with functions, a nested ``def``, ``try``, ``__init__``
+#: attributes and a registration with a literal lookup.
+WALKED_TREE = {
+    "catalog.py": (
+        "from repro.registry import Registry\n"
+        "\n"
+        "WIDGETS = Registry('widgets')\n"
+        "WIDGETS.register('plain', 'repro.widgets:make_widget')\n"
+        "\n"
+        "\n"
+        "def build(name):\n"
+        "    try:\n"
+        "        return WIDGETS.get('plain')\n"
+        "    except KeyError:\n"
+        "        raise ValueError(name)\n"
+    ),
+    "widgets.py": (
+        "class Widget:\n"
+        "    def __init__(self, size: int, owner: 'Widget' = None) -> None:\n"
+        "        self.size = size\n"
+        "        self.owner: Widget = owner\n"
+        "\n"
+        "    def grow(self, by=[]):\n"
+        "        def step():\n"
+        "            return self.size + 1\n"
+        "\n"
+        "        return step()\n"
+        "\n"
+        "\n"
+        "def make_widget():\n"
+        "    return Widget(1)\n"
+    ),
+}
+#: Node types the parser shares between sites (``ast.Load()`` and the
+#: operators): not per-site nodes, so not counted.
+SHARED = (ast.expr_context, ast.boolop, ast.operator, ast.unaryop, ast.cmpop)
+
+
+def test_one_check_walks_each_node_once(tmp_path, monkeypatch):
+    """One analysis yields each node at most three times — the index
+    pass, once more inside an ``__init__``, and the one walk — and hands
+    every node to the per-file checks exactly once."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    for name, source in WALKED_TREE.items():
+        (package / name).write_text(source)
+    real_children, real_visit = ast.iter_child_nodes, FileContext.visit
+    yields, visits = Counter(), Counter()
+
+    def counting_children(node):
+        for child in real_children(node):
+            if not isinstance(child, SHARED):
+                yields[child] += 1
+            yield child
+
+    def counting_visit(ctx, node):
+        visits[node] += 1
+        real_visit(ctx, node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting_children)
+    monkeypatch.setattr(FileContext, "visit", counting_visit)
+    graph, violations = analyze(
+        tmp_path, [CHECKS.create(code) for code in EVERY_CODE]
+    )
+    monkeypatch.undo()
+
+    assert [v.rule for v in violations] == ["RPL008"]  # grow's ``by=[]``
+    (ref,) = graph.lazy_refs
+    assert (ref.registry, ref.plugin) == ("WIDGETS", "plain")
+    assert [(look.registry, look.plugin) for look in graph.lookups] == [
+        ("WIDGETS", "plain")
+    ]
+    assert yields and max(yields.values()) <= 3
+    for module in graph.modules.values():
+        for node in ast.walk(module.tree):
+            if not isinstance(node, SHARED):
+                assert visits[node] == 1, ast.dump(node)

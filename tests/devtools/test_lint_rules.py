@@ -19,8 +19,7 @@ import pytest
 
 from repro.api.catalog import CHECKS
 from repro.devtools.baseline import load_baseline
-from repro.devtools.checks import FileCheck, run_checks
-from repro.devtools.graph import build_graph
+from repro.devtools.checks import FileCheck, analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -36,7 +35,7 @@ ALL_CODES = sorted([*RULE_CODES, *RETIRED])
 
 def run_on(root: Path, code: str):
     check = CHECKS.create(RETIRED.get(code, code))
-    return run_checks(build_graph(root), [check])
+    return analyze(root, [check])[1]
 
 
 def test_every_rule_has_both_fixtures():
@@ -121,9 +120,8 @@ def test_syntax_error_is_reported(tmp_path):
     target.parent.mkdir(parents=True)
     target.write_text("def broken(:\n")
     (tmp_path / "src" / "repro" / "fine.py").write_text("X = 1\n")
-    graph = build_graph(tmp_path)
+    graph, violations = analyze(tmp_path, [CHECKS.create("RPC103")])
     assert set(graph.modules) == {"repro.fine"}
-    violations = run_checks(graph, [CHECKS.create("RPC103")])
     assert [v.rule for v in violations] == ["RPL000"]
     assert violations[0].path == "src/repro/broken.py"
     assert "does not parse" in violations[0].message
@@ -135,7 +133,7 @@ def test_non_first_party_paths_are_ignored(tmp_path):
     target.write_text("import random\n\n\ndef f(x=[]):\n    return x\n")
     (tmp_path / "src" / "repro").mkdir(parents=True)
     checks = [CHECKS.create(code) for code in RULE_CODES]
-    assert run_checks(build_graph(tmp_path), checks) == []
+    assert analyze(tmp_path, checks)[1] == []
 
 
 def test_numpy_alias_resolution(tmp_path):
@@ -146,16 +144,15 @@ def test_numpy_alias_resolution(tmp_path):
         "import numpy as nump\n\n\ndef f(n):\n    return nump.zeros(n)\n"
     )
     checks = [CHECKS.create(code) for code in RULE_CODES]
-    violations = run_checks(build_graph(tmp_path), checks)
+    _, violations = analyze(tmp_path, checks)
     assert [v.rule for v in violations] == ["RPL005"]
 
 
-def test_repo_src_is_lint_clean_modulo_baseline(repo_graph):
+def test_repo_src_is_lint_clean_modulo_baseline(repo_analysis):
     """The ratchet itself: the committed baseline is empty, and the real
     tree passes every per-file rule without it."""
     assert load_baseline(REPO_ROOT / "check_baseline.jsonl") == []
-    checks = [CHECKS.create(code) for code in RULE_CODES]
-    violations = run_checks(repo_graph, checks)
+    violations = [v for v in repo_analysis[1] if v.rule in RULE_CODES]
     assert violations == [], "; ".join(
         f"{v.path}:{v.line} {v.rule} {v.message}" for v in violations
     )

@@ -16,6 +16,8 @@ production code against.
   result distance (bit parity for ``topk_distance_profile``);
 * :mod:`oracles.tree_invariants` — the structural invariants of a
   level-table ``TPOTree`` (masses, parent order, no repeated tuple).
+* :mod:`oracles.exception_ancestry` — exception ancestry scanning every
+  class per name (parity for ``CallGraph.exception_ancestors``).
 
 ``tests/`` is on ``sys.path`` (the suite's root ``conftest.py`` lives
 there), so test modules import these as ``from oracles... import ...``.

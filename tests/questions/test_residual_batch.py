@@ -482,56 +482,3 @@ def test_codes_matrix_is_one_shot_stance_matrix():
             codes[:, column], space.agreement_codes(question.i, question.j)
         )
 
-
-class TestRankSinglesMany:
-    """The cross-session coalescing entry point."""
-
-    def test_matches_per_request_ranking(self):
-        evaluator = ResidualEvaluator(MEASURES.create("H"))
-        spaces = [random_space(seed) for seed in (1, 2, 3)]
-        requests = [(s, all_pair_questions(s)) for s in spaces]
-        results = evaluator.rank_singles_many(requests)
-        for (space, questions), values in zip(requests, results, strict=True):
-            np.testing.assert_allclose(
-                values,
-                evaluator.rank_singles_batch(space, questions),
-                rtol=0.0,
-                atol=1e-12,
-            )
-
-    def test_shared_keys_price_once(self):
-        evaluator = ResidualEvaluator(MEASURES.create("H"))
-        space = random_space(4)
-        questions = all_pair_questions(space)
-        requests = [(space, questions)] * 3
-        before = evaluator.evaluations
-        results = evaluator.rank_singles_many(
-            requests, keys=["same", "same", "same"]
-        )
-        priced_once = evaluator.evaluations - before
-        evaluator.rank_singles_batch(space, questions)
-        per_call = evaluator.evaluations - before - priced_once
-        assert priced_once == per_call  # one batched pass for 3 requests
-        assert results[0] is results[1] is results[2]
-
-    def test_distinct_keys_price_separately(self):
-        evaluator = ResidualEvaluator(MEASURES.create("H"))
-        a, b = random_space(5), random_space(6)
-        results = evaluator.rank_singles_many(
-            [(a, all_pair_questions(a)), (b, all_pair_questions(b))],
-            keys=["a", "b"],
-        )
-        assert len(results) == 2
-        assert results[0] is not results[1]
-
-    def test_key_count_mismatch_rejected(self):
-        evaluator = ResidualEvaluator(MEASURES.create("H"))
-        space = random_space(5)
-        with pytest.raises(ValueError):
-            evaluator.rank_singles_many(
-                [(space, all_pair_questions(space))], keys=["a", "b"]
-            )
-
-    def test_empty_requests(self):
-        evaluator = ResidualEvaluator(MEASURES.create("H"))
-        assert evaluator.rank_singles_many([]) == []

@@ -11,6 +11,9 @@ import asyncio
 import json
 import threading
 
+import pytest
+
+from repro.experiments.store import ensure_trailing_newline
 from repro.service.manager import (
     BufferedEventLog,
     EventLog,
@@ -90,6 +93,38 @@ class TestBufferedEventLog:
         for worker in range(4):
             ordered = [e["n"] for e in events if e["w"] == worker]
             assert ordered == list(range(per_thread))
+
+    def test_tail_is_healed_once_per_log(self, tmp_path, monkeypatch):
+        heals = []
+
+        def counting(path):
+            heals.append(path)
+            ensure_trailing_newline(path)
+
+        monkeypatch.setattr(
+            "repro.service.manager.ensure_trailing_newline", counting
+        )
+        log = BufferedEventLog(tmp_path / "logs" / "events.jsonl")
+        for n in range(5):
+            log.append({"event": "answer", "n": n})
+            assert log.flush() == 1
+        assert len(heals) == 1
+        assert [e["n"] for e in log.load()] == list(range(5))
+
+    def test_write_after_a_failed_write_heals_the_tail(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = BufferedEventLog(path)
+        log.append({"event": "create", "session_id": "a"})
+        log.flush()
+        log.append({"event": "answer", "session_id": "a", "x": float("nan")})
+        with pytest.raises(ValueError):
+            log.flush()
+        # What a write killed halfway leaves behind.
+        with open(path, "a") as handle:
+            handle.write('{"event": "answer", "sess')
+        log.append({"event": "close", "session_id": "a"})
+        log.flush()
+        assert [e["event"] for e in log.load()] == ["create", "close"]
 
     def test_eager_log_flush_is_noop(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
