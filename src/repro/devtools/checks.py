@@ -8,8 +8,8 @@ One run parses every file under ``src/repro`` once, into the
   :mod:`repro.devtools.rules`) judge one module at a time.  They ride
   the graph's own walk: each module is walked once, and that walk both
   records the graph's facts and hands every node to the module's
-  :class:`FileContext`, which feeds the applicable rules and keeps the
-  context they need (numpy aliases, function-local spec bindings);
+  :class:`FileContext`, which feeds it to the applicable rules that read
+  its node type and keeps their context (numpy aliases, spec bindings);
 * **whole-program checks** (RPC101–RPC104, below) judge *call paths*:
   each runs once over the graph and one of the fixed-point engines in
   :mod:`repro.devtools.dataflow`, so a violation can involve three
@@ -81,6 +81,11 @@ class FileContext:
         self.module = module
         self.path = module.path
         self.checks = checks
+        #: The applicable checks by the AST node type they read.
+        self.dispatch: Dict[type, List[FileCheck]] = {}
+        for check in checks:
+            for kind in check.node_types:
+                self.dispatch.setdefault(kind, []).append(check)
         self.violations: List[Violation] = []
         #: Local names bound to the numpy module (``import numpy as np``).
         self.numpy_aliases = {"numpy"} | {
@@ -93,7 +98,7 @@ class FileContext:
         self.spec_bindings: List[set] = [set()]
 
     def visit(self, node: ast.AST) -> None:
-        for check in self.checks:
+        for check in self.dispatch.get(type(node), ()):
             self.violations.extend(check.visit_node(node, self))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.spec_bindings.append(set())
@@ -126,10 +131,13 @@ class FileContext:
 class FileCheck(Check):
     """Base class for per-file check plugins (the RPL rules).
 
-    Subclasses optionally narrow :meth:`applies_to` and yield violations
-    from :meth:`visit_node` — called once per AST node of every
-    applicable module by the graph's walk.
+    Subclasses optionally narrow :meth:`applies_to`, list the AST node
+    classes they read in :attr:`node_types`, and yield violations from
+    :meth:`visit_node` — called by the graph's walk once per node of
+    those classes in every applicable module.
     """
+
+    node_types: Tuple[type, ...] = ()
 
     def applies_to(self, path: str) -> bool:
         """Whether this check runs on ``path`` (repo-relative posix)."""

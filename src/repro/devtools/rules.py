@@ -7,8 +7,8 @@ invariant and why breaking it is a real bug here, not a style nit.
 (RPL004, blocking calls in service coroutines, retired into RPC101;
 RPL006 retired with the shims it policed.)
 
-Rules are :class:`~repro.devtools.checks.FileCheck` plugins, fed every
-node of a module by the call graph's one walk over it (no rule walks a
+Rules are :class:`~repro.devtools.checks.FileCheck` plugins, fed each
+node of a ``node_types`` type by the call graph's one walk (no rule walks a
 tree itself), and path-aware: ``applies_to`` receives the repo-relative
 posix path, so e.g. the dtype rule only runs on the flat-table hot
 paths.  Fixture self-tests exercise this by laying files out under a
@@ -43,6 +43,7 @@ class SeededRngRule(FileCheck):
     """
 
     code = "RPL001"
+    node_types = (ast.Import, ast.ImportFrom, ast.Call)
     name = "derived-generator-rng"
     rationale = (
         "global or default-seeded RNG breaks process-stable seeding via "
@@ -110,6 +111,7 @@ class ContentKeyRule(FileCheck):
     """
 
     code = "RPL002"
+    node_types = (ast.Call, ast.Import, ast.ImportFrom)
     name = "canonical-content-keys"
     rationale = (
         "builtin hash() is salted per process; ad-hoc digests fork the "
@@ -170,6 +172,7 @@ class FrozenSpecRule(FileCheck):
     """
 
     code = "RPL003"
+    node_types = (ast.Call, ast.Assign)
     name = "frozen-spec-immutability"
     rationale = (
         "specs are hashed at construction; later mutation desyncs content "
@@ -245,6 +248,7 @@ class ExplicitDtypeRule(FileCheck):
     """
 
     code = "RPL005"
+    node_types = (ast.Call,)
     name = "explicit-hot-path-dtypes"
     rationale = (
         "the level tables contract int32/intp/float64; inferred dtypes "
@@ -289,6 +293,7 @@ class TornTailAppendRule(FileCheck):
     """
 
     code = "RPL007"
+    node_types = (ast.Call,)
     name = "torn-tail-safe-appends"
     rationale = (
         "raw append-mode writes glue records onto a torn tail after a "
@@ -339,6 +344,7 @@ class MutableDefaultRule(FileCheck):
     """
 
     code = "RPL008"
+    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
     name = "no-mutable-public-defaults"
     rationale = (
         "shared mutable defaults leak state across calls in the "
@@ -398,6 +404,7 @@ class EngineSpecConstructionRule(FileCheck):
     """
 
     code = "RPL009"
+    node_types = (ast.Call,)
     name = "engines-built-from-specs"
     rationale = (
         "direct engine construction bypasses the EngineSpec fingerprint "
@@ -456,6 +463,7 @@ class EvalSessionDisciplineRule(FileCheck):
     """
 
     code = "RPL010"
+    node_types = (ast.ImportFrom, ast.Call)
     name = "evals-through-api-run"
     rationale = (
         "eval or experiment sessions built outside repro.api.run (or "

@@ -12,7 +12,7 @@ prune negligible TPO branches.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,24 +52,20 @@ class Grid:
         """
         if not dists:
             raise ValueError("need at least one distribution")
-        critical = set()
-        for d in dists:
-            critical.add(float(d.lower))
-            critical.add(float(d.upper))
-        points = np.array(sorted(critical))
+        points = np.unique(np.array([[d.lower, d.upper] for d in dists], dtype=float))
+        if points.size == 1:
+            points = np.append(points, points[0] + 1e-9)
         lo, hi = points[0], points[-1]
-        if hi <= lo:
-            hi = lo + 1e-9
         max_width = (hi - lo) / float(resolution)
-        edges: List[float] = []
-        for left, right in zip(points[:-1], points[1:], strict=True):
-            span = right - left
-            if span <= 0:
-                continue
-            pieces = max(1, int(np.ceil(span / max_width)))
-            edges.extend(np.linspace(left, right, pieces + 1)[:-1])
-        edges.append(hi)
-        return cls(np.asarray(edges))
+        # Each segment holds the first ``pieces`` points of np.linspace(left,
+        # right, pieces + 1), computed as it does: i · (span / pieces) + left.
+        spans = np.diff(points)
+        pieces = np.maximum(1, np.ceil(spans / max_width).astype(np.intp))
+        first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+        index = np.arange(first.size, dtype=np.float64) - first
+        edges = index * np.repeat(spans / pieces, pieces)
+        edges += np.repeat(points[:-1], pieces)
+        return cls(np.append(edges, hi))
 
     @property
     def cell_count(self) -> int:
@@ -87,25 +83,6 @@ class Grid:
     def cdf(self, dist: ScoreDistribution) -> np.ndarray:
         """CDF evaluated at cell midpoints."""
         return np.asarray(dist.cdf(self.mids), dtype=float)
-
-    # ------------------------------------------------------------------
-    # Integration primitives
-    # ------------------------------------------------------------------
-
-    def integral(self, cell_values: np.ndarray) -> float:
-        """``∫ f`` with ``f`` given by midpoint values."""
-        return float(np.dot(cell_values, self.widths))
-
-    def upper_tail(self, cell_values: np.ndarray) -> np.ndarray:
-        """``T_i = ∫_{mid_i}^{∞} f`` for every cell midpoint ``mid_i``.
-
-        The tail from a midpoint contains half of the cell's own mass plus
-        all later cells.
-        """
-        masses = cell_values * self.widths
-        # reversed cumulative sum, excluding the cell itself
-        after = np.concatenate([np.cumsum(masses[::-1])[::-1][1:], [0.0]])
-        return after + 0.5 * masses
 
     def __repr__(self) -> str:
         return (

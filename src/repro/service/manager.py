@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import secrets
 import threading
 from collections import OrderedDict
@@ -106,10 +107,18 @@ class EventLog:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             ensure_trailing_newline(self.path)
         self._tail_sound = False
-        with open(self.path, "a") as handle:
-            for event in events:
-                handle.write(json.dumps(event, allow_nan=False) + "\n")
-            handle.flush()
+        handle = open(self.path, "a")
+        start = handle.tell()
+        try:
+            with handle:
+                for event in events:
+                    handle.write(json.dumps(event, allow_nan=False) + "\n")
+                handle.flush()
+        except OSError:
+            # Take back whatever part of the batch reached the file, so
+            # that writing the same batch again records each event once.
+            os.truncate(self.path, start)
+            raise
         self._tail_sound = True
 
     def flush(self) -> int:
@@ -174,12 +183,19 @@ class BufferedEventLog(EventLog):
             self._pending.append(event)
 
     def flush(self) -> int:
-        """Write every buffered event durably; returns how many."""
+        """Write every buffered event durably; returns how many.  A write
+        that fails with ``OSError`` leaves the file as it was and puts the
+        batch back in front, for the next flush (any caller's) to write."""
         with self._flush_lock:
             with self._lock:
                 batch, self._pending = self._pending, []
-            if batch:
-                self._write(batch)
+            try:
+                if batch:
+                    self._write(batch)
+            except OSError:
+                with self._lock:
+                    self._pending[:0] = batch
+                raise
             return len(batch)
 
 

@@ -54,9 +54,10 @@ batched path survive only as parity oracles in the test suite
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.api.catalog import ENGINES
 from repro.distributions.base import ScoreDistribution
@@ -247,22 +248,22 @@ class GridBuilder(TPOBuilder):
     """Numeric TPO construction on a shared integration grid.
 
     ``extend`` is one batched pass over the whole frontier, and every
-    numeric step runs only where its operands can be non-zero:
+    numeric step runs only where its result is read:
 
     * each frontier row's prefix density lives on its last tuple's grid
       support band (``h_{d+1} = f_t · T(h_d)`` vanishes outside
       ``supp f_t``), so its upper tail is one ``cumsum`` inside the band
       — left of it the tail is the row mass, right of it zero;
     * the frontier is grouped by candidate *set* (``m = N − depth``
-      tuples), and each set's exclude-one CDF-product integrand is
-      computed only on the set's window and only for its live
-      candidates (see :meth:`_GridCache.set_windows`);
+      tuples), and all sets' exclude-one CDF-product integrands come out
+      of one stacked pass, each only on its set's window and only for its
+      live candidates (see :meth:`_GridCache.set_windows`);
     * each group's children drop out of one full ``(W_g, C) × (C, m)``
       matmul of the tails against the integrand.
 
-    The skipped cells hold exact zeros (and the skipped CDF factors exact
-    ones), and the matmul sees the same operands as a full-grid pass, so
-    the built levels are bit-identical to computing every cell.
+    The integrand is an exact zero outside its window (a skipped CDF
+    factor an exact one), so tails need only be finite there, and the
+    built levels are bit-identical to computing every cell.
 
     Parameters
     ----------
@@ -297,11 +298,9 @@ class GridBuilder(TPOBuilder):
 
     def extend(self, tree: TPOTree) -> None:
         cache: _GridCache = tree.engine_cache
-        grid = cache.grid
         depth = tree.built_depth
         if depth >= tree.k:
             return
-        cells = grid.cell_count
         sets, inverse, order, bounds = _candidate_sets(tree)
         width = inverse.size
         m = sets.shape[1]
@@ -311,46 +310,35 @@ class GridBuilder(TPOBuilder):
         # (tail of the node) × (integrand of the candidate *set*): the
         # exclude-one CDF products depend on which tuples remain, not on
         # the order the prefix ranked them.  Group the frontier by
-        # candidate set, build each set's (m, C) integrand once, and all
-        # of a group's children drop out of a single (W_g, C) × (C, m)
-        # matmul — the per-node pointer loop becomes one GEMM per set.
-        # Tails are laid out in group order, so each group's GEMM operand
-        # is a contiguous slice.  The GEMM stays full: over C and over all
-        # m rows, dead ones zero.  Cutting either changes the BLAS
-        # summation order and moves probabilities by an ulp.
+        # candidate set; tails are laid out in group order, so all of a
+        # group's children drop out of one (W_g, C) × (C, m) matmul of a
+        # contiguous slice into a group-ordered output (a set with an empty
+        # window keeps zero rows, as a zero integrand gives).  The GEMM
+        # stays full: over C and over all m rows, dead ones zero.  Cutting
+        # either changes the BLAS summation order and moves probabilities.
         slot = np.empty(width, dtype=np.intp)
         slot[order] = np.arange(width)
-        tails = cache.frontier_tails(slot)
-        probs = np.empty((width, m), dtype=np.float64)
+        tails = cache.frontier_tails(slot, starts[inverse])
+        grouped = np.zeros((width, m), dtype=np.float64)
+        integrand = np.zeros((m, cache.grid.cell_count), dtype=np.float64)
+        # Counting per set aborts a runaway level early, if it can run away;
+        # a beam decides what survives once the level is known (post-beam).
+        counting = not self.beam_active and width * m > self.max_orderings
         created = 0
-        anytime = self.beam_active
-        for group in range(sets.shape[0]):
-            rows = order[bounds[group] : bounds[group + 1]]
-            integrand = np.zeros((m, cells), dtype=np.float64)
-            start, stop = starts[group], stops[group]
-            if stop > start:
-                columns = np.flatnonzero(live[group])
-                cand = sets[group, columns]
-                window = slice(start, stop)
-                integrand[columns, window] = (
-                    cache.densities[cand, window]
-                    * _exclude_one_products(cache.cdfs[cand, window])
-                    * grid.widths[window]
-                )
-            block = tails[bounds[group] : bounds[group + 1]] @ integrand.T
-            probs[rows] = block
-            if not anytime:
-                # The incremental count aborts runaway levels before all
-                # groups are computed; a beam decides what survives only
-                # once the whole level is known, so it checks post-beam.
-                created += int(
-                    np.count_nonzero(block > self.min_probability)
-                )
+        for group, columns, values in cache.set_integrands(sets, starts, stops, live):
+            rows = slice(bounds[group], bounds[group + 1])
+            window = slice(starts[group], stops[group])
+            integrand[columns, window] = values
+            np.matmul(tails[rows], integrand.T, out=grouped[rows])
+            integrand[:, window] = 0.0
+            if counting:
+                created += int(np.count_nonzero(grouped[rows] > self.min_probability))
                 self._check_size(tree, created)
+        probs = grouped[slot]
         keep_flat, loss = self._apply_beam(
             probs, probs.ravel() > self.min_probability
         )
-        if anytime:
+        if self.beam_active:
             self._check_size(tree, int(np.count_nonzero(keep_flat)))
         keep_rows, keep_cols = np.nonzero(keep_flat.reshape(width, m))
         child_tuples = sets[inverse[keep_rows], keep_cols]
@@ -401,6 +389,10 @@ def _candidate_sets(
     return sets, inverse, order, np.append(np.flatnonzero(fresh), width)
 
 
+#: Cells (``G · L · span``) of one stacked integrand pass, bounding its memory.
+_INTEGRAND_CELLS = 1 << 18
+
+
 class _GridCache:
     """Per-tree numeric context for :class:`GridBuilder`.
 
@@ -444,28 +436,36 @@ class _GridCache:
         self.frontier = None
         self.width = 1
 
-    def frontier_tails(self, slot: np.ndarray) -> np.ndarray:
-        """Upper tails ``T(h)`` of the frontier's densities, on all cells.
+    def frontier_tails(self, slot: np.ndarray, reads: np.ndarray) -> np.ndarray:
+        """Upper tails ``T(h)`` of the frontier's densities, where read.
 
-        Returns a ``(W, C)`` matrix whose row ``slot[w]`` is frontier row
-        ``w``'s tail.  Inside a block's band the tail is
-        :meth:`Grid.upper_tail`'s reversed ``cumsum``; the zeros outside
-        it add exactly, so left of the band the tail is the row mass and
-        right of it zero.  Before the first level the root's tail is 1
-        everywhere.
+        Row ``slot[w]`` of the ``(W, C)`` result is frontier row ``w``'s
+        tail from ``reads[w]``, its set's window start, on: in a block's
+        band the reversed ``cumsum`` of the midpoint masses (from the right,
+        so cells left of the first read are skipped) less half the cell's
+        own, right of it zero, left of it the row mass.  The root's tail is
+        1 everywhere.  Cells before ``reads`` stay zero, which is exact
+        where it counts: the set's GEMM weighs them by exact zeros.
+        A child's band may read them, so its density is off left of the
+        window start ``first[u]`` (``u`` the candidate fixing it); but while
+        ``u`` is unranked every later window starts at or after ``first[u]``,
+        where a tail sums only cells right of it, and once ``u`` is ranked
+        its band lies right of ``first[u]``.
         """
         cells = self.grid.cell_count
         if self.frontier is None:
             return np.ones((1, cells), dtype=np.float64)
         tails = np.zeros((self.width, cells), dtype=np.float64)
         for t, rows, h in self.frontier:
-            lo, hi = self.lo[t], self.hi[t]
+            left, hi = reads[rows].min(), self.hi[t]
+            lo = min(max(left, self.lo[t]), hi)
             at = slot[rows]
-            masses = h * self.grid.widths[lo:hi]
-            suffix = np.cumsum(masses[:, ::-1], axis=1)[:, ::-1]
-            tails[at, :lo] = suffix[:, :1]
-            tails[at, lo : hi - 1] = suffix[:, 1:] + 0.5 * masses[:, :-1]
-            tails[at, hi - 1] = 0.5 * masses[:, -1]
+            band = h[:, lo - self.lo[t] :] * self.grid.widths[lo:hi]
+            suffix = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]
+            tails[at, left:lo] = suffix[:, :1]
+            band *= 0.5
+            band[:, :-1] += suffix[:, 1:]
+            tails[at, lo:hi] = band
         return tails
 
     def set_windows(
@@ -488,6 +488,53 @@ class _GridCache:
         live = (hi > starts[:, None]) | (self.settled[sets] > starts[:, None])
         stops = np.where(live, hi, 0).max(axis=1)
         return starts, stops, live
+
+    def set_integrands(
+        self, sets: np.ndarray, starts: np.ndarray, stops: np.ndarray, live: np.ndarray
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """Yield ``(group, columns, values)`` per set with a non-empty window.
+
+        ``values[i]`` is ``f_t · Π_{j≠t} F_j · width`` on cells
+        ``[starts[group], stops[group])`` for the live candidate
+        ``t = sets[group, columns[i]]``.  All sets run as one stacked
+        ``(G, L, span)`` pass over strided window views (shifted left where
+        a window would run past the grid), their live candidates padded
+        with sentinel rows whose CDF is exactly 1.0: a factor 1.0 is exact,
+        so every value equals the per-set product bit for bit.
+        """
+        spans = stops - starts
+        groups = np.flatnonzero(spans > 0)
+        counts = live.sum(axis=1)
+        columns = np.argsort(~live, axis=1, kind="stable")
+        rows = int(counts[groups].max(initial=1))
+        span = int(spans[groups].max(initial=1))
+        shifted = np.minimum(starts, self.grid.cell_count - span)
+        cdfs, densities, widths = (  # view[..., a, :] = t[..., a : a + span]
+            as_strided(t, (*t.shape[:-1], t.shape[-1] - span + 1, span),
+                       (*t.strides, t.strides[-1]), writeable=False)
+            for t in (self.cdfs, self.densities, self.grid.widths)
+        )
+        step = max(1, _INTEGRAND_CELLS // (rows * span))
+        for part in np.split(groups, np.arange(step, groups.size, step)):
+            cand = sets[part[:, None], columns[part, :rows]]
+            at = shifted[part, None]
+            stacked = cdfs[cand, at]
+            stacked[np.arange(rows) >= counts[part, None]] = 1.0
+            values = np.empty_like(stacked)
+            values[:, 0] = 1.0
+            for i in range(1, rows):
+                np.multiply(values[:, i - 1], stacked[:, i - 1], out=values[:, i])
+            suffix = np.ones_like(stacked[:, 0])
+            for i in range(rows - 2, -1, -1):
+                suffix *= stacked[:, i + 1]
+                values[:, i] *= suffix
+            values *= densities[cand, at]
+            values *= widths[at]
+            for group, block, first in zip(
+                part, values, starts[part] - at[:, 0], strict=True
+            ):
+                live_rows, cells = counts[group], slice(first, first + spans[group])
+                yield int(group), columns[group, :live_rows], block[:live_rows, cells]
 
     def set_frontier(
         self, child_tuples: np.ndarray, tails: np.ndarray, parents: np.ndarray
@@ -533,26 +580,6 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
 def _end_of_last_true(mask: np.ndarray) -> np.ndarray:
     """Per row, one past the index of the last True (0 if none)."""
     return mask.shape[1] - _first_true(mask[:, ::-1])
-
-
-def _exclude_one_products(stacked: np.ndarray) -> np.ndarray:
-    """Products of all *other* rows: ``out[…, i, :] = Π_{j≠i} rows[…, j, :]``.
-
-    Operates on the second-to-last axis of an ``(…, m, C)`` stack.
-    Computed with prefix/suffix cumulative products in O(m·C); avoids the
-    numerically hazardous divide-by-row alternative (CDFs are 0 on the
-    left of each support).
-    """
-    m = stacked.shape[-2]
-    if m == 1:
-        return np.ones_like(stacked)
-    prefix = np.ones_like(stacked)
-    suffix = np.ones_like(stacked)
-    for i in range(1, m):
-        prefix[..., i, :] = prefix[..., i - 1, :] * stacked[..., i - 1, :]
-    for i in range(m - 2, -1, -1):
-        suffix[..., i, :] = suffix[..., i + 1, :] * stacked[..., i + 1, :]
-    return prefix * suffix
 
 
 # ----------------------------------------------------------------------
@@ -615,6 +642,8 @@ class ExactBuilder(TPOBuilder):
         probs: List[float] = []
         new_polys: List[PiecewisePolynomial] = []
         anytime = self.beam_active
+        # A beam ranks the whole level, so it collects all positive mass.
+        threshold = 0.0 if anytime else self.min_probability
         for parent, (candidates, tail) in enumerate(zip(remaining, tails, strict=True)):
             for position, t in enumerate(candidates):
                 others = np.delete(candidates, position)
@@ -629,15 +658,7 @@ class ExactBuilder(TPOBuilder):
                         [cache.cdfs[j] for j in others]
                     )
                 prob = integrand.definite_integral()
-                if anytime:
-                    # A beam ranks the whole level at once, so every
-                    # positive-mass candidate is collected first.
-                    if prob > 0.0:
-                        tuple_ids.append(int(t))
-                        parent_idx.append(parent)
-                        probs.append(float(prob))
-                        new_polys.append(h_child)
-                elif prob > self.min_probability:
+                if prob > threshold:
                     tuple_ids.append(int(t))
                     parent_idx.append(parent)
                     probs.append(float(prob))

@@ -247,3 +247,21 @@ def test_one_check_walks_each_node_once(tmp_path, monkeypatch):
         for node in ast.walk(module.tree):
             if not isinstance(node, SHARED):
                 assert visits[node] == 1, ast.dump(node)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [code for code in EVERY_CODE if isinstance(CHECKS.create(code), FileCheck)],
+)
+def test_rule_finds_nothing_outside_its_node_types(code):
+    """``FileContext.visit`` hands a rule only the node types it declares;
+    on every other node of its violation fixture the rule is silent."""
+    check = CHECKS.create(code)
+    assert check.node_types
+    graph, violations = analyze(FIXTURES / code.lower() / "bad", [check])
+    assert violations
+    for module in graph.modules.values():
+        ctx = FileContext(module, [check])
+        for node in ast.walk(module.tree):
+            if not isinstance(node, check.node_types):
+                assert not list(check.visit_node(node, ctx)), ast.dump(node)

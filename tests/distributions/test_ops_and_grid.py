@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles.full_grid import _upper_tail_rows
 
 from repro.distributions import (
     Grid,
+    PointMass,
     TruncatedGaussian,
     Uniform,
     certain_order,
@@ -74,7 +76,7 @@ class TestGrid:
     def test_density_integrates_to_one(self, trio):
         grid = Grid.for_distributions(trio, resolution=256)
         for dist in trio:
-            assert grid.integral(grid.density(dist)) == pytest.approx(
+            assert np.dot(grid.density(dist), grid.widths) == pytest.approx(
                 1.0, abs=1e-9
             )
 
@@ -83,13 +85,13 @@ class TestGrid:
         d = grid.density(trio[1])
         masses = d * grid.widths
         lower = np.cumsum(masses) - 0.5 * masses
-        total = grid.upper_tail(d) + lower
+        total = _upper_tail_rows(d[None, :], grid)[0] + lower
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
     def test_upper_tail_matches_survival(self, trio):
         grid = Grid.for_distributions(trio, resolution=512)
         dist = trio[0]
-        tail = grid.upper_tail(grid.density(dist))
+        tail = _upper_tail_rows(grid.density(dist)[None, :], grid)[0]
         np.testing.assert_allclose(
             tail, np.asarray(dist.sf(grid.mids)), atol=2e-3
         )
@@ -97,7 +99,13 @@ class TestGrid:
     def test_gaussian_on_grid(self):
         g = TruncatedGaussian(0.5, 0.1)
         grid = Grid.for_distributions([g], resolution=512)
-        assert grid.integral(grid.density(g)) == pytest.approx(1.0, abs=1e-4)
+        assert np.dot(grid.density(g), grid.widths) == pytest.approx(1.0, abs=1e-4)
+
+    def test_one_support_point_gets_a_narrow_span(self):
+        grid = Grid.for_distributions([PointMass(0.5), PointMass(0.5)], 16)
+        assert grid.cell_count == 16
+        assert grid.edges[0] == 0.5
+        assert grid.edges[-1] - grid.edges[0] == pytest.approx(1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ production code against.
 * :mod:`oracles.pointer_tpo` — the pointer-era grid engine and its
   ``TPONode`` tree (leaf parity for the flat level-table engines);
 * :mod:`oracles.full_grid` — the grid engine computing every cell of
-  every step (bit parity for the support-windowed ``GridBuilder``);
+  every step (bit parity for the support-windowed ``GridBuilder``) and
+  the per-segment ``linspace`` loop behind the grid edges;
 * :mod:`oracles.scalar_residual` — one-space-per-answer residual
   uncertainty (parity for the batched ``ResidualEvaluator`` paths);
 * :mod:`oracles.cell_entropy` — ``U_H`` without additive restriction

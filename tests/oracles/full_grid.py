@@ -9,17 +9,21 @@ grouping, same operation order, same matmul operands — so the parity
 tests can assert that the windowed engine builds ``np.array_equal``
 levels.
 
-It is intentionally *not* registered in ``repro.api.ENGINES``.
+It is intentionally *not* registered in ``repro.api.ENGINES``.  The
+per-segment ``np.linspace`` loop that laid out the grid edges before
+:meth:`Grid.for_distributions` was vectorized is kept here too
+(:func:`loop_grid_edges`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.distributions.base import ScoreDistribution
 from repro.distributions.grid import Grid
-from repro.tpo.builders import GridBuilder, _effective, _exclude_one_products
+from repro.tpo.builders import GridBuilder, _effective
 from repro.tpo.tree import TPOTree
 
 
@@ -110,7 +114,11 @@ class _FullGridCache:
 
 
 def _upper_tail_rows(cell_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Row-wise :meth:`Grid.upper_tail` of a ``(W, C)`` density matrix."""
+    """Row-wise upper tails ``T_i = ∫_{mid_i}^∞ f`` of a ``(W, C)`` matrix.
+
+    The tail from a cell midpoint holds half of the cell's own mass plus
+    every later cell's.
+    """
     masses = cell_values * grid.widths
     suffix = np.cumsum(masses[:, ::-1], axis=1)[:, ::-1]
     after = np.concatenate(
@@ -118,3 +126,39 @@ def _upper_tail_rows(cell_values: np.ndarray, grid: Grid) -> np.ndarray:
         axis=1,
     )
     return after + 0.5 * masses
+
+
+def _exclude_one_products(stacked: np.ndarray) -> np.ndarray:
+    """Products of all *other* rows: ``out[i, :] = Π_{j≠i} rows[j, :]``.
+
+    Computed with prefix/suffix cumulative products in O(m·C); avoids the
+    numerically hazardous divide-by-row alternative (CDFs are 0 on the
+    left of each support).
+    """
+    m = stacked.shape[0]
+    if m == 1:
+        return np.ones_like(stacked)
+    prefix = np.ones_like(stacked)
+    suffix = np.ones_like(stacked)
+    for i in range(1, m):
+        prefix[i] = prefix[i - 1] * stacked[i - 1]
+    for i in range(m - 2, -1, -1):
+        suffix[i] = suffix[i + 1] * stacked[i + 1]
+    return prefix * suffix
+
+
+def loop_grid_edges(
+    dists: Sequence[ScoreDistribution], resolution: int
+) -> np.ndarray:
+    """The grid edges, one ``np.linspace`` per segment between the sorted
+    support endpoints (two or more), each cut to cells of at most
+    ``span / resolution``."""
+    points = np.array(sorted({float(x) for d in dists for x in (d.lower, d.upper)}))
+    lo, hi = points[0], points[-1]
+    max_width = (hi - lo) / float(resolution)
+    edges: List[float] = []
+    for left, right in zip(points[:-1], points[1:], strict=True):
+        pieces = max(1, int(np.ceil((right - left) / max_width)))
+        edges.extend(np.linspace(left, right, pieces + 1)[:-1])
+    edges.append(hi)
+    return np.asarray(edges)

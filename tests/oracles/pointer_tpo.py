@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from oracles.full_grid import _exclude_one_products, _upper_tail_rows
 
 from repro.distributions.base import ScoreDistribution
 from repro.distributions.grid import Grid
@@ -214,9 +215,9 @@ class ReferenceGridBuilder:
             if node.is_root:
                 tail = np.ones(grid.cell_count)
             else:
-                tail = grid.upper_tail(node.state)
+                tail = _upper_tail_rows(node.state[None, :], grid)[0]
             stacked = cdfs[remaining]
-            exclusive = _exclude_one_products_2d(stacked)
+            exclusive = _exclude_one_products(stacked)
             candidate_h = densities[remaining] * tail[None, :]
             probs = (candidate_h * exclusive) @ grid.widths
             for idx, t in enumerate(remaining):
@@ -232,20 +233,6 @@ class ReferenceGridBuilder:
         for node in parents:
             node.state = None
         tree.built_depth += 1
-
-
-def _exclude_one_products_2d(stacked: np.ndarray) -> np.ndarray:
-    """Pointer-era 2-D exclude-one products (``out[i] = Π_{j≠i} rows[j]``)."""
-    m = stacked.shape[0]
-    if m == 1:
-        return np.ones_like(stacked)
-    prefix = np.ones_like(stacked)
-    suffix = np.ones_like(stacked)
-    for i in range(1, m):
-        prefix[i] = prefix[i - 1] * stacked[i - 1]
-    for i in range(m - 2, -1, -1):
-        suffix[i] = suffix[i + 1] * stacked[i + 1]
-    return prefix * suffix
 
 
 __all__ = ["PointerTPOTree", "ReferenceGridBuilder", "TPONode"]

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+import repro.service.manager as manager_module
 from repro.experiments.store import ensure_trailing_newline
 from repro.service.manager import (
     BufferedEventLog,
@@ -125,6 +126,67 @@ class TestBufferedEventLog:
         log.append({"event": "close", "session_id": "a"})
         log.flush()
         assert [e["event"] for e in log.load()] == ["create", "close"]
+
+    def test_flush_after_an_os_error_writes_every_event_once(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "events.jsonl"
+        log = BufferedEventLog(path)
+        log.append({"event": "create", "session_id": "a"})
+        log.flush()
+        events = [
+            {"event": "create", "session_id": "b"},
+            {"event": "answer", "session_id": "a", "i": 0, "j": 1},
+            {"event": "answer", "session_id": "b", "i": 2, "j": 3},
+        ]
+        for event in events:
+            log.append(event)
+
+        class DiskFull:
+            """A file that takes one line and half of the next."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.lines = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def tell(self):
+                return self.handle.tell()
+
+            def flush(self):
+                self.handle.flush()
+
+            def write(self, text):
+                self.lines += 1
+                if self.lines == 2:
+                    self.handle.write(text[:10])
+                    self.handle.flush()
+                    raise OSError(28, "No space left on device")
+                self.handle.write(text)
+
+        monkeypatch.setattr(
+            manager_module,
+            "open",
+            lambda *args: DiskFull(open(*args)),
+            raising=False,
+        )
+        with pytest.raises(OSError):
+            log.flush()
+        monkeypatch.undo()
+        assert log.pending == len(events)
+        assert [e["session_id"] for e in log.load()] == ["a"]
+        assert log.flush() == len(events)
+        assert log.flush() == 0
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"event": "create", "session_id": "a"},
+            *events,
+        ]
 
     def test_eager_log_flush_is_noop(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")

@@ -4,20 +4,24 @@
 prefix densities only on each tuple's support band and each candidate
 set's window.  The oracle in ``tests/oracles/full_grid.py`` computes
 every cell; every built level must agree with it exactly — tuple ids,
-parent indices and probabilities under ``np.array_equal``.
+parent indices and probabilities under ``np.array_equal``.  The grid
+edges themselves must equal the per-segment ``np.linspace`` loop they
+replaced.
 """
 
 from itertools import pairwise
 
 import numpy as np
 import pytest
-from oracles.full_grid import FullGridBuilder
+from oracles.full_grid import FullGridBuilder, loop_grid_edges
 
 from repro.api.catalog import WORKLOADS
+from repro.distributions.grid import Grid
 from repro.distributions.histogram import Histogram
 from repro.distributions.point import PointMass
 from repro.distributions.uniform import Uniform
-from repro.tpo.builders import GridBuilder
+from repro.tpo import builders
+from repro.tpo.builders import GridBuilder, TPOSizeError
 
 K = 4
 RESOLUTION = 256
@@ -81,6 +85,47 @@ def test_levels_match_full_grid(generator, n, beam):
     assert_levels_equal(tree, oracle)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_shape_matches_full_grid(seed):
+    # The t1-online benchmark's instances: uniform, N=18, K=5, width
+    # 0.35, at the default resolution.
+    dists = WORKLOADS.create("uniform", n=18, width=0.35, rng=seed)
+    tree, oracle = build_pair(dists, k=5, resolution=1024)
+    assert_levels_equal(tree, oracle)
+
+
+def test_integrands_in_one_pass_per_set(monkeypatch):
+    # A level too large for one stacked integrand pass runs in several;
+    # at one cell per pass every set gets its own.
+    monkeypatch.setattr(builders, "_INTEGRAND_CELLS", 1)
+    dists = generate("uniform", 18, seed=18)
+    tree, oracle = build_pair(dists, **BEAMS["epsilon"])
+    assert_levels_equal(tree, oracle)
+
+
+def test_size_limit_trips_at_the_same_level():
+    dists = WORKLOADS.create("uniform", n=10, width=0.5, rng=4)
+    engines, trees = start_pair(dists, 5, max_orderings=300)
+    errors = []
+    for engine, tree in zip(engines, trees, strict=True):
+        with pytest.raises(TPOSizeError) as raised:
+            while not tree.is_complete:
+                engine.extend(tree)
+        errors.append(str(raised.value))
+    assert trees[0].built_depth == trees[1].built_depth >= 2
+    assert_levels_equal(*trees)
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("resolution", [16, 257, 1024])
+@pytest.mark.parametrize("generator", sorted(WORKLOADS))
+def test_grid_edges_match_the_linspace_loop(generator, resolution):
+    for seed in range(4):
+        dists = generate(generator, 6 + 8 * seed, seed)
+        edges = Grid.for_distributions(dists, resolution).edges
+        assert np.array_equal(edges, loop_grid_edges(dists, resolution))
+
+
 def test_histogram_with_zero_density_interior_bin():
     gap = Histogram([0.1, 0.3, 0.35, 0.5, 0.7], [0.3, 0.0, 0.2, 0.5])
     split = Histogram([0.0, 0.2, 0.45, 0.6], [0.5, 0.0, 0.5])
@@ -136,3 +181,43 @@ def contested_pair(paths):
     """A pair ``(i, j)`` ranked ``i`` first on one path, ``j`` on another."""
     ordered = {(int(a), int(b)) for row in paths for a, b in pairwise(row)}
     return next(pair for pair in sorted(ordered) if pair[::-1] in ordered)
+
+
+def random_distributions(rng, n):
+    """Uniforms, point masses and histograms with an empty inner bin."""
+    dists = []
+    for _ in range(n):
+        low, kind = rng.uniform(0.0, 0.8), rng.integers(3)
+        if kind == 0:
+            dists.append(Uniform(low, low + rng.uniform(0.01, 0.5)))
+        elif kind == 1:
+            dists.append(PointMass(round(low, 2)))
+        else:
+            edges = low + np.cumsum(np.append(0.0, rng.uniform(0.001, 0.15, 4)))
+            weights = rng.uniform(0.1, 1.0, 4)
+            weights[rng.integers(1, 3)] = 0.0
+            dists.append(Histogram(edges, weights / weights.sum()))
+    return dists
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_instances_pruned_mid_build(seed):
+    # Tails are exact only from each set's window start on; no mix of
+    # supports, beam or mid-build pruning may let that reach a level.
+    rng = np.random.default_rng(seed)
+    dists = random_distributions(rng, int(rng.integers(5, 14)))
+    beam = sorted(BEAMS)[seed % len(BEAMS)]
+    engines, trees = start_pair(
+        dists, int(rng.integers(3, 6)), int(rng.choice([16, 64, 257])), **BEAMS[beam]
+    )
+    while not trees[0].is_complete:
+        extend_pair(engines, trees)
+        paths = trees[1].paths_at_depth(trees[1].built_depth)
+        if not trees[0].is_complete and rng.random() < 0.5:
+            ordered = {(int(a), int(b)) for row in paths for a, b in pairwise(row)}
+            pairs = sorted(p for p in ordered if p[::-1] in ordered)
+            if pairs:
+                i, j = pairs[int(rng.integers(len(pairs)))]
+                for tree in trees:
+                    tree.prune_with_answer(i, j, holds=bool(seed % 2))
+                assert_levels_equal(*trees)
