@@ -18,15 +18,18 @@ Policies score *every* candidate per step without building throwaway
 :class:`~repro.tpo.space.OrderingSpace` objects: an answer outcome keeps a
 subset of the paths, i.e. one boolean mask row priced by
 :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`.
-:meth:`ResidualEvaluator.rank_singles_batch` masks the ``L`` paths with
-the ``(L, B)`` stance matrix (a session's question-pool columns).  The
-set paths (:meth:`ResidualEvaluator.set_residual_from_codes`,
-:meth:`ResidualEvaluator.rank_set_extensions`) mask *cells* instead: the
-paths sharing one answer pattern.  A pattern's restriction is the union
-of the cells it agrees with wherever both are decisive, so its row is
-only as wide as the cells.  A measure with additive per-path terms
-(``U_H``: ``p`` and ``p·ln p``) skips the masks when ranking uncapped set
-extensions: cell ``(b, s)`` of ``S ∪ {c}`` keeps ``(b′, s′)`` iff base
+A measure with additive per-path terms (``U_H``: ``p`` and ``p·ln p``)
+skips the masks.  :meth:`ResidualEvaluator.rank_singles_batch` multiplies
+the ``(L, B)`` stance matrix (a session's question-pool columns) and its
+absolute value by the terms, which gives the kept sums of both answer
+branches of every candidate; a measure without terms masks the ``L``
+paths per branch instead.  The set paths
+(:meth:`ResidualEvaluator.set_residual_from_codes`,
+:meth:`ResidualEvaluator.rank_set_extensions`) mask *cells*: the paths
+sharing one answer pattern.  A pattern's restriction is the union of the
+cells it agrees with wherever both are decisive, so its row is only as
+wide as the cells.  Uncapped set extensions of a measure with terms skip
+the masks too: cell ``(b, s)`` of ``S ∪ {c}`` keeps ``(b′, s′)`` iff base
 cells ``b`` and ``b′`` are compatible and ``s·s′ ≠ −1``, so one product
 of the base-compatibility matrix with the per-cell term tables of every
 candidate and stance prices all extensions of a greedy step.  Every
@@ -206,16 +209,24 @@ class ResidualEvaluator:
         questions: Sequence[Question],
         chunk: Optional[int] = None,
     ) -> np.ndarray:
-        """``R_q`` for every candidate via the batched measure API.
+        """``R_q`` for every candidate from two products per column chunk.
 
-        Takes the ``(L, B)`` stance matrix from :meth:`codes_matrix`, turns
-        both answer branches of every decisive candidate into rows of a
-        hypothetical posterior weight matrix, and prices all of them with chunked
+        Takes the ``(L, B)`` stance matrix from :meth:`codes_matrix`.  Per
+        chunk of ``chunk`` columns (auto-sized from ``L`` when omitted) its
+        float copy ``c`` multiplies the measure's per-path
+        :meth:`~repro.uncertainty.base.UncertaintyMeasure.restriction_terms`
+        twice: ``cᵀ·terms`` is the yes-side sums less the no-side ones and
+        ``|c|ᵀ·terms`` their total, so each answer branch's kept sums are
+        the space's totals less the other side's, and the first term
+        column holds the decisive masses.  A measure with terms prices
+        every branch with :meth:`value_from_sums`; any other measure is
+        priced by chunked
         :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`
-        calls — no intermediate :class:`OrderingSpace` objects, and all
-        float temporaries bounded to ``chunk × L`` elements (chunk is
-        auto-sized from ``L`` when omitted).  Values match per-candidate
-        :meth:`single` to float precision.
+        calls over the branches' keep masks, its masses from the same
+        products with ``p`` as the only term.  No :class:`OrderingSpace`
+        is built, and float temporaries stay within ``chunk × L``
+        elements.  Values match per-candidate :meth:`single` to float
+        precision.
         """
         count = len(questions)
         if count == 0:
@@ -223,21 +234,21 @@ class ResidualEvaluator:
         if chunk is None:
             chunk = _rows_per_chunk(space.size)
         codes = self.codes_matrix(space, questions)
-        p = space.probabilities
-        yes_stance = codes == 1  # (L, B)
-        no_stance = codes == -1
-        # One float view of the stances yields both masses as matvecs:
-        # p·codes = m_yes − m_no and p·|codes| = m_yes + m_no; converted
-        # in column chunks so the float64 temporaries stay bounded.
-        signed = np.empty(count, dtype=np.float64)
-        decisive = np.empty(count, dtype=np.float64)
+        terms = self.measure.restriction_terms(space)
+        additive = terms is not None
+        if terms is None:
+            terms = space.probabilities[:, None]
+        yes = np.empty((count, terms.shape[1]), dtype=np.float64)
+        no = np.empty_like(yes)
         for start in range(0, count, chunk):
             block = slice(start, min(start + chunk, count))
-            codes_float = codes[:, block].astype(np.float64)
-            signed[block] = p @ codes_float
-            decisive[block] = p @ np.abs(codes_float)
-        mass_yes = 0.5 * (decisive + signed)
-        mass_no = 0.5 * (decisive - signed)
+            stances = codes[:, block].T.astype(np.float64)
+            signed = stances @ terms
+            unsigned = np.abs(stances, out=stances) @ terms
+            yes[block] = 0.5 * (unsigned + signed)
+            no[block] = 0.5 * (unsigned - signed)
+        mass_yes, mass_no = yes[:, 0], no[:, 0]
+        decisive = mass_yes + mass_no
         residuals = np.empty(count, dtype=np.float64)
         silent = decisive <= 0.0
         if np.any(silent):
@@ -246,25 +257,32 @@ class ResidualEvaluator:
         active = ~silent
         yes_branch = active & (mass_yes > 0.0)
         no_branch = active & (mass_no > 0.0)
-
-        # Surviving-path masks per branch ("yes" keeps codes != -1 etc.),
-        # built chunk by chunk so no (2B, L) matrix ever exists — the
-        # memory bound holds in B as well as L.
-        def evaluate_branch(
-            excluded_stance: np.ndarray, selected: np.ndarray, out: np.ndarray
-        ) -> int:
-            columns = np.flatnonzero(selected)
-            for start in range(0, columns.size, chunk):
-                block = columns[start : start + chunk]
-                rows = ~excluded_stance.T[block]
-                out[block] = self.measure.evaluate_restrictions(space, rows)
-            return columns.size
-
         u_yes = np.zeros(count, dtype=np.float64)
         u_no = np.zeros(count, dtype=np.float64)
-        evaluated = evaluate_branch(no_stance, yes_branch, u_yes)
-        evaluated += evaluate_branch(yes_stance, no_branch, u_no)
-        self.evaluations += evaluated
+        if additive:
+            # "yes" keeps every path but the no side, and vice versa.  A
+            # kept total below its branch's own mass is rounding: clamp it.
+            totals = terms.sum(axis=0)
+            for branch, other, mass, out in (
+                (yes_branch, no, mass_yes, u_yes),
+                (no_branch, yes, mass_no, u_no),
+            ):
+                kept = totals - other[branch]
+                kept[:, 0] = np.maximum(kept[:, 0], mass[branch])
+                out[branch] = self.measure.value_from_sums(kept)
+        else:
+            for branch, excluded, out in (
+                (yes_branch, -1, u_yes),
+                (no_branch, 1, u_no),
+            ):
+                columns = np.flatnonzero(branch)
+                for start in range(0, columns.size, chunk):
+                    block = columns[start : start + chunk]
+                    out[block] = self.measure.evaluate_restrictions(
+                        space, codes[:, block].T != excluded
+                    )
+        self.evaluations += int(np.count_nonzero(yes_branch))
+        self.evaluations += int(np.count_nonzero(no_branch))
         p_yes = mass_yes / np.where(active, decisive, 1.0)
         residuals[active] = (
             p_yes[active] * u_yes[active]

@@ -11,7 +11,7 @@ the event "prefix ``t_1 ≻ … ≻ t_d`` is the top-d ranking" has probability
 hence the paper's ``incr`` algorithm) cheap.  Since the flat level-table
 refactor, it no longer lives on per-node objects: each engine keeps a
 payload *indexed by the frontier level's rows* in ``tree.engine_cache``
-(for the grid engine, blocks of densities grouped by each row's last
+(for the grid engine, blocks of cell masses grouped by each row's last
 tuple and cut to that tuple's support band; a list of piecewise
 polynomials for the exact engine; a sample→node index vector for Monte
 Carlo) and extends the whole frontier in one batched pass — no Python
@@ -250,7 +250,7 @@ class GridBuilder(TPOBuilder):
     ``extend`` is one batched pass over the whole frontier, and every
     numeric step runs only where its result is read:
 
-    * each frontier row's prefix density lives on its last tuple's grid
+    * each frontier row's prefix mass lives on its last tuple's grid
       support band (``h_{d+1} = f_t · T(h_d)`` vanishes outside
       ``supp f_t``), so its upper tail is one ``cumsum`` inside the band
       — left of it the tail is the row mass, right of it zero;
@@ -258,12 +258,15 @@ class GridBuilder(TPOBuilder):
       tuples), and all sets' exclude-one CDF-product integrands come out
       of one stacked pass, each only on its set's window and only for its
       live candidates (see :meth:`_GridCache.set_windows`);
-    * each group's children drop out of one full ``(W_g, C) × (C, m)``
-      matmul of the tails against the integrand.
+    * each group's children drop out of one ``(W_g, span) × (span, live)``
+      product of its tails and integrands, both cut to the set's window
+      and the integrand to its live candidates.
 
     The integrand is an exact zero outside its window (a skipped CDF
-    factor an exact one), so tails need only be finite there, and the
-    built levels are bit-identical to computing every cell.
+    factor an exact one), so cutting the product drops only exact-zero
+    terms; it changes the summation order, though, so levels agree with
+    a full-grid build to a relative ``1e-12``, not bit for bit.  Twins
+    (tuples with equal grid projections) get exactly tied children.
 
     Parameters
     ----------
@@ -304,37 +307,36 @@ class GridBuilder(TPOBuilder):
         sets, inverse, order, bounds = _candidate_sets(tree)
         width = inverse.size
         m = sets.shape[1]
-        starts, stops, live = cache.set_windows(sets)
+        reaches, starts, stops, live = cache.set_windows(sets)
+        twins = cache.set_twins(sets)
 
         # The child probability ∫ f_t · T_node · Π_{j≠t} F_j factors into
         # (tail of the node) × (integrand of the candidate *set*): the
         # exclude-one CDF products depend on which tuples remain, not on
         # the order the prefix ranked them.  Group the frontier by
-        # candidate set; tails are laid out in group order, so all of a
-        # group's children drop out of one (W_g, C) × (C, m) matmul of a
-        # contiguous slice into a group-ordered output (a set with an empty
-        # window keeps zero rows, as a zero integrand gives).  The GEMM
-        # stays full: over C and over all m rows, dead ones zero.  Cutting
-        # either changes the BLAS summation order and moves probabilities.
-        slot = np.empty(width, dtype=np.intp)
-        slot[order] = np.arange(width)
-        tails = cache.frontier_tails(slot, starts[inverse])
-        grouped = np.zeros((width, m), dtype=np.float64)
-        integrand = np.zeros((m, cache.grid.cell_count), dtype=np.float64)
+        # candidate set; all of a group's children drop out of one product
+        # of its rows' tails, cut to the set's window, with its live
+        # candidates' integrand rows.  Dead candidates (and every
+        # candidate of a set with an empty window) keep zero children.
+        tails, at = cache.frontier_tails(
+            reaches[inverse], starts[inverse], stops[inverse]
+        )
+        ranked_at = at[order]
+        probs = np.zeros((width, m), dtype=np.float64)
         # Counting per set aborts a runaway level early, if it can run away;
         # a beam decides what survives once the level is known (post-beam).
         counting = not self.beam_active and width * m > self.max_orderings
         created = 0
         for group, columns, values in cache.set_integrands(sets, starts, stops, live):
-            rows = slice(bounds[group], bounds[group + 1])
-            window = slice(starts[group], stops[group])
-            integrand[columns, window] = values
-            np.matmul(tails[rows], integrand.T, out=grouped[rows])
-            integrand[:, window] = 0.0
+            members = slice(bounds[group], bounds[group + 1])
+            rows = order[members]
+            window = tails[ranked_at[members], starts[group] : stops[group]]
+            probs[rows[:, None], columns] = window @ values.T
+            if twins is not None:
+                probs[rows] = probs[rows[:, None], twins[group]]
             if counting:
-                created += int(np.count_nonzero(grouped[rows] > self.min_probability))
+                created += int(np.count_nonzero(probs[rows] > self.min_probability))
                 self._check_size(tree, created)
-        probs = grouped[slot]
         keep_flat, loss = self._apply_beam(
             probs, probs.ravel() > self.min_probability
         )
@@ -343,10 +345,10 @@ class GridBuilder(TPOBuilder):
         keep_rows, keep_cols = np.nonzero(keep_flat.reshape(width, m))
         child_tuples = sets[inverse[keep_rows], keep_cols]
         if depth + 1 < tree.k:
-            cache.set_frontier(child_tuples, tails, slot[keep_rows])
+            cache.set_frontier(child_tuples, tails, at[keep_rows])
         else:
             # The deepest level never extends again, so its (far widest)
-            # prefix densities are never materialized at all.
+            # prefix masses are never materialized at all.
             cache.frontier, cache.width = [], 0
         tree.append_level(
             child_tuples, keep_rows, probs[keep_rows, keep_cols]
@@ -396,15 +398,17 @@ _INTEGRAND_CELLS = 1 << 18
 class _GridCache:
     """Per-tree numeric context for :class:`GridBuilder`.
 
-    ``densities``/``cdfs`` are the ``(N, C)`` grid projections, and
-    ``[lo[t], hi[t])`` is tuple ``t``'s support band: its first to its
-    last non-zero density cell.  ``first[t] ≤ lo[t]`` is the first cell
-    where ``t``'s density *or* CDF is non-zero, and from ``settled[t]``
-    on its CDF is exactly 1.0.
+    ``masses``/``cdfs`` are the ``(N, C)`` grid projections, a mass being
+    the midpoint density times the cell width, and ``[lo[t], hi[t])`` is
+    tuple ``t``'s support band: its first to its last non-zero density
+    cell.  ``first[t] ≤ lo[t]`` is the first cell where ``t``'s density
+    *or* CDF is non-zero, and from ``settled[t]`` on its CDF is exactly
+    1.0.  ``twin[t]`` is the smallest tuple whose grid projections equal
+    ``t``'s (``None`` when no two tuples share them).
 
-    ``frontier`` holds the deepest level's prefix densities as blocks
+    ``frontier`` holds the deepest level's prefix masses as blocks
     ``(t, rows, h)``: the frontier rows whose last tuple is ``t``, and
-    their densities on ``t``'s band only, a ``(len(rows), hi[t] − lo[t])``
+    their cell masses on ``t``'s band only, a ``(len(rows), hi[t] − lo[t])``
     matrix (``None`` before the first level).  It is the only mutable
     piece, replaced wholesale on every extension and remapped by
     :meth:`prune_frontier` when the tree is pruned mid-build.
@@ -412,12 +416,13 @@ class _GridCache:
 
     __slots__ = (
         "grid",
-        "densities",
+        "masses",
         "cdfs",
         "lo",
         "hi",
         "first",
         "settled",
+        "twin",
         "frontier",
         "width",
     )
@@ -426,51 +431,69 @@ class _GridCache:
         self, grid: Grid, densities: np.ndarray, cdfs: np.ndarray
     ) -> None:
         self.grid = grid
-        self.densities = densities
+        self.masses = densities * grid.widths
         self.cdfs = cdfs
         self.lo = _first_true(densities != 0.0)
         self.hi = _end_of_last_true(densities != 0.0)
         self.first = np.minimum(self.lo, _first_true(cdfs != 0.0))
         self.settled = _end_of_last_true(cdfs != 1.0)
+        self.twin = _twins(
+            self.masses, cdfs, self.lo, self.hi, self.first, self.settled
+        )
         self.frontier: Optional[List[Tuple[int, np.ndarray, np.ndarray]]]
         self.frontier = None
         self.width = 1
 
-    def frontier_tails(self, slot: np.ndarray, reads: np.ndarray) -> np.ndarray:
-        """Upper tails ``T(h)`` of the frontier's densities, where read.
+    def frontier_tails(
+        self, reaches: np.ndarray, starts: np.ndarray, stops: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Upper tails ``T(h)`` of the frontier's prefix masses, where read.
 
-        Row ``slot[w]`` of the ``(W, C)`` result is frontier row ``w``'s
-        tail from ``reads[w]``, its set's window start, on: in a block's
-        band the reversed ``cumsum`` of the midpoint masses (from the right,
-        so cells left of the first read are skipped) less half the cell's
-        own, right of it zero, left of it the row mass.  The root's tail is
-        1 everywhere.  Cells before ``reads`` stay zero, which is exact
-        where it counts: the set's GEMM weighs them by exact zeros.
-        A child's band may read them, so its density is off left of the
-        window start ``first[u]`` (``u`` the candidate fixing it); but while
-        ``u`` is unranked every later window starts at or after ``first[u]``,
-        where a tail sums only cells right of it, and once ``u`` is ranked
-        its band lies right of ``first[u]``.
+        Returns ``(tails, at)``: frontier row ``w``'s tail is row ``at[w]``
+        of the ``(W, C)`` tails, a block's rows consecutive.  Only cells
+        ``[reaches[w], stops[w])`` are written: its set's window
+        ``[starts[w], stops[w])``, which the set's product reads, widened
+        left to the bands of the candidates that may become its children
+        (:meth:`set_frontier` reads the tail there).  Per block, from its
+        rows' smallest reach to their largest stop: in the band the
+        reversed ``cumsum`` of the masses (from the right, so cells left
+        of the first window start are skipped) less half the cell's own,
+        right of it exact zeros, left of it the row mass down to the
+        smallest window start and zeros below.  The root's tail is 1
+        everywhere.
+
+        The tail is exact from a row's window start on.  Left of it a
+        child's band may read an inexact (finite) value, so the child's
+        mass is off left of the window start ``first[u]`` (``u`` the
+        candidate fixing it); but while ``u`` is unranked every later
+        window starts at or after ``first[u]``, where a tail sums only
+        cells right of it, and once ``u`` is ranked its band lies right of
+        ``first[u]``.
         """
         cells = self.grid.cell_count
         if self.frontier is None:
-            return np.ones((1, cells), dtype=np.float64)
-        tails = np.zeros((self.width, cells), dtype=np.float64)
+            return np.ones((1, cells), dtype=np.float64), np.zeros(1, dtype=np.intp)
+        tails = np.empty((self.width, cells), dtype=np.float64)
+        at = np.empty(self.width, dtype=np.intp)
+        end = 0
         for t, rows, h in self.frontier:
-            left, hi = reads[rows].min(), self.hi[t]
+            begin, end = end, end + rows.size
+            at[rows] = np.arange(begin, end)
+            tail = tails[begin:end]
+            reach, left = reaches[rows].min(), starts[rows].min()
+            hi = self.hi[t]
             lo = min(max(left, self.lo[t]), hi)
-            at = slot[rows]
-            band = h[:, lo - self.lo[t] :] * self.grid.widths[lo:hi]
-            suffix = np.cumsum(band[:, ::-1], axis=1)[:, ::-1]
-            tails[at, left:lo] = suffix[:, :1]
-            band *= 0.5
-            band[:, :-1] += suffix[:, 1:]
-            tails[at, lo:hi] = band
-        return tails
+            band = h[:, lo - self.lo[t] :]
+            np.cumsum(band[:, ::-1], axis=1, out=tail[:, lo:hi][:, ::-1])
+            tail[:, reach:left] = 0.0
+            tail[:, left:lo] = tail[:, lo : lo + 1]
+            tail[:, lo:hi] -= band * 0.5
+            tail[:, hi : stops[rows].max()] = 0.0
+        return tails, at
 
     def set_windows(
         self, sets: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per candidate set, the cell window its integrand can fill.
 
         Left of ``start`` (the set's largest ``first``) the tuple holding
@@ -479,22 +502,40 @@ class _GridCache:
         density ends and its CDF is exactly 1.0 by ``start``; a dead
         candidate's integrand row is zero and its CDF factor an exact 1.0
         on the whole window, so dropping it changes no bit.  The window
-        ends at the live candidates' largest ``hi``.  Returns
-        ``(starts, stops, live)``; ``stops ≤ starts`` means an all-zero
-        integrand.
+        ends at the live candidates' largest ``hi``.  ``reach`` is the
+        first cell of any band a child of the set can have: only a
+        candidate with density right of ``start`` gets a non-zero child.
+        Returns ``(reaches, starts, stops, live)``; ``stops ≤ starts``
+        means an all-zero integrand.
         """
         starts = self.first[sets].max(axis=1)
         hi = self.hi[sets]
-        live = (hi > starts[:, None]) | (self.settled[sets] > starts[:, None])
+        dense = hi > starts[:, None]
+        live = dense | (self.settled[sets] > starts[:, None])
         stops = np.where(live, hi, 0).max(axis=1)
-        return starts, stops, live
+        reaches = np.where(dense, self.lo[sets], starts[:, None]).min(axis=1)
+        return reaches, starts, stops, live
+
+    def set_twins(self, sets: np.ndarray) -> Optional[np.ndarray]:
+        """Per candidate set, each candidate's first twin's column.
+
+        Twins have equal projections, so their children under one parent
+        have equal masses; copying the first twin's column makes them tie
+        exactly (one product may round equal columns differently), as the
+        beam's tie-breaking toward the earlier child expects.  ``None``
+        when no two tuples are twins.
+        """
+        if self.twin is None:
+            return None
+        twins = self.twin[sets]
+        return (twins[:, :, None] == twins[:, None, :]).argmax(axis=2)
 
     def set_integrands(
         self, sets: np.ndarray, starts: np.ndarray, stops: np.ndarray, live: np.ndarray
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(group, columns, values)`` per set with a non-empty window.
 
-        ``values[i]`` is ``f_t · Π_{j≠t} F_j · width`` on cells
+        ``values[i]`` is ``Π_{j≠t} F_j`` times ``t``'s cell mass on cells
         ``[starts[group], stops[group])`` for the live candidate
         ``t = sets[group, columns[i]]``.  All sets run as one stacked
         ``(G, L, span)`` pass over strided window views (shifted left where
@@ -509,10 +550,10 @@ class _GridCache:
         rows = int(counts[groups].max(initial=1))
         span = int(spans[groups].max(initial=1))
         shifted = np.minimum(starts, self.grid.cell_count - span)
-        cdfs, densities, widths = (  # view[..., a, :] = t[..., a : a + span]
+        cdfs, masses = (  # view[..., a, :] = t[..., a : a + span]
             as_strided(t, (*t.shape[:-1], t.shape[-1] - span + 1, span),
                        (*t.strides, t.strides[-1]), writeable=False)
-            for t in (self.cdfs, self.densities, self.grid.widths)
+            for t in (self.cdfs, self.masses)
         )
         step = max(1, _INTEGRAND_CELLS // (rows * span))
         for part in np.split(groups, np.arange(step, groups.size, step)):
@@ -528,8 +569,7 @@ class _GridCache:
             for i in range(rows - 2, -1, -1):
                 suffix *= stacked[:, i + 1]
                 values[:, i] *= suffix
-            values *= densities[cand, at]
-            values *= widths[at]
+            values *= masses[cand, at]
             for group, block, first in zip(
                 part, values, starts[part] - at[:, 0], strict=True
             ):
@@ -539,7 +579,7 @@ class _GridCache:
     def set_frontier(
         self, child_tuples: np.ndarray, tails: np.ndarray, parents: np.ndarray
     ) -> None:
-        """Install the new level's banded densities ``f_t · T(h_parent)``.
+        """Install the new level's banded prefix masses ``m_t · T(h_parent)``.
 
         ``parents[w]`` is the row of ``tails`` holding child ``w``'s
         parent tail.
@@ -552,7 +592,7 @@ class _GridCache:
             t = int(ranked[begin])
             rows = order[begin:end]
             lo, hi = self.lo[t], self.hi[t]
-            h = self.densities[t, lo:hi] * tails[parents[rows], lo:hi]
+            h = self.masses[t, lo:hi] * tails[parents[rows], lo:hi]
             blocks.append((t, rows, h))
         self.frontier = blocks
         self.width = int(child_tuples.size)
@@ -570,6 +610,22 @@ class _GridCache:
                 blocks.append((t, index_map[rows[keep]], h[keep]))
         self.frontier = blocks
         self.width = int(np.count_nonzero(alive))
+
+
+def _twins(
+    masses: np.ndarray, cdfs: np.ndarray, *keys: np.ndarray
+) -> Optional[np.ndarray]:
+    """Per tuple, the smallest tuple with equal ``masses`` and ``cdfs``
+    rows, or ``None`` when all rows differ.  Only tuples with equal
+    ``keys`` (per-tuple summaries of the rows) are compared in full."""
+    keys = np.column_stack(keys)
+    same = np.triu((keys[:, None] == keys[None, :]).all(axis=2), 1)
+    twin = np.arange(masses.shape[0])
+    for i, j in np.argwhere(same):
+        if twin[j] == j and np.array_equal(masses[i], masses[j]):
+            if np.array_equal(cdfs[i], cdfs[j]):
+                twin[j] = i
+    return None if np.all(twin == np.arange(twin.size)) else twin
 
 
 def _first_true(mask: np.ndarray) -> np.ndarray:

@@ -124,10 +124,12 @@ class UncertaintyMeasure(abc.ABC):
         from the restriction's sums of a few per-path terms declares them
         here: an ``(L, m)`` matrix whose first column is the path mass
         ``p``; :meth:`value_from_sums` maps the ``m`` sums of one
-        restriction to its value.  Set-extension ranking then prices every
-        candidate's cells with one matrix product per greedy step.  The
-        default ``None`` keeps a measure on the cell-mask path
-        (:meth:`evaluate_restrictions` with ``cells``).
+        restriction to its value.  Single-question ranking then prices
+        both answers of every candidate from two matrix products per
+        column chunk, and set-extension ranking every candidate's cells
+        from one per greedy step.  The default ``None`` keeps a measure on
+        the mask paths (:meth:`evaluate_restrictions`, with ``cells`` for
+        sets).
         """
         return None
 

@@ -123,14 +123,13 @@ class EntropyMeasure(UncertaintyMeasure):
         """Pruning hypotheticals via ``Σ q·ln q = (Σ_S p·ln p)/T − ln T``.
 
         The per-path ``p·ln p`` vector is computed once, so each row costs
-        two mask–vector products and zero transcendentals — the path
-        behind batched single-question ranking, whose matvecs fix the
-        summation order golden replay depends on.  Cell masks sum ``p``
-        and ``p·ln p`` per cell first, so rows are only as wide as the
-        cells (the capped set path).  Uncapped set-extension ranking
-        skips the masks altogether: it sums the same two terms
-        (:meth:`restriction_terms`) per cell and prices every extension
-        with one matrix product per step.
+        two mask–vector products and zero transcendentals.  Cell masks
+        sum ``p`` and ``p·ln p`` per cell first, so rows are only as wide
+        as the cells: this is the capped set path.  Single-question
+        ranking and uncapped set-extension ranking skip the masks
+        altogether: they sum the same two terms
+        (:meth:`restriction_terms`) per answer branch or per cell with
+        matrix products and price the sums with :meth:`value_from_sums`.
         """
         masks = np.asarray(masks, dtype=float)
         p = space.probabilities

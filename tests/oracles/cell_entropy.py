@@ -1,10 +1,12 @@
-"""``U_H`` priced through the cell-mask path.
+"""``U_H`` priced through the mask paths.
 
 :class:`CellEntropyMeasure` is Shannon entropy that declares no additive
 restriction terms, so :meth:`ResidualEvaluator.rank_set_extensions`
 prices its set extensions one :meth:`ResidualEvaluator._price_cells` call
-per candidate — the general path every non-additive measure takes.  The
-parity tests hold the one-product ``U_H`` path to it within 1e-9 and to
+per candidate, and :meth:`ResidualEvaluator.rank_singles_batch` its
+single questions through path masks — the general paths every
+non-additive measure takes.  The parity tests hold the ``U_H`` term
+paths to it (set extensions within 1e-9, singles within 1e-12) and to
 the same evaluation count.
 """
 

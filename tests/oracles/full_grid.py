@@ -1,13 +1,15 @@
-"""The full-grid TPO build, kept as a bit-parity oracle.
+"""The full-grid TPO build, kept as a parity oracle.
 
 Before the support-windowed build, ``repro.tpo.builders.GridBuilder``
 kept the frontier's prefix densities as one ``(W, C)`` matrix over the
 whole grid, took every upper tail with a ``cumsum`` across all ``C``
 cells, and computed each candidate set's exclude-one CDF products on
 every cell for every candidate.  This module preserves that path — same
-grouping, same operation order, same matmul operands — so the parity
-tests can assert that the windowed engine builds ``np.array_equal``
-levels.
+grouping, full-width matmul operands — so the parity tests can hold the
+windowed engine's levels to it: equal tuple ids and parent indices,
+masses within a relative 1e-12.  Like the engine, it copies a twin's
+(equal projections) child mass from its parent's first twin, so exact
+ties break the same way under a beam.
 
 It is intentionally *not* registered in ``repro.api.ENGINES``.  The
 per-segment ``np.linspace`` loop that laid out the grid edges before
@@ -68,6 +70,8 @@ class FullGridBuilder(GridBuilder):
                 * grid.widths
             )
             block = tails[rows] @ integrand.T  # (W_g, m)
+            twins = cache.twin[cand]
+            block = block[:, (twins[:, None] == twins[None, :]).argmax(axis=1)]
             probs[rows] = block
             if not anytime:
                 created += int(
@@ -93,9 +97,10 @@ class FullGridBuilder(GridBuilder):
 
 
 class _FullGridCache:
-    """Grid projections plus the ``(W, C)`` frontier density matrix."""
+    """Grid projections, each tuple's first twin, and the ``(W, C)``
+    frontier density matrix."""
 
-    __slots__ = ("grid", "densities", "cdfs", "frontier_h")
+    __slots__ = ("grid", "densities", "cdfs", "twin", "frontier_h")
 
     def __init__(
         self, grid: Grid, densities: np.ndarray, cdfs: np.ndarray
@@ -103,6 +108,13 @@ class _FullGridCache:
         self.grid = grid
         self.densities = densities
         self.cdfs = cdfs
+        _, first, inverse = np.unique(
+            np.hstack((densities, cdfs)),
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+        )
+        self.twin = first[inverse.ravel()]
         self.frontier_h: Optional[np.ndarray] = None
 
     def prune_frontier(

@@ -6,10 +6,13 @@ The batched path (`rank_singles_batch`, batched `set_residual_from_codes`,
 every registered uncertainty measure and every TPO construction engine.
 The set paths price restrictions as masks over answer-pattern cells
 (`evaluate_restrictions(..., cells=...)`); those must equal the expanded
-path masks and stay within their chunk memory bound.  Uncapped ``U_H``
-set extensions are priced by one product per step; they must match the
-cell path of an ``H``-valued measure without additive terms
-(`tests/oracles/cell_entropy.py`) and count the same evaluations.
+path masks and stay within their chunk memory bound.  A measure with
+additive terms (``U_H``: ``p`` and ``p·ln p``) skips the masks: single
+questions are priced from two products of the stance columns with the
+terms, and uncapped set extensions by one product per step.  Both must
+match the mask paths of an ``H``-valued measure without additive terms
+(`tests/oracles/cell_entropy.py`), singles within 1e-12, and count the
+same evaluations.
 """
 
 import tracemalloc
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from repro.distributions.uniform import Uniform
 from repro.questions import residual as residual_module
 from repro.questions.candidates import all_pair_questions
+from repro.questions.model import Question
 from repro.questions.residual import ResidualEvaluator
 from repro.api import ENGINES, MEASURES
 from repro.tpo.builders import GridBuilder
@@ -340,6 +344,48 @@ def test_term_path_matches_cell_path(kind, data):
         atol=1e-9,
     )
     assert by_terms.evaluations == by_cells.evaluations
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    absent=st.integers(0, 2),
+    one_sided=st.integers(0, 3),
+    zeroed=st.lists(st.integers(0, 40), max_size=8),
+    chunk=st.integers(1, 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_singles_term_path_matches_mask_path(
+    seed, absent, one_sided, zeroed, chunk
+):
+    """Singles priced from the ``U_H`` terms equal the mask path: silent
+    columns (pairs of absent tuples), one-sided questions (every path of
+    one stance at zero mass), zero-mass paths and small chunks."""
+    rng = np.random.default_rng(seed)
+    present, k = 6, 3
+    paths = np.unique(
+        np.array([rng.permutation(present)[:k] for _ in range(24)]), axis=0
+    )
+    probabilities = rng.random(paths.shape[0]) + 1e-3
+    probabilities[[z for z in zeroed if z < paths.shape[0]]] = 0.0
+    space = OrderingSpace(paths, np.ones(paths.shape[0]), present)
+    for i, j in rng.choice(present, size=(one_sided, 2), replace=True):
+        if i != j:
+            stance = space.agreement_codes(i, j)
+            probabilities[stance == rng.choice([-1, 1])] = 0.0
+    if probabilities.sum() <= 0.0:
+        probabilities[0] = 1.0
+    n = present + absent
+    space = OrderingSpace(paths, probabilities, n)
+    questions = [Question(i, j) for i in range(n) for j in range(i + 1, n)]
+    by_terms = ResidualEvaluator(EntropyMeasure())
+    by_masks = ResidualEvaluator(CellEntropyMeasure())
+    np.testing.assert_allclose(
+        by_terms.rank_singles_batch(space, questions, chunk=chunk),
+        by_masks.rank_singles_batch(space, questions, chunk=chunk),
+        rtol=0.0,
+        atol=1e-12,
+    )
+    assert by_terms.evaluations == by_masks.evaluations
 
 
 def test_capped_u_h_extensions_take_the_cell_path():

@@ -1,12 +1,17 @@
-"""The support-windowed grid build is bit-identical to the full-grid one.
+"""The support-windowed grid build agrees with the full-grid one.
 
 :class:`~repro.tpo.builders.GridBuilder` computes tails, integrands and
-prefix densities only on each tuple's support band and each candidate
-set's window.  The oracle in ``tests/oracles/full_grid.py`` computes
-every cell; every built level must agree with it exactly — tuple ids,
-parent indices and probabilities under ``np.array_equal``.  The grid
-edges themselves must equal the per-segment ``np.linspace`` loop they
-replaced.
+prefix masses only on each tuple's support band and each candidate
+set's window, and multiplies each set's tails and integrands only over
+its window and live candidates.  The oracle in
+``tests/oracles/full_grid.py`` computes every cell with full-width
+products.  Cutting a product changes its summation order, so the levels
+are held to the oracle in two ways: tuple ids and parent indices under
+``np.array_equal`` (which children survive the ``min_probability`` cut
+and the beam may not move), masses and lost mass within a relative
+``1e-12``.  Twins (equal pdfs, tied point masses) must tie exactly under
+every parent.  The grid edges themselves must equal the per-segment
+``np.linspace`` loop they replaced.
 """
 
 from itertools import pairwise
@@ -32,13 +37,17 @@ BEAMS = {
 }
 
 
+#: Relative tolerance on level masses and lost mass against the oracle.
+RTOL = 1e-12
+
+
 def assert_levels_equal(tree, oracle):
     assert tree.built_depth == oracle.built_depth
     for level, expected in zip(tree.levels, oracle.levels, strict=True):
         assert np.array_equal(level.tuple_ids, expected.tuple_ids)
         assert np.array_equal(level.parent_idx, expected.parent_idx)
-        assert np.array_equal(level.probs, expected.probs)
-    assert tree.lost_mass == oracle.lost_mass
+        np.testing.assert_allclose(level.probs, expected.probs, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(tree.lost_mass, oracle.lost_mass, rtol=RTOL, atol=0.0)
 
 
 def start_pair(dists, k=K, resolution=RESOLUTION, **params):
@@ -149,6 +158,30 @@ def test_histogram_bins_between_cell_midpoints():
     assert cache.settled[1] > cache.hi[1]
     while not trees[0].is_complete:
         extend_pair(engines, trees)
+
+
+@pytest.mark.parametrize("beam", sorted(BEAMS))
+def test_twins_tie_exactly(beam):
+    # Equal pdfs and tied point masses are exchangeable, so under every
+    # parent their children's masses must tie bit for bit: the beam then
+    # breaks the tie toward the earlier child, not on rounding.
+    dists = [Uniform(0.1, 0.5), Uniform(0.2, 0.6), Uniform(0.3, 0.7),
+             PointMass(0.4), Uniform(0.2, 0.6), PointMass(0.4),
+             Uniform(0.25, 0.65), Uniform(0.2, 0.6)]
+    twins = ({1, 4, 7}, {3, 5})
+    engines, trees = start_pair(dists, **BEAMS[beam])
+    compared = 0
+    while not trees[0].is_complete:
+        extend_pair(engines, trees)
+        level = trees[0].levels[-1]
+        for parent in np.unique(level.parent_idx):
+            children = level.parent_idx == parent
+            masses = dict(zip(level.tuple_ids[children], level.probs[children]))
+            for group in twins:
+                tied = [masses[t] for t in sorted(group) if t in masses]
+                assert tied == tied[:1] * len(tied)
+                compared += len(tied) - 1
+    assert compared > 0
 
 
 def test_point_masses():
