@@ -50,7 +50,7 @@ from repro.evals.suite import EvalSuite, check, section
 from repro.experiments.grid import ExperimentGrid, GridCell
 
 #: Bumped whenever the recorded cases change shape or membership.
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 def dataset_path(version: int = DATASET_VERSION) -> Path:

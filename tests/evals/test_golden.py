@@ -21,7 +21,7 @@ def dataset():
 
 
 def test_committed_dataset_loads_and_authenticates(dataset):
-    assert dataset["version"] == 1
+    assert dataset["version"] == 2
     assert len(dataset["cases"]) >= 4
     labels = [case["label"] for case in dataset["cases"]]
     assert len(set(labels)) == len(labels)
