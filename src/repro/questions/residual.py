@@ -277,9 +277,9 @@ class ResidualEvaluator:
             ):
                 columns = np.flatnonzero(branch)
                 for start in range(0, columns.size, chunk):
-                    block = columns[start : start + chunk]
-                    out[block] = self.measure.evaluate_restrictions(
-                        space, codes[:, block].T != excluded
+                    picked = columns[start : start + chunk]
+                    out[picked] = self.measure.evaluate_restrictions(
+                        space, codes[:, picked].T != excluded
                     )
         self.evaluations += int(np.count_nonzero(yes_branch))
         self.evaluations += int(np.count_nonzero(no_branch))

@@ -618,8 +618,8 @@ def _twins(
     """Per tuple, the smallest tuple with equal ``masses`` and ``cdfs``
     rows, or ``None`` when all rows differ.  Only tuples with equal
     ``keys`` (per-tuple summaries of the rows) are compared in full."""
-    keys = np.column_stack(keys)
-    same = np.triu((keys[:, None] == keys[None, :]).all(axis=2), 1)
+    summary = np.column_stack(keys)
+    same = np.triu((summary[:, None] == summary[None, :]).all(axis=2), 1)
     twin = np.arange(masses.shape[0])
     for i, j in np.argwhere(same):
         if twin[j] == j and np.array_equal(masses[i], masses[j]):

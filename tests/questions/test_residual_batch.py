@@ -367,10 +367,10 @@ def test_singles_term_path_matches_mask_path(
     )
     probabilities = rng.random(paths.shape[0]) + 1e-3
     probabilities[[z for z in zeroed if z < paths.shape[0]]] = 0.0
-    space = OrderingSpace(paths, np.ones(paths.shape[0]), present)
+    unweighted = OrderingSpace(paths, np.ones(paths.shape[0]), present)
     for i, j in rng.choice(present, size=(one_sided, 2), replace=True):
         if i != j:
-            stance = space.agreement_codes(i, j)
+            stance = unweighted.agreement_codes(i, j)
             probabilities[stance == rng.choice([-1, 1])] = 0.0
     if probabilities.sum() <= 0.0:
         probabilities[0] = 1.0
@@ -386,6 +386,29 @@ def test_singles_term_path_matches_mask_path(
         atol=1e-12,
     )
     assert by_terms.evaluations == by_masks.evaluations
+
+
+def test_singles_term_path_prices_a_branch_at_rounding_level():
+    """The no side holds half an ulp of the total, so ``totals − yes``
+    rounds the no branch's kept total to zero; its value must stay
+    finite and match the mask path."""
+    space = OrderingSpace(
+        np.array([[1, 0], [0, 1]]),
+        np.array([5.50563672218929e-17, 0.9739844048523552]),
+        2,
+    )
+    questions = [Question(0, 1)]
+    by_terms = ResidualEvaluator(EntropyMeasure())
+    by_masks = ResidualEvaluator(CellEntropyMeasure())
+    values = by_terms.rank_singles_batch(space, questions)
+    assert np.all(np.isfinite(values))
+    np.testing.assert_allclose(
+        values,
+        by_masks.rank_singles_batch(space, questions),
+        rtol=0.0,
+        atol=1e-12,
+    )
+    assert by_terms.evaluations == by_masks.evaluations == 2
 
 
 def test_capped_u_h_extensions_take_the_cell_path():
