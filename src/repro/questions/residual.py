@@ -219,9 +219,9 @@ class ResidualEvaluator:
         ``|c|ᵀ·terms`` their total, so each answer branch's kept sums are
         the space's totals less the other side's, and the first term
         column holds the decisive masses.  A measure with terms prices
-        every branch with :meth:`value_from_sums`; any other measure is
-        priced by chunked
-        :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`
+        every branch from these sums (the ``sums`` of
+        :meth:`~repro.uncertainty.base.UncertaintyMeasure.evaluate_restrictions`);
+        any other measure is priced by chunked ``evaluate_restrictions``
         calls over the branches' keep masks, its masses from the same
         products with ``p`` as the only term.  No :class:`OrderingSpace`
         is built, and float temporaries stay within ``chunk × L``
@@ -269,7 +269,9 @@ class ResidualEvaluator:
             ):
                 kept = totals - other[branch]
                 kept[:, 0] = np.maximum(kept[:, 0], mass[branch])
-                out[branch] = self.measure.value_from_sums(kept)
+                out[branch] = self.measure.evaluate_restrictions(
+                    space, sums=kept
+                )
         else:
             for branch, excluded, out in (
                 (yes_branch, -1, u_yes),
@@ -368,7 +370,7 @@ class ResidualEvaluator:
             )
         else:
             results, covered = self._price_extensions_by_terms(
-                codes, base_ids, base_patterns, candidate_columns, terms
+                space, codes, base_ids, base_patterns, candidate_columns, terms
             )
         tail = covered < 1.0 - 1e-12
         if np.any(tail):
@@ -416,6 +418,7 @@ class ResidualEvaluator:
 
     def _price_extensions_by_terms(
         self,
+        space: OrderingSpace,
         codes: np.ndarray,
         base_ids: np.ndarray,
         base_patterns: np.ndarray,
@@ -491,8 +494,8 @@ class ResidualEvaluator:
             kept[:, :, 2] = sums[:, 1:-1:2]
             positive = masses > 0.0
             weighted = np.zeros_like(masses)
-            weighted[positive] = masses[positive] * self.measure.value_from_sums(
-                kept[positive]
+            weighted[positive] = masses[positive] * (
+                self.measure.evaluate_restrictions(space, sums=kept[positive])
             )
             results[start : start + count] = weighted.sum(axis=(0, 2))
             covered[start : start + count] = masses.sum(axis=(0, 2))

@@ -92,8 +92,9 @@ class UncertaintyMeasure(abc.ABC):
     def evaluate_restrictions(
         self,
         space: OrderingSpace,
-        masks: np.ndarray,
+        masks: Optional[np.ndarray] = None,
         cells: Optional[np.ndarray] = None,
+        sums: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Evaluate the measure after many hypothetical *prunings* at once.
 
@@ -109,7 +110,18 @@ class UncertaintyMeasure(abc.ABC):
         With ``cells`` (each path's cell, ``(L,)``) the rows mask cells
         and a path survives when its cell does; this fallback prices the
         expanded path masks ``masks[:, cells]``.
+
+        A measure that declares :meth:`restriction_terms` also takes the
+        restrictions as ``sums`` instead of masks: ``(..., m)`` sums of
+        the terms over each restriction's paths, one restriction per
+        leading index, each keeping positive mass.  Callers that sum the
+        terms with matrix products (single-question and set-extension
+        ranking) price them this way.
         """
+        if sums is not None:
+            raise NotImplementedError(
+                f"{type(self).__name__} declares no additive restriction terms"
+            )
         masks = np.asarray(masks)
         if cells is not None:
             masks = masks[:, cells]
@@ -123,22 +135,16 @@ class UncertaintyMeasure(abc.ABC):
         A measure whose value on every restriction of ``space`` follows
         from the restriction's sums of a few per-path terms declares them
         here: an ``(L, m)`` matrix whose first column is the path mass
-        ``p``; :meth:`value_from_sums` maps the ``m`` sums of one
-        restriction to its value.  Single-question ranking then prices
-        both answers of every candidate from two matrix products per
-        column chunk, and set-extension ranking every candidate's cells
-        from one per greedy step.  The default ``None`` keeps a measure on
-        the mask paths (:meth:`evaluate_restrictions`, with ``cells`` for
+        ``p``, and :meth:`evaluate_restrictions` maps the ``m`` sums of
+        each restriction (its ``sums`` argument) to its value.
+        Single-question ranking then prices both answers of every
+        candidate from two matrix products per column chunk, and
+        set-extension ranking every candidate's cells from one per greedy
+        step.  The default ``None`` keeps a measure on the mask paths
+        (:meth:`evaluate_restrictions` with ``masks``, and ``cells`` for
         sets).
         """
         return None
-
-    def value_from_sums(self, sums: np.ndarray) -> np.ndarray:
-        """Values from ``(..., m)`` sums of :meth:`restriction_terms` over
-        restrictions that each keep positive mass."""
-        raise NotImplementedError(
-            f"{type(self).__name__} declares no additive restriction terms"
-        )
 
     @staticmethod
     def _check_weights(space: OrderingSpace, weights: np.ndarray) -> np.ndarray:

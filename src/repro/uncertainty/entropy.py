@@ -117,42 +117,43 @@ class EntropyMeasure(UncertaintyMeasure):
     def evaluate_restrictions(
         self,
         space: OrderingSpace,
-        masks: np.ndarray,
+        masks: Optional[np.ndarray] = None,
         cells: Optional[np.ndarray] = None,
+        sums: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pruning hypotheticals via ``Σ q·ln q = (Σ_S p·ln p)/T − ln T``.
 
-        The per-path ``p·ln p`` vector is computed once, so each row costs
-        two mask–vector products and zero transcendentals.  Cell masks
-        sum ``p`` and ``p·ln p`` per cell first, so rows are only as wide
-        as the cells: this is the capped set path.  Single-question
-        ranking and uncapped set-extension ranking skip the masks
-        altogether: they sum the same two terms
-        (:meth:`restriction_terms`) per answer branch or per cell with
-        matrix products and price the sums with :meth:`value_from_sums`.
+        The value is ``(ln T − Σ/T) / ln b`` from a restriction's sums
+        ``T`` of ``p`` and ``Σ`` of ``p·ln p`` (:meth:`restriction_terms`).
+        Given ``masks``, the per-path ``p·ln p`` vector is computed once,
+        so each row costs two mask–vector products and zero
+        transcendentals.  Cell masks sum ``p`` and ``p·ln p`` per cell
+        first, so rows are only as wide as the cells: this is the capped
+        set path.  Single-question ranking and uncapped set-extension
+        ranking skip the masks altogether: they sum the two terms per
+        answer branch or per cell with matrix products and pass the
+        ``(..., 2)`` ``sums``.
         """
-        masks = np.asarray(masks, dtype=float)
-        p = space.probabilities
-        plogp = _plogp(p)
-        if cells is not None:
-            p = np.bincount(cells, weights=p, minlength=masks.shape[1])
-            plogp = np.bincount(cells, weights=plogp, minlength=p.size)
-        totals = masks @ p
-        if np.any(totals <= 0.0):
-            raise ValueError("every restriction needs surviving mass")
-        sums = masks @ plogp
-        return (np.log(totals) - sums / totals) / np.log(self.base)
+        if sums is not None:
+            totals, plogp_sums = sums[..., 0], sums[..., 1]
+        else:
+            masks = np.asarray(masks, dtype=float)
+            p = space.probabilities
+            plogp = _plogp(p)
+            if cells is not None:
+                p = np.bincount(cells, weights=p, minlength=masks.shape[1])
+                plogp = np.bincount(cells, weights=plogp, minlength=p.size)
+            totals = masks @ p
+            if np.any(totals <= 0.0):
+                raise ValueError("every restriction needs surviving mass")
+            plogp_sums = masks @ plogp
+        return (np.log(totals) - plogp_sums / totals) / np.log(self.base)
 
     def restriction_terms(self, space: OrderingSpace) -> np.ndarray:
         """``(p, p·ln p)`` per path: a restriction's entropy follows from
-        their sums ``T`` and ``Σ`` (:meth:`value_from_sums`)."""
+        their sums ``T`` and ``Σ`` (:meth:`evaluate_restrictions`)."""
         p = space.probabilities
         return np.column_stack((p, _plogp(p)))
-
-    def value_from_sums(self, sums: np.ndarray) -> np.ndarray:
-        """``(ln T − Σ/T) / ln b`` for ``(..., 2)`` sums ``(T, Σ)``."""
-        totals, plogp_sums = sums[..., 0], sums[..., 1]
-        return (np.log(totals) - plogp_sums / totals) / np.log(self.base)
 
 
 WeightsLike = Union[None, Sequence[float], Callable[[int], np.ndarray]]

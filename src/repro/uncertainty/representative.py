@@ -178,8 +178,9 @@ class ORAUncertainty(UncertaintyMeasure):
     def evaluate_restrictions(
         self,
         space: OrderingSpace,
-        masks: np.ndarray,
+        masks: Optional[np.ndarray] = None,
         cells: Optional[np.ndarray] = None,
+        sums: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pruning hypotheticals keep the mask as the survivor set.
 
@@ -189,10 +190,10 @@ class ORAUncertainty(UncertaintyMeasure):
         the path — deriving support from the weights would silently drop
         such tuples and break scalar parity.
         """
+        if self.method != "borda" or sums is not None:
+            return super().evaluate_restrictions(space, masks, cells, sums)
         if cells is not None:
             masks = np.asarray(masks)[:, cells]
-        if self.method != "borda":
-            return super().evaluate_restrictions(space, masks)
         masks = np.asarray(masks, dtype=bool)
         weights = self._check_weights(
             space, masks * space.probabilities[None, :]
