@@ -15,7 +15,7 @@ update returns a new space (the arrays are shared where possible).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -469,21 +469,6 @@ class OrderingSpace:
         w = less + 0.5 * both_absent
         np.fill_diagonal(w, 0.0)
         return w
-
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_orderings(
-        cls,
-        orderings: Iterable[Sequence[int]],
-        probabilities: Sequence[float],
-        n_tuples: int,
-    ) -> "OrderingSpace":
-        """Build a space from explicit orderings (mostly for tests)."""
-        paths = np.asarray(list(orderings), dtype=np.int32)
-        if paths.ndim == 1:
-            paths = paths.reshape(1, -1)
-        return cls(paths, np.asarray(probabilities, dtype=float), n_tuples)
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,8 @@ from repro.crowd.oracle import GroundTruth
 from repro.crowd.simulator import SimulatedCrowd
 from repro.distributions.uniform import Uniform
 from repro.tpo.builders import GridBuilder
-from repro.tpo.space import OrderingSpace
+
+from oracles.spaces import space_from_orderings
 
 
 @pytest.fixture
@@ -45,7 +46,7 @@ def toy_space():
     """
     paths = [[0, 1], [1, 0], [0, 2], [2, 3]]
     probs = [0.4, 0.3, 0.2, 0.1]
-    return OrderingSpace.from_orderings(paths, probs, 4)
+    return space_from_orderings(paths, probs, 4)
 
 
 @pytest.fixture

@@ -21,12 +21,14 @@ import pytest
 from repro.questions import Question
 from repro.tpo.space import DegenerateSpaceError, OrderingSpace
 
+from oracles.spaces import space_from_orderings
+
 
 @pytest.fixture
 def full_permutation_space():
     """All 6 orderings of 3 tuples, uniform — maximal uncertainty."""
     paths = list(itertools.permutations(range(3)))
-    return OrderingSpace.from_orderings(paths, [1 / 6] * 6, 3)
+    return space_from_orderings(paths, [1 / 6] * 6, 3)
 
 
 def questions_to_resolve(space, world):

@@ -24,6 +24,7 @@ from repro.uncertainty import EntropyMeasure
 
 from oracles.question_pool import question_set
 from oracles.scalar_residual import rank_singles
+from oracles.spaces import space_from_orderings
 
 
 @pytest.fixture
@@ -164,9 +165,7 @@ class TestAStarOffline:
         assert not policy.last_search_complete
 
     def test_certain_space_needs_no_questions(self, evaluator, rng):
-        from repro.tpo.space import OrderingSpace
-
-        space = OrderingSpace.from_orderings([[0, 1]], [1.0], 3)
+        space = space_from_orderings([[0, 1]], [1.0], 3)
         picked = AStarOfflinePolicy().select(
             space, [], 3, evaluator, rng
         )
@@ -224,9 +223,7 @@ class TestOnline:
         assert question == candidates[int(np.argmin(residuals))]
 
     def test_top1_terminates_on_certainty(self, evaluator, rng):
-        from repro.tpo.space import OrderingSpace
-
-        space = OrderingSpace.from_orderings([[0, 1]], [1.0], 3)
+        space = space_from_orderings([[0, 1]], [1.0], 3)
         assert Top1OnlinePolicy().next_question(
             space, [], 5, evaluator, rng
         ) is None

@@ -25,8 +25,9 @@ from repro.crowd.simulator import CrowdStats, SimulatedCrowd
 from repro.distributions.uniform import Uniform
 from repro.questions.model import Answer, Question
 from repro.questions.residual import ResidualEvaluator
-from repro.tpo.space import OrderingSpace
 from repro.uncertainty.entropy import EntropyMeasure
+
+from oracles.spaces import space_from_orderings
 
 
 class FixedQuestionPolicy(OnlinePolicy):
@@ -185,7 +186,7 @@ def test_incr_survives_and_counts_contradictions():
 
 def test_apply_answer_counts_contradictions_on_evaluator():
     evaluator = ResidualEvaluator(EntropyMeasure())
-    space = OrderingSpace.from_orderings([[0, 1]], [1.0], 4)
+    space = space_from_orderings([[0, 1]], [1.0], 4)
     assert evaluator.contradictions == 0
     updated = evaluator.apply_answer(
         space, Question(0, 1), holds=False, accuracy=1.0

@@ -19,6 +19,8 @@ production code against.
   level-table ``TPOTree`` (masses, parent order, no repeated tuple).
 * :mod:`oracles.exception_ancestry` — exception ancestry scanning every
   class per name (parity for ``CallGraph.exception_ancestors``).
+* :mod:`oracles.spaces` — ``space_from_orderings``, an ``OrderingSpace``
+  fixture built from explicit orderings and masses.
 
 ``tests/`` is on ``sys.path`` (the suite's root ``conftest.py`` lives
 there), so test modules import these as ``from oracles... import ...``.

@@ -12,11 +12,11 @@ from repro.questions import (
     informative_questions,
     relevant_questions,
 )
-from repro.tpo.space import OrderingSpace
 from repro.uncertainty import EntropyMeasure
 
 from oracles.question_pool import is_settled, question_set
 from oracles.scalar_residual import rank_singles
+from oracles.spaces import space_from_orderings
 
 
 class TestQuestionModel:
@@ -55,7 +55,7 @@ class TestCandidates:
     def test_relevant_uses_pdf_overlap(self):
         dists = [Uniform(0, 1), Uniform(0.5, 1.5), Uniform(2, 3)]
         paths = [[2, 1], [2, 0]]
-        space = OrderingSpace.from_orderings(paths, [0.6, 0.4], 3)
+        space = space_from_orderings(paths, [0.6, 0.4], 3)
         questions = relevant_questions(space, dists)
         # Pair (0,2) and (1,2) have disjoint pdfs → excluded even though
         # tuple 2 appears in the tree.
@@ -87,7 +87,7 @@ class TestSingleResidual:
         assert evaluator.single(toy_space, question) == pytest.approx(expected)
 
     def test_useless_question_returns_current_uncertainty(self, evaluator):
-        space = OrderingSpace.from_orderings(
+        space = space_from_orderings(
             [[0, 1], [1, 0]], [0.5, 0.5], 4
         )
         # Pair (2,3) appears in no ordering: no pruning possible.
@@ -173,7 +173,7 @@ class TestApplyAnswer:
         assert updated.size == toy_space.size
 
     def test_contradiction_is_swallowed(self, evaluator):
-        space = OrderingSpace.from_orderings([[0, 1]], [1.0], 4)
+        space = space_from_orderings([[0, 1]], [1.0], 4)
         updated = evaluator.apply_answer(
             space, Question(0, 1), holds=False, accuracy=1.0
         )

@@ -18,13 +18,15 @@ from repro.rank import (
 )
 from repro.tpo.space import OrderingSpace
 
+from oracles.spaces import space_from_orderings
+
 
 @pytest.fixture
 def skewed_space():
     """A space with an obvious modal ordering [2, 0, 1]."""
     paths = [[2, 0, 1], [2, 1, 0], [0, 2, 1]]
     probs = [0.7, 0.2, 0.1]
-    return OrderingSpace.from_orderings(paths, probs, 4)
+    return space_from_orderings(paths, probs, 4)
 
 
 class TestCostModel:

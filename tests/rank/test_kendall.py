@@ -12,7 +12,8 @@ from repro.rank import (
     topk_kendall,
 )
 from repro.rank.kendall import presence_pair_marginals, topk_distance_profile
-from repro.tpo.space import OrderingSpace
+
+from oracles.spaces import space_from_orderings
 
 
 class TestKendallTau:
@@ -113,7 +114,7 @@ class TestExpectedDistance:
         assert value == pytest.approx(manual)
 
     def test_zero_against_certain_space(self):
-        space = OrderingSpace.from_orderings([[2, 0, 1]], [1.0], 4)
+        space = space_from_orderings([[2, 0, 1]], [1.0], 4)
         assert expected_topk_distance(space, [2, 0, 1]) == 0.0
 
     def test_chunking_does_not_change_result(self, small_space):
@@ -129,7 +130,7 @@ class TestExpectedDistance:
     def test_rejects_reference_repeating_a_tuple(self):
         # Regression: [2, 2, 1] was silently priced as a 3-list (0.183
         # on this space, against 0.275 for [2, 1]).
-        space = OrderingSpace.from_orderings(
+        space = space_from_orderings(
             [[0, 1, 2], [2, 1, 3], [4, 2, 5]], [0.5, 0.3, 0.2], 8
         )
         for distance in (expected_topk_distance, topk_distance_profile):

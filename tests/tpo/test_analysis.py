@@ -8,13 +8,14 @@ from repro.tpo.analysis import (
     profile_space,
     question_impact_table,
 )
-from repro.tpo.space import OrderingSpace
 from repro.uncertainty import EntropyMeasure
+
+from oracles.spaces import space_from_orderings
 
 
 class TestProfile:
     def test_certain_space_profile(self):
-        space = OrderingSpace.from_orderings([[0, 1]], [1.0], 3)
+        space = space_from_orderings([[0, 1]], [1.0], 3)
         profile = profile_space(space)
         assert profile.orderings == 1
         assert profile.entropy == 0.0

@@ -19,12 +19,14 @@ import pytest
 from repro.distributions import Uniform
 from repro.tpo import MonteCarloBuilder, OrderingSpace, TPOSizeError
 
+from oracles.spaces import space_from_orderings
+
 
 @pytest.fixture
 def tied_space():
     """Four orderings, all equally likely, rows deliberately shuffled."""
     paths = [[2, 1], [0, 1], [1, 0], [1, 2]]
-    return OrderingSpace.from_orderings(paths, [0.25] * 4, 3)
+    return space_from_orderings(paths, [0.25] * 4, 3)
 
 
 class TestReweightCacheCarryover:
@@ -104,7 +106,7 @@ class TestStableTopOrderings:
         assert tied_space.most_probable_ordering().tolist() == [0, 1]
 
     def test_most_probable_ordering_unique_max(self):
-        space = OrderingSpace.from_orderings(
+        space = space_from_orderings(
             [[0, 1], [1, 0]], [0.3, 0.7], 2
         )
         assert space.most_probable_ordering().tolist() == [1, 0]

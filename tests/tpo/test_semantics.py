@@ -11,13 +11,14 @@ from repro.tpo import (
     u_kranks,
     u_topk,
 )
-from repro.tpo.space import OrderingSpace
+
+from oracles.spaces import space_from_orderings
 
 
 @pytest.fixture
 def space():
     """Hand-built space: [0,1] 0.5 | [1,0] 0.2 | [0,2] 0.3 over 4 tuples."""
-    return OrderingSpace.from_orderings(
+    return space_from_orderings(
         [[0, 1], [1, 0], [0, 2]], [0.5, 0.2, 0.3], 4
     )
 
@@ -29,7 +30,7 @@ class TestUTopK:
         assert probability == pytest.approx(0.5)
 
     def test_certain_space(self):
-        certain = OrderingSpace.from_orderings([[2, 1]], [1.0], 3)
+        certain = space_from_orderings([[2, 1]], [1.0], 3)
         vector, probability = u_topk(certain)
         np.testing.assert_array_equal(vector, [2, 1])
         assert probability == 1.0
@@ -44,7 +45,7 @@ class TestUKRanks:
 
     def test_winners_can_repeat(self):
         # t0 is the likeliest at BOTH ranks in this contrived space.
-        space = OrderingSpace.from_orderings(
+        space = space_from_orderings(
             [[0, 1], [2, 0], [1, 2]], [0.45, 0.45, 0.10], 3
         )
         winners = u_kranks(space)
@@ -102,7 +103,7 @@ class TestReport:
 class TestConsistencyAcrossSemantics:
     def test_utopk_head_agrees_with_ukranks_when_dominant(self):
         """With one dominant ordering all semantics agree on rank 1."""
-        space = OrderingSpace.from_orderings(
+        space = space_from_orderings(
             [[3, 1, 0], [3, 0, 1]], [0.9, 0.1], 4
         )
         vector, _ = u_topk(space)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.tpo.space import DegenerateSpaceError, OrderingSpace
 
+from oracles.spaces import space_from_orderings
+
 
 class TestConstruction:
     def test_normalizes_probabilities(self, toy_space):
@@ -16,11 +18,11 @@ class TestConstruction:
 
     def test_rejects_zero_mass(self):
         with pytest.raises(DegenerateSpaceError):
-            OrderingSpace.from_orderings([[0, 1]], [0.0], 4)
+            space_from_orderings([[0, 1]], [0.0], 4)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
-            OrderingSpace.from_orderings([[0, 1]], [-1.0], 4)
+            space_from_orderings([[0, 1]], [-1.0], 4)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -126,4 +128,4 @@ class TestSummaries:
 
     def test_is_certain(self, toy_space):
         assert not toy_space.is_certain
-        assert OrderingSpace.from_orderings([[0, 1]], [1.0], 4).is_certain
+        assert space_from_orderings([[0, 1]], [1.0], 4).is_certain

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.tpo.space import OrderingSpace
 from repro.api import MEASURES
 from repro.uncertainty import (
     EntropyMeasure,
@@ -13,6 +12,8 @@ from repro.uncertainty import (
     linear_level_weights,
     shannon_entropy,
 )
+
+from oracles.spaces import space_from_orderings
 
 ALL_MEASURES = [
     EntropyMeasure(),
@@ -24,7 +25,7 @@ ALL_MEASURES = [
 
 @pytest.fixture
 def certain_space():
-    return OrderingSpace.from_orderings([[0, 1, 2]], [1.0], 4)
+    return space_from_orderings([[0, 1, 2]], [1.0], 4)
 
 
 @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.name)
@@ -66,7 +67,7 @@ class TestShannonEntropy:
 class TestEntropyOnSpaces:
     def test_uniform_leaf_distribution(self):
         paths = [[0, 1], [1, 0], [0, 2], [2, 0]]
-        space = OrderingSpace.from_orderings(paths, [0.25] * 4, 3)
+        space = space_from_orderings(paths, [0.25] * 4, 3)
         assert EntropyMeasure()(space) == pytest.approx(2.0)
 
     def test_conditioning_reduces_expected_entropy(self, small_space):
@@ -112,10 +113,10 @@ class TestWeightedEntropy:
     def test_distinguishes_structure(self):
         """Two spaces with equal leaf entropy but different level-1
         agreement: U_H ties, U_Hw tells them apart."""
-        agree_top = OrderingSpace.from_orderings(
+        agree_top = space_from_orderings(
             [[0, 1], [0, 2]], [0.5, 0.5], 3
         )
-        disagree_top = OrderingSpace.from_orderings(
+        disagree_top = space_from_orderings(
             [[0, 1], [2, 1]], [0.5, 0.5], 3
         )
         assert EntropyMeasure()(agree_top) == pytest.approx(
@@ -144,7 +145,7 @@ class TestRepresentativeMeasures:
 
     def test_ora_methods_agree_on_easy_space(self):
         paths = [[0, 1], [0, 2]]
-        space = OrderingSpace.from_orderings(paths, [0.8, 0.2], 3)
+        space = space_from_orderings(paths, [0.8, 0.2], 3)
         exact_value = ORAUncertainty(method="exact")(space)
         borda_value = ORAUncertainty(method="borda")(space)
         assert borda_value == pytest.approx(exact_value, abs=1e-9)
