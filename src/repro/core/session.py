@@ -452,8 +452,8 @@ class InteractiveSession:
     ) -> Tuple[List[Question], np.ndarray]:
         """All candidate questions with their expected residuals ``R_q``.
 
-        The pair of aligned sequences — not just the winner — so callers
-        coalescing rankings across sessions (the service manager) can
+        The pair of aligned sequences — not just the winner — so a caller
+        that memoizes rankings per session state (the service manager) can
         compute once and share.
         """
         if candidates is None:
@@ -536,7 +536,7 @@ class InteractiveSession:
 
         Two sessions over the same initial space with equal keys are in
         bit-identical states — the property the service manager's
-        cross-session ranking coalescing keys on.
+        per-state ranking memo keys on.
         """
         return tuple(
             (a.question.i, a.question.j, a.holds, a.accuracy)

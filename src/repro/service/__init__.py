@@ -9,7 +9,8 @@ Runs many crowdsourcing sessions against shared, cached state:
 * :mod:`repro.service.manager` — :class:`SessionManager`: session
   lifecycle (create / next-question / submit-answer / snapshot / resume),
   an append-only JSONL event log that makes a killed manager resumable,
-  and cross-session coalescing of next-question rankings;
+  and a per-state memo of next-question rankings that sessions in equal
+  states share;
 * :mod:`repro.service.server` — a dependency-free asyncio HTTP front end
   (``repro serve``);
 * :mod:`repro.service.store` — the cold tiers behind the cache: a

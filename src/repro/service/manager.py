@@ -1,4 +1,4 @@
-"""Session lifecycle, durable event log, and cross-session coalescing.
+"""Session lifecycle, durable event log, and per-state ranking memo.
 
 :class:`SessionManager` owns many concurrent interactive sessions (one per
 end user answering crowd questions) and makes them cheap to serve:
@@ -7,9 +7,8 @@ end user answering crowd questions) and makes them cheap to serve:
   :class:`~repro.service.cache.TPOCache`, so hashed-equal instances pay
   one tree build;
 * next-question rankings are memoized by *session state* — (instance
-  hash, answer history) — and a batch of pending requests is grouped by
-  state before pricing, so sessions in identical states (common early in
-  their lifetime, and throughout for reliable crowds) share one
+  hash, answer history) — so sessions in identical states (common early
+  in their lifetime, and throughout for reliable crowds) share one
   :meth:`~repro.questions.residual.ResidualEvaluator.rank_singles_batch`
   scoring pass;
 * every mutation is appended to a JSONL event log (the
@@ -55,6 +54,9 @@ from repro.uncertainty.entropy import EntropyMeasure
 
 #: Anything :class:`pathlib.Path` accepts for the event-log location.
 PathLike = Union[str, Path]
+
+#: How many per-state next-question rankings the manager memoizes (LRU).
+RANKING_MEMO_SIZE = 1024
 
 
 class UnknownSessionError(KeyError):
@@ -233,9 +235,6 @@ class SessionManager:
         TPO engine shared by all sessions (default: grid).
     measure:
         Uncertainty measure driving question ranking (default ``U_H``).
-    ranking_memo_size:
-        How many per-state next-question rankings to memoize (LRU).
-        ``0`` disables both the memo and cross-session ranking sharing.
     """
 
     def __init__(
@@ -244,17 +243,13 @@ class SessionManager:
         log_path: Optional[PathLike] = None,
         builder: Optional[TPOBuilder] = None,
         measure: Optional[UncertaintyMeasure] = None,
-        ranking_memo_size: int = 1024,
     ) -> None:
-        if ranking_memo_size < 0:
-            raise ValueError("ranking_memo_size must be >= 0")
         self.cache = cache if cache is not None else TPOCache()
         self.builder = (
             builder if builder is not None else EngineSpec().build()
         )
         self.measure = measure if measure is not None else EntropyMeasure()
         self.evaluator = ResidualEvaluator(self.measure)
-        self.ranking_memo_size = int(ranking_memo_size)
         self._sessions: Dict[str, ManagedSession] = {}
         #: Guards insertion into ``_sessions`` and every snapshot of it:
         #: the server creates sessions on its service thread while the
@@ -268,7 +263,8 @@ class SessionManager:
         )
         self.rankings_computed = 0
         self.rankings_memo_hits = 0
-        self.rankings_coalesced = 0
+        self.next_batches = 0
+        self.next_requests = 0
         self.replay_skipped = 0
 
     # -- lookup --------------------------------------------------------
@@ -360,51 +356,31 @@ class SessionManager:
     def next_questions(
         self, session_ids: Iterable[str]
     ) -> Dict[str, Optional[Question]]:
-        """Coalesced next-question lookup for many sessions at once.
+        """Next question of each session, ranked once per session state.
 
         Sessions in bit-identical states — same instance hash, same
-        answer history — share one ranking: memoized rankings are reused
-        directly, and each remaining distinct state is priced by one
-        :meth:`ResidualEvaluator.rank_singles_batch` call.  This is the
-        entry point the asyncio server funnels concurrent requests
-        through.
+        answer history — share one memoized ranking; a state not in the
+        memo is priced by :meth:`InteractiveSession.ranking` and stored.
         """
+        self.next_batches += 1
         results: Dict[str, Optional[Question]] = {}
-        #: state → (candidates, [(sid, session), …]) for memo misses.
-        needed: "OrderedDict" = OrderedDict()
         for sid in session_ids:
+            self.next_requests += 1
             managed = self._active(sid)
-            state = (managed.tpo_key, managed.session.answers_key())
-            memo = (
-                self._rankings.get(state) if self.ranking_memo_size else None
-            )
-            if memo is not None:
+            session = managed.session
+            state = (managed.tpo_key, session.answers_key())
+            ranking = self._rankings.get(state)
+            if ranking is None:
+                candidates, residuals = session.ranking()
+                self.rankings_computed += 1
+                # A plain list: the memo must not pin the pool's stances.
+                ranking = self._rankings[state] = (list(candidates), residuals)
+                if len(self._rankings) > RANKING_MEMO_SIZE:
+                    self._rankings.popitem(last=False)
+            else:
                 self._rankings.move_to_end(state)
                 self.rankings_memo_hits += 1
-                results[sid] = managed.session.next_question(memo)
-                continue
-            group = needed.get(state)
-            if group is None:
-                needed[state] = (
-                    managed.session.candidates(),
-                    [(sid, managed.session)],
-                )
-            else:
-                group[1].append((sid, managed.session))
-        for state, (candidates, members) in needed.items():
-            residuals = self.evaluator.rank_singles_batch(
-                members[0][1].space, candidates
-            )
-            self.rankings_computed += 1
-            # A plain list: the memo must not pin the pool's stances.
-            ranking = (list(candidates), residuals)
-            self.rankings_coalesced += len(members) - 1
-            if self.ranking_memo_size:
-                self._rankings[state] = ranking
-                while len(self._rankings) > self.ranking_memo_size:
-                    self._rankings.popitem(last=False)
-            for sid, session in members:
-                results[sid] = session.next_question(ranking)
+            results[sid] = session.next_question(ranking)
         return results
 
     def submit_answer(
@@ -530,11 +506,12 @@ class SessionManager:
             "rankings": {
                 "computed": self.rankings_computed,
                 "memo_hits": self.rankings_memo_hits,
-                "coalesced": self.rankings_coalesced,
             },
             "evaluations": self.evaluator.evaluations,
             "contradictions": self.evaluator.contradictions,
             "replay_skipped": self.replay_skipped,
+            "next_batches": self.next_batches,
+            "next_requests": self.next_requests,
         }
         if getattr(self.builder, "beam_active", False):
             lost = [

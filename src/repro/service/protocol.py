@@ -401,7 +401,7 @@ class StatsResponse:
 
     The flat key set is the historical ``/stats`` shape (``sessions`` /
     ``cache`` / ``rankings`` / ``evaluations`` / ``contradictions`` /
-    ``replay_skipped`` plus the batcher's ``next_batches`` /
+    ``replay_skipped`` plus the manager's ``next_batches`` /
     ``next_requests``) so existing dashboards keep working; ``cache``
     is :meth:`repro.service.cache.TPOCache.stats` (flat hot-tier
     counters plus ``builds``/``cold_hits``/``cold_hit_rate`` and a nested
@@ -424,8 +424,6 @@ class StatsResponse:
     def from_manager_stats(
         cls,
         stats: Mapping[str, Any],
-        next_batches: int,
-        next_requests: int,
         topology: Optional[TopologyInfo] = None,
     ) -> "StatsResponse":
         return cls(
@@ -435,8 +433,8 @@ class StatsResponse:
             evaluations=stats["evaluations"],
             contradictions=stats["contradictions"],
             replay_skipped=stats["replay_skipped"],
-            next_batches=next_batches,
-            next_requests=next_requests,
+            next_batches=stats["next_batches"],
+            next_requests=stats["next_requests"],
             topology=topology if topology is not None else TopologyInfo(),
             approximation=ApproximationInfo.from_dict(
                 stats.get("approximation")
@@ -467,7 +465,7 @@ class ClusterStatsResponse:
 
     ``workers`` holds each worker's own :class:`StatsResponse` payload
     (tagged with its shard); the top-level blocks are fleet totals —
-    summed session counts and batcher counters, plus a ``store`` block
+    summed session counts and ``/next`` counters, plus a ``store`` block
     with hot/cold hit rates and stored bytes across all workers.
     """
 

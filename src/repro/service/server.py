@@ -32,11 +32,9 @@ unversioned paths remain as deprecated aliases (flat
 ``{"error": "<message>"}`` bodies, a ``Deprecation: true`` header) so old
 clients keep working.
 
-Concurrent ``/next`` requests are *coalesced*: handlers enqueue into a
-:class:`NextQuestionBatcher` which drains once per event-loop tick through
-:meth:`SessionManager.next_questions`, so simultaneous requests from
-sessions in identical states share a single ranking pass — the asyncio
-face of the manager's cross-session batching.
+``/next`` is answered on the loop thread by
+:meth:`SessionManager.next_question`, whose per-state ranking memo lets
+sessions in identical states share one ranking pass.
 
 The manager is synchronous and touched from the event-loop thread, with
 two deliberate exceptions that run on one :class:`ServiceThread`:
@@ -115,63 +113,6 @@ class HttpError(Exception):
         self.allow = sorted(allow) if allow else None
 
 
-class NextQuestionBatcher:
-    """Coalesces concurrent next-question requests into one manager call.
-
-    Requests arriving within the same event-loop tick are drained together
-    by a single :meth:`SessionManager.next_questions` call; each waiter
-    gets its own result (or its own error) back through a future.
-    """
-
-    def __init__(self, manager: SessionManager) -> None:
-        self.manager = manager
-        self._pending: List[Tuple[str, asyncio.Future]] = []
-        self.batches = 0
-        self.requests = 0
-
-    async def request(self, session_id: str) -> Any:
-        """One session's ``Optional[Question]``: after one loop turn, in
-        which other handlers may enqueue, the first to resume drains all."""
-        future = asyncio.get_running_loop().create_future()
-        self._pending.append((session_id, future))
-        self.requests += 1
-        await asyncio.sleep(0)
-        if self._pending:
-            self._drain()
-        return await future
-
-    def _drain(self) -> None:
-        batch, self._pending = self._pending, []
-        self.batches += 1
-        unique_ids = list(dict.fromkeys(sid for sid, _ in batch))
-        try:
-            questions = self.manager.next_questions(unique_ids)
-        except Exception:
-            # One member poisoning the whole batch (a bad id, or any
-            # unexpected failure) must not leave the other waiters hanging
-            # forever — _drain serves every waiter from one handler, so an
-            # escaping exception would resolve no other future.  Retry
-            # ids one by one; each waiter gets its own result or error.
-            questions = {}
-            errors: Dict[str, Exception] = {}
-            for sid in unique_ids:
-                try:
-                    questions.update(self.manager.next_questions([sid]))
-                except Exception as exc:
-                    errors[sid] = exc
-            for sid, future in batch:
-                if future.done():
-                    continue
-                if sid in errors:
-                    future.set_exception(errors[sid])
-                else:
-                    future.set_result(questions[sid])
-            return
-        for sid, future in batch:
-            if not future.done():
-                future.set_result(questions[sid])
-
-
 class ServiceThread:
     """The server's one thread for blocking work, in submission order.
 
@@ -248,14 +189,17 @@ async def _read_head(
             try:
                 content_length = int(value.strip())
             except ValueError:
-                raise HttpError(400, "bad Content-Length") from None
+                content_length = -1
+            if content_length < 0:
+                raise HttpError(400, "bad Content-Length")
     return method, target.split("?", 1)[0], content_length
 
 
-async def _read_body(
+async def _read_raw_body(
     reader: asyncio.StreamReader, content_length: int
-) -> Any:
-    """Read and parse the JSON request body (may raise 400/413)."""
+) -> bytes:
+    """Read the request body's bytes; 413, before reading any, when it is
+    declared longer than :data:`MAX_BODY_BYTES`."""
     if content_length > MAX_BODY_BYTES:
         raise HttpError(
             413,
@@ -265,9 +209,16 @@ async def _read_body(
                 "content_length": content_length,
             },
         )
-    if not content_length:
+    return await reader.readexactly(content_length)
+
+
+async def _read_body(
+    reader: asyncio.StreamReader, content_length: int
+) -> Any:
+    """Read and parse the JSON request body (may raise 400/413)."""
+    raw = await _read_raw_body(reader, content_length)
+    if not raw:
         return {}
-    raw = await reader.readexactly(content_length)
     try:
         body = json.loads(raw)
     except json.JSONDecodeError:
@@ -309,7 +260,6 @@ class Context:
     the request fields, shared by every connection)."""
 
     manager: SessionManager
-    batcher: NextQuestionBatcher
     worker: ServiceThread
     topology: TopologyInfo
     body: Any = None
@@ -348,10 +298,7 @@ async def _handle_meta(ctx: Context) -> Dict[str, Any]:
 
 async def _handle_stats(ctx: Context) -> Dict[str, Any]:
     return StatsResponse.from_manager_stats(
-        ctx.manager.stats(),
-        next_batches=ctx.batcher.batches,
-        next_requests=ctx.batcher.requests,
-        topology=ctx.topology,
+        ctx.manager.stats(), topology=ctx.topology
     ).to_payload()
 
 
@@ -405,7 +352,7 @@ async def _handle_snapshot(ctx: Context) -> Dict[str, Any]:
 
 async def _handle_next(ctx: Context) -> Dict[str, Any]:
     sid = ctx.params["session_id"]
-    question = await ctx.batcher.request(sid)
+    question = ctx.manager.next_question(sid)
     return NextQuestionResponse(
         session_id=sid,
         question=None if question is None else (question.i, question.j),
@@ -517,7 +464,6 @@ async def _route(
             sid = params.get("session_id")
             ctx = Context(
                 shared.manager,
-                shared.batcher,
                 shared.worker,
                 shared.topology,
                 body,
@@ -606,7 +552,6 @@ async def start_server(
     manager.defer_log_writes()
     shared = Context(
         manager,
-        NextQuestionBatcher(manager),
         ServiceThread(),
         topology if topology is not None else TopologyInfo(),
     )
@@ -644,7 +589,6 @@ async def serve(
 __all__ = [
     "start_server",
     "serve",
-    "NextQuestionBatcher",
     "HttpError",
     "Route",
     "ROUTES",

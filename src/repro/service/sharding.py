@@ -57,6 +57,7 @@ from repro.service.server import (
     HttpError,
     _encode_response,
     _read_head,
+    _read_raw_body,
     start_server,
 )
 
@@ -409,11 +410,7 @@ class ShardedService:
             versioned = [s for s in path.split("/") if s][:1] == [
                 PROTOCOL_VERSION
             ]
-            raw_body = (
-                await reader.readexactly(content_length)
-                if content_length
-                else b""
-            )
+            raw_body = await _read_raw_body(reader, content_length)
             response = await self._dispatch(method, path, raw_body)
         except HttpError as exc:
             envelope = ErrorEnvelope(

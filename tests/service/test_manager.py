@@ -1,4 +1,4 @@
-"""Tests for the session manager: lifecycle, coalescing, durability."""
+"""Tests for the session manager: lifecycle, ranking memo, durability."""
 
 import json
 
@@ -146,7 +146,7 @@ class TestCoalescing:
         questions = manager.next_questions([a, b])
         assert questions[a] == questions[b]
         assert manager.rankings_computed == 1
-        assert manager.rankings_coalesced == 1
+        assert manager.rankings_memo_hits == 1
 
     def test_memo_serves_repeat_lookups(self):
         manager = make_manager()
@@ -166,15 +166,6 @@ class TestCoalescing:
         manager.next_questions([a, b])
         # b still at the initial state (memoized), a needs a new ranking.
         assert manager.rankings_computed == 2
-
-    def test_memo_disabled_still_coalesces_within_a_call(self):
-        manager = make_manager(ranking_memo_size=0)
-        a = manager.create_session(SPEC)
-        b = manager.create_session(dict(SPEC))
-        manager.next_questions([a, b])
-        assert manager.rankings_computed == 1
-        manager.next_questions([a, b])
-        assert manager.rankings_computed == 2  # nothing memoized
 
     def test_next_question_matches_interactive_session(self):
         # The service must ask exactly what a standalone session would.

@@ -178,14 +178,14 @@ class TestTopologyModels:
         manager_stats = {
             "sessions": {"active": 2, "closed": 1},
             "cache": {"hits": 3, "misses": 1, "hit_rate": 0.75},
-            "rankings": {"computed": 5, "memo_hits": 0, "coalesced": 0},
+            "rankings": {"computed": 5, "memo_hits": 0},
             "evaluations": 9,
             "contradictions": 0,
             "replay_skipped": 0,
+            "next_batches": 2,
+            "next_requests": 4,
         }
-        payload = StatsResponse.from_manager_stats(
-            manager_stats, next_batches=2, next_requests=4
-        ).to_payload()
+        payload = StatsResponse.from_manager_stats(manager_stats).to_payload()
         # Historical flat shape is intact…
         assert payload["sessions"] == manager_stats["sessions"]
         assert payload["cache"] == manager_stats["cache"]
@@ -330,6 +330,38 @@ class TestV1Endpoints:
 
         with_server(scenario)
 
+    def test_stats_keys_and_next_counters_are_pinned(self):
+        async def scenario(host, port, manager):
+            _, _, created = await http(
+                host, port, "POST", "/v1/sessions", {"spec": SPEC}
+            )
+            for _ in range(3):
+                status, _, _ = await http(
+                    host,
+                    port,
+                    "GET",
+                    f"/v1/sessions/{created['session_id']}/next",
+                )
+                assert status == 200
+            status, _, stats = await http(host, port, "GET", "/v1/stats")
+            assert status == 200
+            assert set(stats) == {
+                "sessions",
+                "cache",
+                "store",
+                "rankings",
+                "evaluations",
+                "contradictions",
+                "replay_skipped",
+                "next_batches",
+                "next_requests",
+                "topology",
+            }
+            assert stats["next_batches"] == stats["next_requests"] == 3
+            assert stats["rankings"] == {"computed": 1, "memo_hits": 2}
+
+        with_server(scenario)
+
 
 class TestV1ErrorEnvelopes:
     def test_400_bad_request_cases(self):
@@ -358,6 +390,12 @@ class TestV1ErrorEnvelopes:
                 "POST",
                 "/v1/sessions",
                 {"spec": {**SPEC, "params": {"bogus": 1}}},
+            )
+            assert status == 400
+            assert_envelope(body, "bad_request")
+            # A negative Content-Length is malformed, not a 500.
+            status, _, body = await http(
+                host, port, "POST", "/v1/sessions", content_length=-5
             )
             assert status == 400
             assert_envelope(body, "bad_request")

@@ -7,8 +7,8 @@ import threading
 
 import pytest
 
-from repro.service.manager import SessionManager, UnknownSessionError
-from repro.service.server import NextQuestionBatcher, ServiceThread, start_server
+from repro.service.manager import SessionManager
+from repro.service.server import ServiceThread, start_server
 from repro.tpo.builders import GridBuilder
 
 SPEC = {
@@ -124,11 +124,32 @@ class TestRoutes:
             )
             questions = {body["question"]["i"] for _, body in responses}
             assert len(questions) == 1  # identical states, identical pick
-            # All three shared one ranking pass.
+            # All three shared one ranking pass through the memo.
             assert manager.rankings_computed == 1
-            assert (
-                manager.rankings_coalesced + manager.rankings_memo_hits == 2
+            assert manager.rankings_memo_hits == 2
+
+        with_server(scenario)
+
+    def test_concurrent_next_with_an_unknown_id_fails_alone(self):
+        async def scenario(host, port, manager):
+            for sid in ("a", "b"):
+                await http(
+                    host,
+                    port,
+                    "POST",
+                    "/v1/sessions",
+                    {"spec": SPEC, "session_id": sid},
+                )
+            (status_a, a), (status_ghost, ghost), (status_b, b) = (
+                await asyncio.gather(
+                    http(host, port, "GET", "/v1/sessions/a/next"),
+                    http(host, port, "GET", "/v1/sessions/ghost/next"),
+                    http(host, port, "GET", "/v1/sessions/b/next"),
+                )
             )
+            assert (status_a, status_ghost, status_b) == (200, 404, 200)
+            assert ghost["error"]["code"] == "not_found"
+            assert a["question"] == b["question"]
 
         with_server(scenario)
 
@@ -412,23 +433,3 @@ class TestServiceThread:
             return future.cancelled()
 
         assert asyncio.run(scenario())
-
-
-class TestNextQuestionBatcher:
-    def test_one_turn_is_one_batch_and_a_bad_id_fails_alone(self):
-        manager = SessionManager(builder=GridBuilder(resolution=256))
-        sid = manager.create_session(SPEC)
-        batcher = NextQuestionBatcher(manager)
-
-        async def scenario():
-            return await asyncio.gather(
-                batcher.request(sid),
-                batcher.request("ghost"),
-                batcher.request(sid),
-                return_exceptions=True,
-            )
-
-        first, ghost, second = asyncio.run(scenario())
-        assert isinstance(ghost, UnknownSessionError)
-        assert first == second == manager.next_question(sid)
-        assert (batcher.batches, batcher.requests) == (1, 3)

@@ -91,14 +91,16 @@ def fd_links(fds):
     return links
 
 
-async def http(host, port, method, path, body=None):
-    """Minimal HTTP/1.1 client: one request, one JSON response."""
+async def http(host, port, method, path, body=None, content_length=None):
+    """Minimal HTTP/1.1 client: one request, one JSON response
+    (``content_length`` overrides the declared length of the body)."""
     reader, writer = await asyncio.open_connection(host, port)
     payload = json.dumps(body).encode() if body is not None else b""
+    length = content_length if content_length is not None else len(payload)
     writer.write(
         (
             f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {len(payload)}\r\n\r\n"
+            f"Content-Length: {length}\r\n\r\n"
         ).encode()
         + payload
     )
@@ -232,6 +234,29 @@ class TestFleetHttp:
                 host, port, "GET", f"/sessions/{sid}/next"
             )
             assert status == 200 and "question" in nxt
+
+        with_fleet(scenario, tmp_path)
+
+    def test_router_rejects_bad_lengths_before_reading(self, tmp_path):
+        async def scenario(host, port, service):
+            status, body = await http(
+                host, port, "POST", "/v1/sessions", content_length=-5
+            )
+            assert status == 400
+            assert body["error"]["code"] == "bad_request"
+            # The header alone: a router that waits for the body hangs.
+            status, body = await asyncio.wait_for(
+                http(
+                    host, port, "POST", "/v1/sessions", content_length=2097152
+                ),
+                timeout=10,
+            )
+            assert status == 413
+            assert body["error"]["code"] == "payload_too_large"
+            assert body["error"]["detail"] == {
+                "max_bytes": 1 << 20,
+                "content_length": 2097152,
+            }
 
         with_fleet(scenario, tmp_path)
 
